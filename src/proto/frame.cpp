@@ -1,6 +1,14 @@
 #include "proto/frame.h"
 
 namespace iotsec::proto {
+namespace {
+
+constexpr std::size_t kUdpHeaders =
+    EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize;
+constexpr std::size_t kTcpHeaders =
+    EthernetHeader::kSize + Ipv4Header::kSize + TcpHeader::kSize;
+
+}  // namespace
 
 std::optional<ParsedFrame> ParseFrame(std::span<const std::uint8_t> data) {
   ByteReader r(data);
@@ -38,6 +46,7 @@ Bytes BuildUdpFrame(const net::MacAddress& src_mac,
                     std::uint16_t dst_port,
                     std::span<const std::uint8_t> payload) {
   Bytes out;
+  out.reserve(kUdpHeaders + payload.size());
   ByteWriter w(out);
   EthernetHeader eth{dst_mac, src_mac, EtherType::kIpv4};
   eth.Serialize(w);
@@ -65,6 +74,7 @@ Bytes BuildTcpFrame(const net::MacAddress& src_mac,
                     net::Ipv4Address dst_ip, const TcpHeader& tcp,
                     std::span<const std::uint8_t> payload) {
   Bytes out;
+  out.reserve(kTcpHeaders + payload.size());
   ByteWriter w(out);
   EthernetHeader eth{dst_mac, src_mac, EtherType::kIpv4};
   eth.Serialize(w);
@@ -95,6 +105,7 @@ Bytes ReplacePayload(const ParsedFrame& frame,
   }
   // L2-only frame: just swap the payload after the Ethernet header.
   Bytes out;
+  out.reserve(EthernetHeader::kSize + new_payload.size());
   ByteWriter w(out);
   frame.eth.Serialize(w);
   w.Raw(new_payload);

@@ -1,5 +1,7 @@
 #include "proto/http.h"
 
+#include <cctype>
+
 #include "common/strings.h"
 
 namespace iotsec::proto {
@@ -24,33 +26,53 @@ void SerializeHeaders(std::string& out, const HttpHeaders& headers,
   out += "\r\n";
 }
 
-/// Splits raw text into (start-line, headers, body); shared by both codecs.
+/// A message split into (start-line, headers, body); shared by both
+/// codecs. The start line is a view into the frame being parsed.
 struct RawMessage {
-  std::string start_line;
+  std::string_view start_line;
   HttpHeaders headers;
   std::string body;
 };
 
+/// Walks the frame in place: the only copies are the header strings and
+/// the body that the parsed message keeps.
 std::optional<RawMessage> SplitMessage(std::span<const std::uint8_t> data) {
-  const std::string text(data.begin(), data.end());
+  const std::string_view text(reinterpret_cast<const char*>(data.data()),
+                              data.size());
   const auto head_end = text.find("\r\n\r\n");
-  if (head_end == std::string::npos) return std::nullopt;
-  const std::string head = text.substr(0, head_end);
+  if (head_end == std::string_view::npos) return std::nullopt;
+  const std::string_view head = text.substr(0, head_end);
   RawMessage msg;
-  msg.body = text.substr(head_end + 4);
-
-  const auto lines = Split(head, '\n');
-  if (lines.empty()) return std::nullopt;
-  msg.start_line = std::string(Trim(lines[0]));
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const auto line = Trim(lines[i]);
+  std::size_t eol = head.find('\n');
+  msg.start_line = Trim(head.substr(0, eol));
+  while (eol != std::string_view::npos) {
+    const std::size_t begin = eol + 1;
+    eol = head.find('\n', begin);
+    const auto line = Trim(head.substr(
+        begin, eol == std::string_view::npos ? eol : eol - begin));
     if (line.empty()) continue;
     const auto colon = line.find(':');
     if (colon == std::string_view::npos) return std::nullopt;
-    msg.headers.emplace_back(std::string(Trim(line.substr(0, colon))),
-                             std::string(Trim(line.substr(colon + 1))));
+    msg.headers.emplace_back(Trim(line.substr(0, colon)),
+                             Trim(line.substr(colon + 1)));
   }
+  msg.body = text.substr(head_end + 4);
   return msg;
+}
+
+/// Pops the next whitespace-delimited token off the front of `rest`;
+/// empty once none is left.
+std::string_view NextToken(std::string_view& rest) {
+  auto space = [&rest](std::size_t i) {
+    return std::isspace(static_cast<unsigned char>(rest[i])) != 0;
+  };
+  std::size_t b = 0;
+  while (b < rest.size() && space(b)) ++b;
+  std::size_t e = b;
+  while (e < rest.size() && !space(e)) ++e;
+  const std::string_view token = rest.substr(b, e - b);
+  rest.remove_prefix(e);
+  return token;
 }
 
 std::optional<std::string> FindHeader(const HttpHeaders& headers,
@@ -92,12 +114,19 @@ std::optional<HttpRequest> HttpRequest::Parse(
     std::span<const std::uint8_t> data) {
   auto msg = SplitMessage(data);
   if (!msg) return std::nullopt;
-  const auto parts = SplitWhitespace(msg->start_line);
-  if (parts.size() != 3 || !StartsWith(parts[2], "HTTP/")) return std::nullopt;
+  // Exactly three tokens: method, path, version.
+  std::string_view rest = msg->start_line;
+  const std::string_view method = NextToken(rest);
+  const std::string_view path = NextToken(rest);
+  const std::string_view version = NextToken(rest);
+  if (version.empty() || !NextToken(rest).empty() ||
+      !StartsWith(version, "HTTP/")) {
+    return std::nullopt;
+  }
   HttpRequest req;
-  req.method = parts[0];
-  req.path = parts[1];
-  req.version = parts[2];
+  req.method = method;
+  req.path = path;
+  req.version = version;
   req.headers = std::move(msg->headers);
   req.body = std::move(msg->body);
   return req;
@@ -122,23 +151,25 @@ std::optional<HttpResponse> HttpResponse::Parse(
     std::span<const std::uint8_t> data) {
   auto msg = SplitMessage(data);
   if (!msg) return std::nullopt;
-  const auto space1 = msg->start_line.find(' ');
-  if (space1 == std::string::npos) return std::nullopt;
-  const auto space2 = msg->start_line.find(' ', space1 + 1);
-  HttpResponse resp;
-  resp.version = msg->start_line.substr(0, space1);
-  if (!StartsWith(resp.version, "HTTP/")) return std::nullopt;
-  const std::string status_str =
-      space2 == std::string::npos
-          ? msg->start_line.substr(space1 + 1)
-          : msg->start_line.substr(space1 + 1, space2 - space1 - 1);
+  const std::string_view line = msg->start_line;
+  const auto space1 = line.find(' ');
+  if (space1 == std::string_view::npos) return std::nullopt;
+  const auto space2 = line.find(' ', space1 + 1);
+  const std::string_view version = line.substr(0, space1);
+  if (!StartsWith(version, "HTTP/")) return std::nullopt;
+  const std::string_view status_str =
+      space2 == std::string_view::npos
+          ? line.substr(space1 + 1)
+          : line.substr(space1 + 1, space2 - space1 - 1);
   std::uint64_t status = 0;
   if (!ParseUint(status_str, status) || status < 100 || status > 599) {
     return std::nullopt;
   }
+  HttpResponse resp;
+  resp.version = version;
   resp.status = static_cast<int>(status);
   resp.reason =
-      space2 == std::string::npos ? "" : msg->start_line.substr(space2 + 1);
+      space2 == std::string_view::npos ? "" : line.substr(space2 + 1);
   resp.headers = std::move(msg->headers);
   resp.body = std::move(msg->body);
   return resp;

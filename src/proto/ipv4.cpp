@@ -1,22 +1,29 @@
 #include "proto/ipv4.h"
 
+#include <array>
+
 namespace iotsec::proto {
 
 void Ipv4Header::Serialize(ByteWriter& w) const {
-  Bytes hdr;
-  ByteWriter hw(hdr);
-  hw.U8(0x45);  // version 4, IHL 5
-  hw.U8(tos);
-  hw.U16(total_length);
-  hw.U16(id);
-  hw.U16(0);  // flags/fragment offset: never fragmented in the simulator
-  hw.U8(ttl);
-  hw.U8(static_cast<std::uint8_t>(protocol));
-  hw.U16(0);  // checksum placeholder
-  hw.U32(src.value());
-  hw.U32(dst.value());
-  const std::uint16_t csum = InternetChecksum(hdr);
-  hw.PatchU16(10, csum);
+  // Built in a fixed array so the checksum covers it without a temporary
+  // buffer; bytes 6-7 (flags/fragment offset: never fragmented in the
+  // simulator) and 10-11 (checksum placeholder) stay zero.
+  std::array<std::uint8_t, kSize> hdr{};
+  auto put16 = [&hdr](std::size_t at, std::uint16_t v) {
+    hdr[at] = static_cast<std::uint8_t>(v >> 8);
+    hdr[at + 1] = static_cast<std::uint8_t>(v);
+  };
+  hdr[0] = 0x45;  // version 4, IHL 5
+  hdr[1] = tos;
+  put16(2, total_length);
+  put16(4, id);
+  hdr[8] = ttl;
+  hdr[9] = static_cast<std::uint8_t>(protocol);
+  put16(12, static_cast<std::uint16_t>(src.value() >> 16));
+  put16(14, static_cast<std::uint16_t>(src.value()));
+  put16(16, static_cast<std::uint16_t>(dst.value() >> 16));
+  put16(18, static_cast<std::uint16_t>(dst.value()));
+  put16(10, InternetChecksum(hdr));
   w.Raw(hdr);
 }
 

@@ -8,6 +8,7 @@ Bytes Encapsulate(const net::MacAddress& src_mac,
                   const net::MacAddress& dst_mac, const TunnelHeader& header,
                   std::span<const std::uint8_t> inner) {
   Bytes out;
+  out.reserve(EthernetHeader::kSize + TunnelHeader::kSize + inner.size());
   ByteWriter w(out);
   EthernetHeader eth{dst_mac, src_mac, EtherType::kTunnel};
   eth.Serialize(w);

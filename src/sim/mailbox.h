@@ -18,12 +18,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/callback.h"
 
 namespace iotsec::sim {
 
@@ -32,7 +32,7 @@ struct CrossShardEvent {
   SimTime when = 0;           // absolute delivery time on the destination
   int src = 0;                // source shard (canonical-order tie-break)
   std::uint64_t src_seq = 0;  // per-source-shard monotonic sequence
-  std::function<void()> fn;
+  Callback fn;
 };
 
 class SpscMailbox {

@@ -61,7 +61,7 @@ void ShardSet::WorkerLoop(int shard) {
   }
 }
 
-void ShardSet::Post(int dst, SimTime when, Simulator::Callback fn) {
+void ShardSet::Post(int dst, SimTime when, Callback fn) {
   assert(dst >= 0 && dst < shard_count());
   if (!running_.load(std::memory_order_relaxed)) {
     // Setup / between quanta: the caller is single-threaded, schedule
@@ -101,12 +101,13 @@ void ShardSet::DrainMailboxes() {
     // Every component is a function of simulated execution, never of
     // thread timing, so the destination queue ends up identical for any
     // shard-count/threading configuration that produced the same events.
-    std::stable_sort(drain_scratch_.begin(), drain_scratch_.end(),
-                     [](const CrossShardEvent& a, const CrossShardEvent& b) {
-                       if (a.when != b.when) return a.when < b.when;
-                       if (a.src != b.src) return a.src < b.src;
-                       return a.src_seq < b.src_seq;
-                     });
+    // The key is unique per event, so an in-place sort is already stable.
+    std::sort(drain_scratch_.begin(), drain_scratch_.end(),
+              [](const CrossShardEvent& a, const CrossShardEvent& b) {
+                if (a.when != b.when) return a.when < b.when;
+                if (a.src != b.src) return a.src < b.src;
+                return a.src_seq < b.src_seq;
+              });
     auto& sim = *sims_[static_cast<std::size_t>(dst)];
     for (auto& ev : drain_scratch_) {
       sim.At(ev.when, std::move(ev.fn));

@@ -83,7 +83,7 @@ class ShardSet {
   /// code before/between runs). During a run, `when` is clamped to the
   /// end of the current quantum — a clamp means the caller violated the
   /// lookahead contract and is counted in late_posts().
-  void Post(int dst, SimTime when, Simulator::Callback fn);
+  void Post(int dst, SimTime when, Callback fn);
 
   /// Runs every shard to `deadline` in lockstep quanta. `barrier_hook`
   /// (optional) runs single-threaded after each quantum's drain with the

@@ -4,20 +4,60 @@
 // µmbox boot delays — runs on one virtual clock owned by a Simulator.
 // Events fire in (time, insertion-order) order, which makes runs fully
 // deterministic for a fixed seed.
+//
+// The event core allocates nothing per event in steady state: callbacks
+// live in pooled slots (inline storage, see sim::Callback), the queue is a
+// 4-ary min-heap of small (when, seq, slot) entries, and a handle is a
+// generation-checked reference to a slot rather than its own heap object.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/callback.h"
 
 namespace iotsec::sim {
 
+namespace detail {
+
+/// One pooled event: the callback plus what its handles need to know.
+struct Slot {
+  Callback fn;
+  SimDuration period = 0;        // Every(): re-queue interval
+  // Bumped each time the event is done; 64 bits, so a handle kept for
+  // the whole run can never alias a later occupant of its slot.
+  std::uint64_t generation = 0;
+  bool recurring = false;
+  bool cancelled = false;
+};
+
+/// The slot pool, shared between a simulator and its handles so a handle
+/// outliving the simulator stays harmless. Slots sit in fixed-size chunks
+/// and never move once created, so a callback runs in place even while it
+/// schedules more events.
+struct SlotTable {
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+
+  Slot& operator[](std::uint32_t i) {
+    return chunks[i >> kChunkBits][i & (kChunkSize - 1)];
+  }
+
+  std::vector<std::unique_ptr<Slot[]>> chunks;
+  std::uint32_t size = 0;  // slots created so far
+  // Cancelled events whose heap entry has not popped yet; PendingEvents()
+  // subtracts them.
+  std::uint64_t cancelled_queued = 0;
+};
+
+}  // namespace detail
+
 /// Handle for a scheduled event; lets the owner cancel it before it fires.
+/// It names (slot, generation): once the event has fired (or was
+/// cancelled and popped) its slot is recycled under a new generation, so
+/// a stale handle reads "not pending" and cannot touch the new occupant.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -30,26 +70,26 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-    /// Every() ticker: pops never set `fired` (the handle stays
-    /// cancellable across ticks) and Cancel() accounts for the one
-    /// queued next-tick event.
-    bool recurring = false;
-    // Owning simulator's count of cancelled-but-unpopped events; bumped
-    // exactly once per Cancel() so PendingEvents() can subtract the
-    // corpses still sitting in the priority queue. Shared (not a raw
-    // Simulator*) so a handle outliving its simulator stays harmless.
-    std::shared_ptr<std::atomic<std::uint64_t>> cancelled_count;
-  };
-  explicit EventHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
+  EventHandle(std::shared_ptr<detail::SlotTable> table, std::uint32_t slot,
+              std::uint64_t generation)
+      : table_(std::move(table)), slot_(slot), generation_(generation) {}
+
+  /// The slot this handle still refers to, or nullptr once it is done.
+  [[nodiscard]] detail::Slot* Live() const;
+
+  std::shared_ptr<detail::SlotTable> table_;
+  std::uint32_t slot_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 class Simulator {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
+
+  Simulator() = default;
+  ~Simulator();
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Current virtual time.
   [[nodiscard]] SimTime Now() const { return now_; }
@@ -63,7 +103,8 @@ class Simulator {
   }
 
   /// Schedules `fn` every `period`, starting one period from now, until the
-  /// returned handle is cancelled or the simulator stops.
+  /// returned handle is cancelled. Stop() does not end a ticker: it stays
+  /// queued (and cancellable) for the next run.
   EventHandle Every(SimDuration period, Callback fn);
 
   /// Runs until the queue drains or Stop() is called.
@@ -76,7 +117,8 @@ class Simulator {
   /// Convenience: RunUntil(Now() + d).
   void RunFor(SimDuration d) { RunUntil(now_ + d); }
 
-  /// Stops the run loop after the current event returns.
+  /// Ends the run loop after the current event returns. Queued events,
+  /// tickers included, stay queued.
   void Stop() { stopped_ = true; }
 
   [[nodiscard]] std::uint64_t EventsProcessed() const { return processed_; }
@@ -84,43 +126,41 @@ class Simulator {
   /// Timestamp of the earliest queued event, or SimTime max when the queue
   /// is empty. Lets a lockstep scheduler skip quanta no shard has work in.
   [[nodiscard]] SimTime NextEventTime() const {
-    return queue_.empty() ? ~SimTime{0} : queue_.top().when;
+    return heap_.empty() ? ~SimTime{0} : heap_.front().when;
   }
 
   /// Live count of events that will still fire: cancelled events stay in
-  /// the priority queue until popped, but are excluded here, so
-  /// admission/backpressure logic reading this sees the real backlog.
+  /// the heap until popped, but are excluded here, so admission and
+  /// backpressure logic reading this sees the real backlog.
   [[nodiscard]] std::size_t PendingEvents() const {
-    return queue_.size() -
-           static_cast<std::size_t>(
-               cancelled_unpopped_->load(std::memory_order_relaxed));
+    return heap_.size() - static_cast<std::size_t>(slots_->cancelled_queued);
   }
 
  private:
-  struct Event {
+  /// Heap entry: 24 bytes; the callback stays put in its slot.
+  struct Entry {
     SimTime when;
     std::uint64_t seq;
-    Callback fn;
-    std::shared_ptr<EventHandle::State> state;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  static bool Earlier(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
 
-  bool PopAndFire();
+  std::uint32_t AcquireSlot(Callback fn);
+  /// Destroys the slot's callback and returns the slot to the free list.
+  void ReleaseSlot(std::uint32_t slot);
+  EventHandle Handle(std::uint32_t slot) {
+    return EventHandle(slots_, slot, (*slots_)[slot].generation);
+  }
+  void Push(Entry e);
+  Entry PopEarliest();
+  void PopAndFire();
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Recurring closures from Every() are owned here; the queued events hold
-  // only a weak reference, so the closure/self cycle cannot leak.
-  std::vector<std::shared_ptr<Callback>> recurring_;
-  // Cancelled events the queue still holds (see PendingEvents()). Shared
-  // with every EventHandle::State so Cancel() can bump it even though
-  // handles carry no simulator pointer.
-  std::shared_ptr<std::atomic<std::uint64_t>> cancelled_unpopped_ =
-      std::make_shared<std::atomic<std::uint64_t>>(0);
+  std::shared_ptr<detail::SlotTable> slots_ =
+      std::make_shared<detail::SlotTable>();
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Entry> heap_;  // 4-ary min-heap on (when, seq)
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;

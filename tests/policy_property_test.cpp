@@ -10,6 +10,14 @@
 namespace iotsec::policy {
 namespace {
 
+// "v3"-style names, built by appending: GCC 12 at -O3 misreports
+// `"v" + std::to_string(n)` as an overlapping copy (-Wrestrict).
+std::string Numbered(char prefix, std::uint64_t n) {
+  std::string out(1, prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 struct RandomSpace {
   StateSpace space;
   std::vector<std::string> dim_names;
@@ -22,7 +30,7 @@ struct RandomSpace {
       dim.kind = DimensionKind::kEnvVar;
       const std::size_t n_values = 2 + rng.NextBelow(max_values - 1);
       for (std::size_t v = 0; v < n_values; ++v) {
-        dim.values.push_back("v" + std::to_string(v));
+        dim.values.push_back(Numbered('v', v));
       }
       dim_names.push_back(dim.name);
       space.AddDimension(std::move(dim));
@@ -122,10 +130,10 @@ TEST_P(PredicatePropertyTest, DistinctPosturesMatchEnumeration) {
     const int n_rules = 1 + static_cast<int>(rng.NextBelow(4));
     for (int r = 0; r < n_rules; ++r) {
       PolicyRule rule;
-      rule.name = "r" + std::to_string(r);
+      rule.name = Numbered('r', r);
       rule.when = rs.RandomPredicate(rng);
       rule.device = device;
-      rule.posture.profile = "p" + std::to_string(r);
+      rule.posture.profile = Numbered('p', r);
       rule.priority = static_cast<int>(rng.NextBelow(3));
       policy.Add(std::move(rule));
     }

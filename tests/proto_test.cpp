@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "proto/dns.h"
 #include "proto/frame.h"
 #include "proto/http.h"
@@ -176,6 +177,267 @@ TEST(HttpTest, MalformedRejected) {
   EXPECT_FALSE(HttpRequest::Parse(ToBytes("GETONLY\r\n\r\n")).has_value());
   EXPECT_FALSE(HttpResponse::Parse(ToBytes("HTTP/1.1 banana\r\n\r\n")).has_value());
 }
+
+// Equivalence table for the HTTP codec: accept/reject and every parsed
+// field on the edge cases a rewrite of the message splitter could drift
+// on. Reject* rows leave the field columns unused.
+struct HttpRequestCase {
+  const char* name;
+  std::string wire;
+  bool accept;
+  std::string method, path, version;
+  HttpHeaders headers;
+  std::string body;
+};
+
+HttpRequestCase RejectRequest(const char* name, std::string wire) {
+  HttpRequestCase c{};
+  c.name = name;
+  c.wire = std::move(wire);
+  return c;
+}
+
+TEST(HttpTest, RequestEquivalenceTable) {
+  using std::string_literals::operator""s;
+  const std::vector<HttpRequestCase> cases = {
+      {"plain", "GET / HTTP/1.1\r\nHost: cam\r\n\r\n", true, "GET", "/",
+       "HTTP/1.1", {{"Host", "cam"}}, ""},
+      RejectRequest("bare LF throughout (no blank CRLF line)",
+                    "GET / HTTP/1.1\nHost: cam\n\nbody"),
+      {"bare LF header lines, CRLF terminator",
+       "GET /x HTTP/1.0\nHost: cam\nX-A: 1\r\n\r\nhi", true, "GET", "/x",
+       "HTTP/1.0", {{"Host", "cam"}, {"X-A", "1"}}, "hi"},
+      RejectRequest("header without colon",
+                    "GET / HTTP/1.1\r\nBadHeader\r\n\r\n"),
+      RejectRequest("header without colon after a good one",
+                    "GET / HTTP/1.1\r\nHost: a\r\nnope\r\n\r\n"),
+      {"padded header name and value",
+       "GET / HTTP/1.1\r\n  Host  :   cam.local  \r\n\tX-A\t:\tb c\t\r\n\r\n",
+       true, "GET", "/", "HTTP/1.1",
+       {{"Host", "cam.local"}, {"X-A", "b c"}}, ""},
+      {"whitespace-only line skipped",
+       "GET / HTTP/1.1\r\n   \r\nHost: a\r\n\r\n", true, "GET", "/",
+       "HTTP/1.1", {{"Host", "a"}}, ""},
+      {"colon in value, empty name, empty value",
+       "GET / HTTP/1.1\r\nHost: a:80\r\n: v\r\nX-Empty:\r\n\r\n", true, "GET",
+       "/", "HTTP/1.1", {{"Host", "a:80"}, {"", "v"}, {"X-Empty", ""}}, ""},
+      RejectRequest("two-token request line", "GET /\r\n\r\n"),
+      RejectRequest("four-token request line",
+                    "GET / HTTP/1.1 extra\r\n\r\n"),
+      RejectRequest("version without HTTP/ prefix",
+                    "GET / FTP/1.1\r\n\r\n"),
+      {"runs of spaces and tabs between tokens",
+       "  GET \t /a/b   HTTP/1.1  \r\n\r\n", true, "GET", "/a/b", "HTTP/1.1",
+       {}, ""},
+      RejectRequest("empty head", "\r\n\r\n"),
+      {"empty body, no headers", "DELETE /z HTTP/1.1\r\n\r\n", true, "DELETE",
+       "/z", "HTTP/1.1", {}, ""},
+      {"body containing CRLFCRLF",
+       "POST /a HTTP/1.1\r\nContent-Length: 12\r\n\r\nab\r\n\r\ncdefgh", true,
+       "POST", "/a", "HTTP/1.1", {{"Content-Length", "12"}},
+       "ab\r\n\r\ncdefgh"},
+      {"NUL bytes survive in body", "GET / HTTP/1.1\r\n\r\na\0b"s, true, "GET",
+       "/", "HTTP/1.1", {}, "a\0b"s},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto req = HttpRequest::Parse(ToBytes(c.wire));
+    ASSERT_EQ(req.has_value(), c.accept);
+    if (!c.accept) continue;
+    EXPECT_EQ(req->method, c.method);
+    EXPECT_EQ(req->path, c.path);
+    EXPECT_EQ(req->version, c.version);
+    EXPECT_EQ(req->headers, c.headers);
+    EXPECT_EQ(req->body, c.body);
+  }
+}
+
+struct HttpResponseCase {
+  const char* name;
+  std::string wire;
+  bool accept;
+  int status;
+  std::string reason, version;
+  HttpHeaders headers;
+  std::string body;
+};
+
+HttpResponseCase RejectResponse(const char* name, std::string wire) {
+  HttpResponseCase c{};
+  c.name = name;
+  c.wire = std::move(wire);
+  return c;
+}
+
+TEST(HttpTest, ResponseEquivalenceTable) {
+  const std::vector<HttpResponseCase> cases = {
+      {"plain", "HTTP/1.1 200 OK\r\nServer: cam\r\n\r\nbody", true, 200, "OK",
+       "HTTP/1.1", {{"Server", "cam"}}, "body"},
+      RejectResponse("bare LF throughout",
+                     "HTTP/1.1 200 OK\nServer: cam\n\n"),
+      {"bare LF header lines, CRLF terminator",
+       "HTTP/1.0 404 Not Found\nA: 1\nB: 2\r\n\r\n", true, 404, "Not Found",
+       "HTTP/1.0", {{"A", "1"}, {"B", "2"}}, ""},
+      RejectResponse("header without colon",
+                     "HTTP/1.1 200 OK\r\njunk\r\n\r\n"),
+      {"padded header", "HTTP/1.1 200 OK\r\n\t Server \t:  cam  \r\n\r\n",
+       true, 200, "OK", "HTTP/1.1", {{"Server", "cam"}}, ""},
+      RejectResponse("status 99", "HTTP/1.1 99 Low\r\n\r\n"),
+      RejectResponse("status 600", "HTTP/1.1 600 High\r\n\r\n"),
+      {"status 100", "HTTP/1.1 100 Continue\r\n\r\n", true, 100, "Continue",
+       "HTTP/1.1", {}, ""},
+      {"status 599", "HTTP/1.1 599 Edge\r\n\r\n", true, 599, "Edge",
+       "HTTP/1.1", {}, ""},
+      {"missing reason phrase", "HTTP/1.1 204\r\n\r\n", true, 204, "",
+       "HTTP/1.1", {}, ""},
+      {"trailing space after status is trimmed", "HTTP/1.1 204 \r\n\r\n", true,
+       204, "", "HTTP/1.1", {}, ""},
+      {"reason with inner spaces", "HTTP/1.1 503 Service  Unavailable\r\n\r\n",
+       true, 503, "Service  Unavailable", "HTTP/1.1", {}, ""},
+      RejectResponse("double space before status",
+                     "HTTP/1.1  200 OK\r\n\r\n"),
+      RejectResponse("no space at all", "HTTP/1.1\r\n\r\n"),
+      RejectResponse("version without HTTP/ prefix",
+                     "HTTX/1.1 200 OK\r\n\r\n"),
+      RejectResponse("signed status", "HTTP/1.1 +200 OK\r\n\r\n"),
+      {"empty body", "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", true,
+       200, "OK", "HTTP/1.1", {{"Content-Length", "0"}}, ""},
+      {"body containing CRLFCRLF", "HTTP/1.1 200 OK\r\n\r\n\r\n\r\ntail",
+       true, 200, "OK", "HTTP/1.1", {}, "\r\n\r\ntail"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto resp = HttpResponse::Parse(ToBytes(c.wire));
+    ASSERT_EQ(resp.has_value(), c.accept);
+    if (!c.accept) continue;
+    EXPECT_EQ(resp->status, c.status);
+    EXPECT_EQ(resp->reason, c.reason);
+    EXPECT_EQ(resp->version, c.version);
+    EXPECT_EQ(resp->headers, c.headers);
+    EXPECT_EQ(resp->body, c.body);
+  }
+}
+
+// Reference splitter: the straightforward copy-everything HTTP parse
+// (whole frame to a string, head substring, vector of lines, tokenised
+// request line). The production codec must agree with it on every input.
+std::optional<HttpRequest> ReferenceParseRequest(const std::string& text) {
+  const auto head_end = text.find("\r\n\r\n");
+  if (head_end == std::string::npos) return std::nullopt;
+  const auto lines = Split(text.substr(0, head_end), '\n');
+  HttpRequest req;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const auto line = Trim(lines[i]);
+    if (line.empty()) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string_view::npos) return std::nullopt;
+    req.headers.emplace_back(std::string(Trim(line.substr(0, colon))),
+                             std::string(Trim(line.substr(colon + 1))));
+  }
+  const auto parts = SplitWhitespace(Trim(lines[0]));
+  if (parts.size() != 3 || !StartsWith(parts[2], "HTTP/")) return std::nullopt;
+  req.method = parts[0];
+  req.path = parts[1];
+  req.version = parts[2];
+  req.body = text.substr(head_end + 4);
+  return req;
+}
+
+std::optional<HttpResponse> ReferenceParseResponse(const std::string& text) {
+  const auto head_end = text.find("\r\n\r\n");
+  if (head_end == std::string::npos) return std::nullopt;
+  const auto lines = Split(text.substr(0, head_end), '\n');
+  HttpResponse resp;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const auto line = Trim(lines[i]);
+    if (line.empty()) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string_view::npos) return std::nullopt;
+    resp.headers.emplace_back(std::string(Trim(line.substr(0, colon))),
+                              std::string(Trim(line.substr(colon + 1))));
+  }
+  const std::string start(Trim(lines[0]));
+  const auto space1 = start.find(' ');
+  if (space1 == std::string::npos) return std::nullopt;
+  const auto space2 = start.find(' ', space1 + 1);
+  resp.version = start.substr(0, space1);
+  if (!StartsWith(resp.version, "HTTP/")) return std::nullopt;
+  const std::string status_str =
+      space2 == std::string::npos
+          ? start.substr(space1 + 1)
+          : start.substr(space1 + 1, space2 - space1 - 1);
+  std::uint64_t status = 0;
+  if (!ParseUint(status_str, status) || status < 100 || status > 599) {
+    return std::nullopt;
+  }
+  resp.status = static_cast<int>(status);
+  resp.reason = space2 == std::string::npos ? "" : start.substr(space2 + 1);
+  resp.body = text.substr(head_end + 4);
+  return resp;
+}
+
+class HttpDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Property: on seeded mutations of valid messages (structural characters
+// inserted, bytes flipped, cut short) the codec accepts exactly what the
+// reference accepts and yields the same fields.
+TEST_P(HttpDifferentialTest, AgreesWithReferenceSplitter) {
+  Rng rng(GetParam());
+  const std::vector<std::string> seeds = {
+      "GET /admin HTTP/1.1\r\nHost: cam\r\nAuthorization: Basic YTpi\r\n\r\n",
+      "POST /cfg HTTP/1.0\r\nContent-Length: 9\r\n\r\nmode=\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nServer: cam\r\nContent-Length: 2\r\n\r\nok",
+      "HTTP/1.1 401 Unauthorized Here\r\nWWW-Authenticate: Basic\r\n\r\n",
+  };
+  constexpr std::string_view kAlphabet = "\r\n: \t/HTP1059a";
+  for (int iter = 0; iter < 400; ++iter) {
+    std::string text = seeds[rng.NextBelow(seeds.size())];
+    const int edits = 1 + static_cast<int>(rng.NextBelow(6));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = rng.NextBelow(text.size() + 1);
+      switch (rng.NextBelow(4)) {
+        case 0:
+          text.insert(at, 1, kAlphabet[rng.NextBelow(kAlphabet.size())]);
+          break;
+        case 1:
+          if (at < text.size()) text.erase(at, 1);
+          break;
+        case 2:
+          if (at < text.size()) {
+            text[at] = static_cast<char>(rng.NextBelow(256));
+          }
+          break;
+        default:
+          text.resize(at);
+          break;
+      }
+    }
+    SCOPED_TRACE(::testing::PrintToString(text));
+    const auto req = HttpRequest::Parse(ToBytes(text));
+    const auto ref_req = ReferenceParseRequest(text);
+    ASSERT_EQ(req.has_value(), ref_req.has_value());
+    if (req) {
+      EXPECT_EQ(req->method, ref_req->method);
+      EXPECT_EQ(req->path, ref_req->path);
+      EXPECT_EQ(req->version, ref_req->version);
+      EXPECT_EQ(req->headers, ref_req->headers);
+      EXPECT_EQ(req->body, ref_req->body);
+    }
+    const auto resp = HttpResponse::Parse(ToBytes(text));
+    const auto ref_resp = ReferenceParseResponse(text);
+    ASSERT_EQ(resp.has_value(), ref_resp.has_value());
+    if (resp) {
+      EXPECT_EQ(resp->status, ref_resp->status);
+      EXPECT_EQ(resp->reason, ref_resp->reason);
+      EXPECT_EQ(resp->version, ref_resp->version);
+      EXPECT_EQ(resp->headers, ref_resp->headers);
+      EXPECT_EQ(resp->body, ref_resp->body);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HttpDifferentialTest,
+                         ::testing::Values(3, 17, 29, 41, 53, 67, 79, 97));
 
 TEST(Base64Test, KnownVectors) {
   EXPECT_EQ(Base64Encode(""), "");

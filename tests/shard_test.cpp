@@ -57,6 +57,36 @@ TEST(SimulatorPendingTest, RecurringTickNotMiscounted) {
   EXPECT_EQ(s.PendingEvents(), 0u);
 }
 
+// Stop() from inside a ticker ends the run loop only: the ticker stays
+// queued, its handle stays pending, and a later Cancel() accounts for the
+// queued tick exactly once (it used to be dropped while still reading
+// pending, and the Cancel() then wrapped PendingEvents() below zero).
+TEST(SimulatorPendingTest, StopInsideTickerKeepsItCancellable) {
+  sim::Simulator s;
+  int fires = 0;
+  auto ticker = s.Every(10, [&] {
+    ++fires;
+    s.Stop();
+  });
+  s.Run();  // a ticker never drains the queue: only Stop() ends this
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(s.Now(), 10u);
+  EXPECT_TRUE(ticker.Pending());
+  EXPECT_EQ(s.PendingEvents(), 1u);
+
+  s.Run();  // a fresh run resumes the ticker
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(s.Now(), 20u);
+  EXPECT_EQ(s.PendingEvents(), 1u);
+
+  ticker.Cancel();
+  EXPECT_FALSE(ticker.Pending());
+  EXPECT_EQ(s.PendingEvents(), 0u);
+  s.Run();  // pops the cancelled tick and drains
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(s.PendingEvents(), 0u);
+}
+
 TEST(SimulatorPendingTest, HandleOutlivesSimulator) {
   sim::EventHandle h;
   {
