@@ -1,15 +1,21 @@
-// Fast-path microbenchmark: microflow cache, parse-once headers, pooled
-// packets and gated tracing, measured in isolation and end to end.
+// Fast-path microbenchmark: flow classifier, microflow cache, parse-once
+// headers, pooled packets and gated tracing, measured in isolation and end
+// to end.
 //
-// The headline number backs the fast-path PR's acceptance criterion: on a
-// cache-friendly steady-state workload, the full fast path must deliver
-// >= 2x the packets/sec of the pre-change path (priority-ordered linear
-// scan, per-hop re-parse, fresh allocations, always-on tracing).
+// Two acceptance gates:
+//   * on a cache-friendly steady-state workload, the full fast path must
+//     deliver >= 2x the packets/sec of the pre-change pipeline (first-match
+//     scan over the flow table, per-hop parse, fresh allocations,
+//     always-on tracing), which the harness rebuilds in bench code;
+//   * the tuple-space classifier alone must classify >= 10x faster than
+//     that first-match scan at 1024 rules (>= 3x when
+//     IOTSEC_BENCH_LAX_PERF is set, for shared CI runners).
 //
 // Emits machine-readable BENCH_fastpath.json (in the working directory)
 // so the perf trajectory is tracked across PRs.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,9 +31,12 @@ struct Row {
   bench::FastPathResult result;
 };
 
-/// Pure classification cost: lookups/sec against the flow table with and
-/// without the microflow cache, no packets or event loop involved.
-double MeasureLookupRate(std::size_t rules, std::size_t flows, bool cached,
+enum class Classify { kScan, kClassifier, kCached };
+
+/// Pure classification cost: lookups/sec against the flow table by the
+/// reference scan, the classifier, or the microflow cache in front of
+/// the classifier; no packets or event loop involved.
+double MeasureLookupRate(std::size_t rules, std::size_t flows, Classify how,
                          double* hit_rate) {
   sdn::FlowTable table;
   for (std::size_t i = 0; i < rules; ++i) {
@@ -62,8 +71,9 @@ double MeasureLookupRate(std::size_t rules, std::size_t flows, bool cached,
   for (std::size_t i = 0; i < kLookups; ++i) {
     const auto& frame = parsed[i % parsed.size()];
     const sdn::FlowEntry* entry =
-        cached ? table.LookupCached(cache, frame, 0, 0)
-               : table.Lookup(frame, 0, 0);
+        how == Classify::kScan         ? bench::FirstMatch(table, frame, 0)
+        : how == Classify::kClassifier ? table.Lookup(frame, 0, 0)
+                                       : table.LookupCached(cache, frame, 0, 0);
     matched += entry != nullptr ? 1 : 0;
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -99,28 +109,37 @@ double MeasureParseRate(bool parse_once) {
 }  // namespace
 
 int main() {
-  std::printf("=== fast path: microflow cache / parse-once / pooling ===\n");
+  std::printf("=== fast path: classifier / microflow cache / parse-once / "
+              "pooling ===\n");
 
   // ---------------- end-to-end switch pipeline A/B matrix.
   const std::size_t kRules = 512;
   const std::size_t kFlows = 64;
   std::vector<Row> rows;
-  auto add = [&](std::string name, bool cache, bool trace, bool pool) {
+  auto add = [&](std::string name, bool scan, bool cache, bool trace,
+                 bool pool) {
     Row row;
     row.name = std::move(name);
     row.cfg.rules = kRules;
     row.cfg.flows = kFlows;
+    row.cfg.reference_scan = scan;
     row.cfg.microflow = cache;
     row.cfg.tracing = trace;
     row.cfg.pooling = pool;
     row.result = bench::RunFastPathWorkload(row.cfg);
     rows.push_back(std::move(row));
   };
-  // Pre-change path: linear scan every packet, tracing on, no pooling.
-  add("baseline_prechange", /*cache=*/false, /*trace=*/true, /*pool=*/false);
-  add("cache_only", /*cache=*/true, /*trace=*/true, /*pool=*/false);
-  add("cache_notrace", /*cache=*/true, /*trace=*/false, /*pool=*/false);
-  add("fastpath_full", /*cache=*/true, /*trace=*/false, /*pool=*/true);
+  // Pre-change path: first-match scan every packet, tracing on, no pooling.
+  add("baseline_prechange", /*scan=*/true, /*cache=*/false, /*trace=*/true,
+      /*pool=*/false);
+  add("classifier_only", /*scan=*/false, /*cache=*/false, /*trace=*/true,
+      /*pool=*/false);
+  add("cache_only", /*scan=*/false, /*cache=*/true, /*trace=*/true,
+      /*pool=*/false);
+  add("cache_notrace", /*scan=*/false, /*cache=*/true, /*trace=*/false,
+      /*pool=*/false);
+  add("fastpath_full", /*scan=*/false, /*cache=*/true, /*trace=*/false,
+      /*pool=*/true);
 
   std::printf("\n-- switch pipeline, %zu rules, %zu-flow working set --\n",
               kRules, kFlows);
@@ -135,23 +154,34 @@ int main() {
   const double full_speedup = rows.back().result.pps / baseline_pps;
 
   // ---------------- classification in isolation.
-  std::printf("\n-- FlowTable classification only --\n");
-  std::printf("%-10s %-16s %-16s %-10s\n", "rules", "scan lookups/s",
-              "cached lookups/s", "speedup");
+  std::printf("\n-- FlowTable classification only (lookups/s) --\n");
+  std::printf("%-8s %-14s %-14s %-14s %-12s %-10s\n", "rules",
+              "reference scan", "classifier", "cached", "classifier x",
+              "cached x");
   struct LookupRow {
     std::size_t rules;
-    double scan, cached, hit_rate;
+    double scan, classifier, cached, hit_rate;
   };
   std::vector<LookupRow> lookup_rows;
   for (const std::size_t rules : {64ul, 256ul, 1024ul}) {
     LookupRow lr;
     lr.rules = rules;
-    lr.scan = MeasureLookupRate(rules, kFlows, /*cached=*/false, nullptr);
-    lr.cached = MeasureLookupRate(rules, kFlows, /*cached=*/true, &lr.hit_rate);
+    lr.scan = MeasureLookupRate(rules, kFlows, Classify::kScan, nullptr);
+    lr.classifier =
+        MeasureLookupRate(rules, kFlows, Classify::kClassifier, nullptr);
+    lr.cached =
+        MeasureLookupRate(rules, kFlows, Classify::kCached, &lr.hit_rate);
     lookup_rows.push_back(lr);
-    std::printf("%-10zu %-16.0f %-16.0f %.1fx\n", rules, lr.scan,
-                lr.cached, lr.cached / lr.scan);
+    std::printf("%-8zu %-14.0f %-14.0f %-14.0f %-12.1f %.1f\n", rules,
+                lr.scan, lr.classifier, lr.cached, lr.classifier / lr.scan,
+                lr.cached / lr.scan);
   }
+  // Gate on the largest table, where a scan's O(rules) cost shows most.
+  const bool lax_perf = std::getenv("IOTSEC_BENCH_LAX_PERF") != nullptr;
+  const double classifier_threshold = lax_perf ? 3.0 : 10.0;
+  const double classifier_speedup =
+      lookup_rows.back().classifier / lookup_rows.back().scan;
+  const bool classifier_ok = classifier_speedup >= classifier_threshold;
 
   // ---------------- header parsing in isolation.
   std::printf("\n-- header parsing --\n");
@@ -182,16 +212,23 @@ int main() {
       const auto& lr = lookup_rows[i];
       std::fprintf(json,
                    "    {\"rules\": %zu, \"scan_per_sec\": %.0f, "
-                   "\"cached_per_sec\": %.0f, \"speedup\": %.2f, "
-                   "\"cache_hit_rate\": %.4f}%s\n",
-                   lr.rules, lr.scan, lr.cached, lr.cached / lr.scan,
-                   lr.hit_rate, i + 1 < lookup_rows.size() ? "," : "");
+                   "\"classifier_per_sec\": %.0f, \"cached_per_sec\": "
+                   "%.0f, \"classifier_speedup\": %.2f, \"speedup\": "
+                   "%.2f, \"cache_hit_rate\": %.4f}%s\n",
+                   lr.rules, lr.scan, lr.classifier, lr.cached,
+                   lr.classifier / lr.scan, lr.cached / lr.scan, lr.hit_rate,
+                   i + 1 < lookup_rows.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json,
                  "  \"parse\": {\"fresh_per_sec\": %.0f, \"cached_per_sec\": "
                  "%.0f, \"speedup\": %.2f},\n",
                  parse_fresh, parse_cached, parse_cached / parse_fresh);
+    std::fprintf(json,
+                 "  \"classifier_gate\": {\"rules\": %zu, \"speedup\": "
+                 "%.2f, \"threshold\": %.1f, \"lax\": %s},\n",
+                 lookup_rows.back().rules, classifier_speedup,
+                 classifier_threshold, lax_perf ? "true" : "false");
     std::fprintf(json, "  \"speedup_full_vs_prechange\": %.3f\n}\n",
                  full_speedup);
     std::fclose(json);
@@ -201,5 +238,10 @@ int main() {
   std::printf("\nacceptance (fast path >= 2x pre-change pipeline): %s "
               "(%.2fx)\n",
               full_speedup >= 2.0 ? "HOLDS" : "VIOLATED", full_speedup);
-  return full_speedup >= 2.0 ? 0 : 1;
+  std::printf("acceptance (classifier >= %.0fx reference scan at %zu rules"
+              "%s): %s (%.1fx)\n",
+              classifier_threshold, lookup_rows.back().rules,
+              lax_perf ? ", lax" : "", classifier_ok ? "HOLDS" : "VIOLATED",
+              classifier_speedup);
+  return full_speedup >= 2.0 && classifier_ok ? 0 : 1;
 }

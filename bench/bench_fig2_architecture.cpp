@@ -198,10 +198,12 @@ int main() {
   bench::FastPathConfig fp_cfg;
   fp_cfg.rules = 256;
   fp_cfg.packets = 100000;
+  fp_cfg.reference_scan = true;
   fp_cfg.microflow = false;
   fp_cfg.tracing = true;
   fp_cfg.pooling = false;
   const auto fp_slow = bench::RunFastPathWorkload(fp_cfg);
+  fp_cfg.reference_scan = false;
   fp_cfg.microflow = true;
   fp_cfg.tracing = false;
   fp_cfg.pooling = true;

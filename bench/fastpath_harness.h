@@ -6,6 +6,11 @@
 // cache-friendly steady state every enforcement bench settles into.
 // Measured end to end: per-packet allocation, parse, classification,
 // action, link transmit through the event loop.
+//
+// `reference_scan` swaps the switch's classification for the pipeline
+// the fast path replaced: parse, then a first-match scan over the flow
+// table's Entries() with FlowMatch::Matches, then the matched output.
+// It exists only here, as the benches' pre-change baseline.
 #pragma once
 
 #include <chrono>
@@ -25,7 +30,8 @@ struct FastPathConfig {
   std::size_t rules = 512;     // installed flow entries
   std::size_t flows = 64;      // distinct flows in the working set
   std::size_t packets = 200000;
-  bool microflow = true;       // exact-match cache in front of the scan
+  bool microflow = true;       // exact-match cache in front of the classifier
+  bool reference_scan = false; // first-match scan instead of Switch::Receive
   bool tracing = false;        // per-hop trace appends
   bool pooling = true;         // pooled packet allocation
 };
@@ -44,6 +50,34 @@ struct NullSink final : net::PacketSink {
   void Receive(net::PacketPtr, int) override { ++received; }
 };
 
+/// Reference classification: the first entry of Entries() (rank order)
+/// whose match accepts the frame.
+inline const sdn::FlowEntry* FirstMatch(const sdn::FlowTable& table,
+                                        const proto::ParsedFrame& frame,
+                                        int in_port) {
+  for (const sdn::FlowEntry& e : table.Entries()) {
+    if (e.match.Matches(frame, in_port)) return &e;
+  }
+  return nullptr;
+}
+
+/// The pre-change switch pipeline for one frame: trace, parse, first-match
+/// scan, count, forward out the matched entry's port.
+inline void ScanAndForward(const sdn::FlowTable& table, net::Link& out_link,
+                           net::PacketPtr pkt, int in_port) {
+  if (net::Packet::TracingEnabled()) pkt->Trace("switch:1");
+  const proto::ParsedFrame* frame = pkt->Parsed();
+  if (frame == nullptr) return;
+  const sdn::FlowEntry* entry = FirstMatch(table, *frame, in_port);
+  if (entry == nullptr) return;
+  ++entry->packets;
+  entry->bytes += pkt->size();
+  // Every harness entry is a single output toward the egress link.
+  if (entry->actions.front().type == sdn::ActionType::kOutput) {
+    out_link.Send(0, std::move(pkt));
+  }
+}
+
 inline FastPathResult RunFastPathWorkload(const FastPathConfig& cfg) {
   sim::Simulator sim;
   sdn::Switch sw(1, sim, sdn::Switch::MissBehavior::kDrop);
@@ -58,8 +92,8 @@ inline FastPathResult RunFastPathWorkload(const FastPathConfig& cfg) {
   const int out_port = sw.AttachLink(&out_link, 0);
   out_link.Attach(1, &sink, 0);
 
-  // Per-device steering entries: all equal priority, so the slow path is
-  // the full priority-ordered scan down to the matching entry.
+  // Per-device steering entries: all equal priority, so the reference
+  // scan walks down to the matching entry.
   for (std::size_t i = 0; i < cfg.rules; ++i) {
     sdn::FlowEntry entry;
     entry.priority = 100;
@@ -73,7 +107,7 @@ inline FastPathResult RunFastPathWorkload(const FastPathConfig& cfg) {
   }
 
   // Working set: flows spread uniformly across the rule table, so the
-  // linear scan's average depth is rules/2.
+  // reference scan's average depth is rules/2.
   std::vector<Bytes> working_set;
   working_set.reserve(cfg.flows);
   const std::uint8_t payload[64] = {};
@@ -88,10 +122,16 @@ inline FastPathResult RunFastPathWorkload(const FastPathConfig& cfg) {
         static_cast<std::uint16_t>(20000 + f), 80, payload));
   }
 
+  auto receive = [&](const Bytes& frame) {
+    if (cfg.reference_scan) {
+      ScanAndForward(sw.flow_table(), out_link, net::MakePacket(frame), 0);
+    } else {
+      sw.Receive(net::MakePacket(frame), 0);
+    }
+  };
+
   // Warm caches (and the pool) before timing.
-  for (std::size_t f = 0; f < cfg.flows; ++f) {
-    sw.Receive(net::MakePacket(working_set[f]), 0);
-  }
+  for (std::size_t f = 0; f < cfg.flows; ++f) receive(working_set[f]);
   sim.Run();
   sw.microflow_cache().ResetStats();
 
@@ -101,8 +141,7 @@ inline FastPathResult RunFastPathWorkload(const FastPathConfig& cfg) {
   while (sent < cfg.packets) {
     const std::size_t batch = std::min(kBatch, cfg.packets - sent);
     for (std::size_t i = 0; i < batch; ++i) {
-      const Bytes& frame = working_set[(sent + i) % working_set.size()];
-      sw.Receive(net::MakePacket(frame), 0);
+      receive(working_set[(sent + i) % working_set.size()]);
     }
     sim.Run();  // drain the egress link's transmit events
     sent += batch;

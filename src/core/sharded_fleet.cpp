@@ -306,7 +306,7 @@ void ShardedFleet::WarmCaches() {
   // keeps a sorted vector), so warming is a separate pass: map cookies to
   // entries with one scan per switch, then insert each device's exact
   // flow keys. Without this, every first packet of a million flows pays
-  // the linear scan — O(devices^2 / slices) at fleet scale.
+  // the classifier (and the first one an index rebuild).
   std::vector<std::map<std::uint64_t, const sdn::FlowEntry*>> by_cookie(
       slices_.size());
   for (std::size_t s = 0; s < slices_.size(); ++s) {
@@ -328,13 +328,15 @@ void ShardedFleet::WarmCaches() {
                  [static_cast<std::uint64_t>(dev.id)];
 
     const auto telemetry = proto::ParseFrame(dev.telemetry_frame);
-    slice.sw->microflow_cache().Insert(
-        sdn::FlowKey::FromFrame(*telemetry, dev.in_port), tunnel_entry, gen);
+    const auto telemetry_key = sdn::FlowKey::FromFrame(*telemetry, dev.in_port);
+    slice.sw->microflow_cache().Insert(telemetry_key, telemetry_key.Hash(),
+                                       tunnel_entry, gen);
 
     if (dev.cross_frame.empty()) continue;
     const auto cross = proto::ParseFrame(dev.cross_frame);
-    slice.sw->microflow_cache().Insert(
-        sdn::FlowKey::FromFrame(*cross, dev.in_port), tunnel_entry, gen);
+    const auto cross_key = sdn::FlowKey::FromFrame(*cross, dev.in_port);
+    slice.sw->microflow_cache().Insert(cross_key, cross_key.Hash(),
+                                       tunnel_entry, gen);
     // ... and the same frame as the peer slice sees it, arriving on the
     // inter-switch port, resolving to the peer's inbound entry. (When the
     // peer is the local slice — slices == 1 — the frame reaches the
@@ -344,10 +346,11 @@ void ShardedFleet::WarmCaches() {
     const int peer = static_cast<int>(peer_agg) - options_.devices - 1;
     if (peer == dev.slice) continue;
     Slice& ps = *slices_[static_cast<std::size_t>(peer)];
-    ps.sw->microflow_cache().Insert(
-        sdn::FlowKey::FromFrame(
-            *cross, ps.inter_port[static_cast<std::size_t>(dev.slice)]),
-        ps.inbound_entry, ps.sw->flow_table().generation());
+    const auto inbound_key = sdn::FlowKey::FromFrame(
+        *cross, ps.inter_port[static_cast<std::size_t>(dev.slice)]);
+    ps.sw->microflow_cache().Insert(inbound_key, inbound_key.Hash(),
+                                    ps.inbound_entry,
+                                    ps.sw->flow_table().generation());
   }
 }
 

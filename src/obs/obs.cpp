@@ -15,6 +15,7 @@ Metrics& M() {
     out.sdn_microflow_hits = r.GetCounter("sdn.microflow_hits");
     out.sdn_microflow_misses = r.GetCounter("sdn.microflow_misses");
     out.sdn_microflow_stale = r.GetCounter("sdn.microflow_stale");
+    out.sdn_classify_ns = r.GetHistogram("sdn.classify_ns");
     out.dp_packets = r.GetCounter("dp.packets");
     out.dp_boot_drops = r.GetCounter("dp.boot_drops");
     out.dp_chain_ns = r.GetHistogram("dp.chain_ns");

@@ -27,8 +27,10 @@ struct Metrics {
 
   // ---- sdn: classification.
   Counter* sdn_microflow_hits;     // exact-match cache served
-  Counter* sdn_microflow_misses;   // fell through to the linear scan
+  Counter* sdn_microflow_misses;   // fell through to the classifier
   Counter* sdn_microflow_stale;    // generation-invalidated probes
+  Histogram* sdn_classify_ns;      // Switch::Receive flow-table lookup
+                                   // (cache probe + classifier)
 
   // ---- dataplane: µmbox chains.
   Counter* dp_packets;             // frames entering running µmboxes

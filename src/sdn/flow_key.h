@@ -4,7 +4,8 @@
 // EtherType, IPv4 endpoints/protocol, L4 ports), so two frames with equal
 // keys are classified identically by any flow table — the invariant the
 // microflow cache rests on (and the one fastpath_test proves by property
-// testing against the linear scan).
+// testing against a reference first-match scan). The flow table's
+// classifier masks the same key per subtable.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +72,6 @@ struct FlowKey {
     return h;
   }
 
- private:
   static std::uint64_t PackMac(const net::MacAddress& mac) {
     std::uint64_t v = 0;
     for (const std::uint8_t b : mac.bytes()) v = (v << 8) | b;

@@ -4,8 +4,15 @@
 // each device's traffic through its µmbox chain (Figure 2). Matching is
 // priority-ordered with wildcardable fields; actions cover forwarding,
 // flooding, dropping, tunneling to a µmbox, and punting to the controller.
+//
+// Classification is a tuple-space search (the Open vSwitch megaflow
+// classifier's technique): entries are grouped by mask — which fields
+// are set, plus the ip_src/ip_dst prefix lengths — into subtables, each
+// an open-addressing hash from masked key to the best entry holding that
+// key. A lookup costs one probe per distinct mask, not one match per rule.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -14,6 +21,7 @@
 #include "common/types.h"
 #include "net/address.h"
 #include "proto/frame.h"
+#include "sdn/flow_key.h"
 
 namespace iotsec::sdn {
 
@@ -81,9 +89,18 @@ struct FlowEntry {
 
 class MicroflowCache;
 
+/// Single-owner contract: a table is used by one thread at a time (the
+/// shard that owns its switch). Lookup is const but writes `mutable`
+/// state — the matched entry's packets/bytes counters and, on the first
+/// lookup after a mutation, the classifier index it rebuilds lazily — so
+/// concurrent lookups on one table are a data race, as are lookups
+/// concurrent with mutation.
 class FlowTable {
  public:
-  /// Installs an entry; returns its handle index (stable until removal).
+  /// Installs an entry behind every entry of equal or higher priority.
+  /// Returns the entry's install sequence number (monotonic per table,
+  /// never reused); it is not a position in Entries(). O(log n) search
+  /// plus the vector insert; the classifier index is rebuilt lazily.
   std::size_t Install(FlowEntry entry);
 
   /// Removes all entries with the given cookie. Returns count removed.
@@ -96,37 +113,64 @@ class FlowTable {
   void Clear() {
     if (!entries_.empty()) ++generation_;
     entries_.clear();
-    seqs_.clear();
   }
 
-  /// Highest-priority matching entry (ties: earliest installed). Updates
-  /// the entry's counters when `frame_bytes` > 0.
+  /// Highest-priority matching entry (ties: earliest installed) — the
+  /// first entry of Entries() whose match accepts the frame. Updates the
+  /// entry's counters when `frame_bytes` > 0. Allocation-free once the
+  /// index is built.
   [[nodiscard]] const FlowEntry* Lookup(const proto::ParsedFrame& frame,
                                         int in_port,
                                         std::size_t frame_bytes = 0) const;
 
   /// Same classification as Lookup, but answered from `cache` when it
   /// holds a fresh verdict for the frame's exact flow; falls back to the
-  /// linear scan (and populates the cache) otherwise. Entry counters are
+  /// classifier (and populates the cache) otherwise. Entry counters are
   /// updated either way.
   const FlowEntry* LookupCached(MicroflowCache& cache,
                                 const proto::ParsedFrame& frame, int in_port,
                                 std::size_t frame_bytes = 0) const;
 
   /// Bumped on every mutation (install/remove/clear); microflow-cache
-  /// verdicts recorded under an older generation are never served.
+  /// verdicts recorded under an older generation are never served, and
+  /// the classifier index is rebuilt when it lags behind.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   [[nodiscard]] std::size_t Size() const { return entries_.size(); }
+  /// Entries in rank order: (-priority, install order).
   [[nodiscard]] const std::vector<FlowEntry>& Entries() const {
     return entries_;
   }
 
  private:
-  std::vector<FlowEntry> entries_;  // kept sorted by (-priority, seq)
+  /// A FlowKey packed into four words so masking is four ANDs.
+  using Words = std::array<std::uint64_t, 4>;
+
+  struct Subtable {
+    Words mask{};
+    bool needs_ip = false;    // some field is IP/L4: non-IP frames skip it
+    std::uint32_t first = 0;  // rank (index into entries_) of its best entry
+    std::uint32_t offset = 0;     // first slot in slots_
+    std::uint32_t slot_mask = 0;  // slot count - 1 (a power of two)
+  };
+  struct Slot {
+    Words key{};
+    std::uint32_t entry = 0;  // rank of the best entry with this key
+  };
+
+  const FlowEntry* Classify(const FlowKey& key, std::size_t frame_bytes) const;
+  void RebuildIndex() const;
+
+  std::vector<FlowEntry> entries_;  // kept in rank order
   std::uint64_t next_seq_ = 0;
-  std::vector<std::uint64_t> seqs_;
   std::uint64_t generation_ = 0;
+
+  // Classifier index over entries_, valid while indexed_generation_ ==
+  // generation_. Subtables are in order of `first`, so a lookup stops at
+  // the first subtable that cannot beat its best hit.
+  mutable std::vector<Subtable> subtables_;
+  mutable std::vector<Slot> slots_;
+  mutable std::uint64_t indexed_generation_ = 0;
 };
 
 }  // namespace iotsec::sdn

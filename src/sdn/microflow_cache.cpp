@@ -18,19 +18,19 @@ MicroflowCache::MicroflowCache(std::size_t slots)
     : slots_(RoundUpPow2(slots == 0 ? 1 : slots)),
       mask_(slots_.size() - 1) {}
 
-bool MicroflowCache::Find(const FlowKey& key, std::uint64_t generation,
-                          const FlowEntry** entry) {
+bool MicroflowCache::Find(const FlowKey& key, std::uint64_t hash,
+                          std::uint64_t generation, const FlowEntry** entry) {
   // Per-instance stats stay exact and cheap (plain fields); the fleet-
   // wide hit ratio additionally lands in the metrics registry, and every
   // miss (first packet of a flow or a flow-table mutation) is a flight-
   // recorder breadcrumb — the event that explains a latency spike.
-  Slot& slot = slots_[key.Hash() & mask_];
+  Slot& slot = slots_[hash & mask_];
   if (!slot.used || !(slot.key == key)) {
     ++stats_.misses;
     if (obs::Enabled()) {
       obs::M().sdn_microflow_misses->Inc();
       obs::FlightRecorder::Global().Record(
-          obs::TraceEventType::kMicroflowMiss, 0, 0, key.Hash());
+          obs::TraceEventType::kMicroflowMiss, 0, 0, hash);
     }
     return false;
   }
@@ -45,9 +45,9 @@ bool MicroflowCache::Find(const FlowKey& key, std::uint64_t generation,
   return true;
 }
 
-void MicroflowCache::Insert(const FlowKey& key, const FlowEntry* entry,
-                            std::uint64_t generation) {
-  Slot& slot = slots_[key.Hash() & mask_];
+void MicroflowCache::Insert(const FlowKey& key, std::uint64_t hash,
+                            const FlowEntry* entry, std::uint64_t generation) {
+  Slot& slot = slots_[hash & mask_];
   if (slot.used && !(slot.key == key) && slot.generation == generation) {
     ++stats_.evictions;
   }

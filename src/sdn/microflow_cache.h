@@ -1,8 +1,8 @@
 // OVS-style exact-match microflow cache.
 //
-// Sits in front of FlowTable::Lookup (a priority-ordered linear scan): the
-// first packet of a flow pays the scan, every subsequent packet of the
-// same exact flow is classified by one hash probe. Negative results
+// Sits in front of FlowTable's classifier (one hash probe per distinct
+// mask): the first packet of a flow pays the classifier, every subsequent
+// packet of the same exact flow is classified by one hash probe. Negative results
 // (table miss -> PacketIn) are cached too.
 //
 // Staleness is impossible by construction: every cached verdict carries
@@ -31,15 +31,17 @@ class MicroflowCache {
 
   explicit MicroflowCache(std::size_t slots = kDefaultSlots);
 
-  /// Probes the cache. On a hit returns true and sets *entry to the cached
-  /// verdict (nullptr = cached table miss). On a miss (empty slot, key
-  /// mismatch, or stale generation) returns false.
-  bool Find(const FlowKey& key, std::uint64_t generation,
+  /// Probes the cache; `hash` is key.Hash(), computed once by the caller
+  /// and shared with the Insert that follows a miss. On a hit returns
+  /// true and sets *entry to the cached verdict (nullptr = cached table
+  /// miss). On a miss (empty slot, key mismatch, or stale generation)
+  /// returns false.
+  bool Find(const FlowKey& key, std::uint64_t hash, std::uint64_t generation,
             const FlowEntry** entry);
 
-  /// Records the classification of `key` under `generation`, overwriting
-  /// whatever occupied the slot.
-  void Insert(const FlowKey& key, const FlowEntry* entry,
+  /// Records the classification of `key` (whose key.Hash() is `hash`)
+  /// under `generation`, overwriting whatever occupied the slot.
+  void Insert(const FlowKey& key, std::uint64_t hash, const FlowEntry* entry,
               std::uint64_t generation);
 
   void Clear();

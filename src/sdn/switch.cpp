@@ -1,6 +1,7 @@
 #include "sdn/switch.h"
 
 #include "common/log.h"
+#include "obs/obs.h"
 #include "proto/frame.h"
 
 namespace iotsec::sdn {
@@ -92,10 +93,13 @@ void Switch::Receive(net::PacketPtr pkt, int port) {
     // (the controller installs transit entries toward the cluster).
   }
 
-  const FlowEntry* entry =
-      microflow_enabled_
-          ? table_.LookupCached(microflow_cache_, *frame, port, pkt->size())
-          : table_.Lookup(*frame, port, pkt->size());
+  const FlowEntry* entry = nullptr;
+  {
+    OBS_SPAN(obs::M().sdn_classify_ns);
+    entry = microflow_enabled_ ? table_.LookupCached(microflow_cache_, *frame,
+                                                     port, pkt->size())
+                               : table_.Lookup(*frame, port, pkt->size());
+  }
   if (entry != nullptr) {
     Apply(*entry, std::move(pkt), port);
     return;

@@ -82,8 +82,8 @@ class Switch final : public net::PacketSink {
   /// table mutations (installs + entries actually removed).
   std::size_t ApplyFlowMods(const std::vector<FlowMod>& mods);
 
-  /// Exact-match fast path in front of the flow table's linear scan.
-  /// Enabled by default; benches disable it to measure the slow path.
+  /// Exact-match fast path in front of the flow table's classifier.
+  /// Enabled by default; benches disable it to measure the classifier.
   void SetMicroflowEnabled(bool enabled) { microflow_enabled_ = enabled; }
   [[nodiscard]] bool microflow_enabled() const { return microflow_enabled_; }
   [[nodiscard]] const MicroflowCache& microflow_cache() const {

@@ -1,11 +1,16 @@
-// Fast-path correctness: microflow cache ≡ linear scan (property test),
+// Fast-path correctness: cached lookup ≡ classifier ≡ first-match scan
+// over Entries() (property test),
 // generation invalidation, parse-once header caching, pooled packets and
 // gated tracing.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "common/rng.h"
 #include "net/packet.h"
 #include "proto/frame.h"
+#include "proto/tunnel.h"
 #include "sdn/flow_key.h"
 #include "sdn/flow_table.h"
 #include "sdn/microflow_cache.h"
@@ -18,7 +23,20 @@ namespace {
 using net::Ipv4Address;
 using net::MacAddress;
 
-Bytes RandomUdpFrame(Rng& rng) {
+/// Reference classification: the first entry of Entries() (rank order)
+/// whose match accepts the frame.
+const sdn::FlowEntry* FirstMatch(const sdn::FlowTable& table,
+                                 const proto::ParsedFrame& frame,
+                                 int in_port) {
+  for (const sdn::FlowEntry& e : table.Entries()) {
+    if (e.match.Matches(frame, in_port)) return &e;
+  }
+  return nullptr;
+}
+
+/// A UDP frame; one in four is carried as TCP and one in eight wrapped
+/// in a tunnel header (non-IP at the outer layer).
+Bytes RandomFrame(Rng& rng) {
   const auto src_mac =
       MacAddress::FromId(static_cast<std::uint32_t>(rng.NextBelow(8)));
   const auto dst_mac =
@@ -30,8 +48,19 @@ Bytes RandomUdpFrame(Rng& rng) {
   const auto sport = static_cast<std::uint16_t>(1000 + rng.NextBelow(8));
   const auto dport = static_cast<std::uint16_t>(1000 + rng.NextBelow(8));
   const std::uint8_t payload[] = {0xab, 0xcd};
-  return proto::BuildUdpFrame(src_mac, dst_mac, src, dst, sport, dport,
-                              payload);
+  const auto kind = rng.NextBelow(8);
+  if (kind < 2) {
+    proto::TcpHeader tcp;
+    tcp.src_port = sport;
+    tcp.dst_port = dport;
+    return proto::BuildTcpFrame(src_mac, dst_mac, src, dst, tcp, payload);
+  }
+  const Bytes udp =
+      proto::BuildUdpFrame(src_mac, dst_mac, src, dst, sport, dport, payload);
+  if (kind > 2) return udp;
+  proto::TunnelHeader th;
+  th.vni = 3;
+  return proto::Encapsulate(src_mac, dst_mac, th, udp);
 }
 
 sdn::FlowEntry RandomEntry(Rng& rng, std::uint64_t cookie,
@@ -43,7 +72,7 @@ sdn::FlowEntry RandomEntry(Rng& rng, std::uint64_t cookie,
   entry.actions.push_back(sdn::FlowAction::Output(0));
   auto& m = entry.match;
   // Each field wildcarded or pinned independently, drawing from the same
-  // small value pools as RandomUdpFrame so matches actually occur.
+  // small value pools as RandomFrame so matches actually occur.
   if (rng.NextBool(0.3)) m.in_port = static_cast<int>(rng.NextBelow(4));
   if (rng.NextBool(0.3)) {
     m.eth_src = MacAddress::FromId(static_cast<std::uint32_t>(rng.NextBelow(8)));
@@ -51,18 +80,26 @@ sdn::FlowEntry RandomEntry(Rng& rng, std::uint64_t cookie,
   if (rng.NextBool(0.3)) {
     m.eth_dst = MacAddress::FromId(static_cast<std::uint32_t>(rng.NextBelow(8)));
   }
-  if (rng.NextBool(0.2)) m.ethertype = proto::EtherType::kIpv4;
+  if (rng.NextBool(0.2)) {
+    m.ethertype = rng.NextBool(0.8) ? proto::EtherType::kIpv4
+                                    : proto::EtherType::kTunnel;
+  }
+  // Prefix lengths 0-32; below /24 the 10.0.0.x pools all collapse into
+  // one network, so short prefixes overlap heavily.
   if (rng.NextBool(0.4)) {
     m.ip_src = net::Ipv4Prefix(
         Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(rng.NextBelow(16))),
-        static_cast<int>(24 + rng.NextBelow(9)));
+        static_cast<int>(rng.NextBelow(33)));
   }
   if (rng.NextBool(0.4)) {
     m.ip_dst = net::Ipv4Prefix(
         Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(rng.NextBelow(16))),
-        static_cast<int>(24 + rng.NextBelow(9)));
+        static_cast<int>(rng.NextBelow(33)));
   }
-  if (rng.NextBool(0.2)) m.ip_proto = proto::IpProto::kUdp;
+  if (rng.NextBool(0.2)) {
+    m.ip_proto = rng.NextBool(0.5) ? proto::IpProto::kUdp
+                                   : proto::IpProto::kTcp;
+  }
   if (rng.NextBool(0.3)) {
     m.l4_src = static_cast<std::uint16_t>(1000 + rng.NextBelow(8));
   }
@@ -74,9 +111,11 @@ sdn::FlowEntry RandomEntry(Rng& rng, std::uint64_t cookie,
 
 // The core semantic-equivalence property: across randomized rule tables,
 // randomized frames, and randomized mutation sequences (install, remove by
-// cookie, version sweep, clear), the cache-fronted lookup returns exactly
-// the entry the pure linear scan returns — including cached negatives.
-TEST(MicroflowCacheProperty, CacheEquivalentToLinearScanUnderMutation) {
+// cookie, version sweep, clear), both the classifier and the cache-fronted
+// lookup return exactly the entry a first-match scan over Entries()
+// returns — including cached negatives — and byte accounting lands on
+// that entry.
+TEST(MicroflowCacheProperty, CacheEquivalentToFirstMatchScanUnderMutation) {
   Rng rng(0xfa57);
   for (int round = 0; round < 30; ++round) {
     sdn::FlowTable table;
@@ -89,7 +128,8 @@ TEST(MicroflowCacheProperty, CacheEquivalentToLinearScanUnderMutation) {
     // A bounded working set of flows, so the steady state revisits the
     // same exact flows and the cache actually serves hits.
     std::vector<Bytes> flows;
-    for (int i = 0; i < 12; ++i) flows.push_back(RandomUdpFrame(rng));
+    for (int i = 0; i < 12; ++i) flows.push_back(RandomFrame(rng));
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> counts;
     for (int step = 0; step < 600; ++step) {
       // Mutate the table ~10% of the time.
       if (rng.NextBool(0.10)) {
@@ -117,14 +157,26 @@ TEST(MicroflowCacheProperty, CacheEquivalentToLinearScanUnderMutation) {
       const auto frame = proto::ParseFrame(bytes);
       ASSERT_TRUE(frame.has_value());
       const int in_port = static_cast<int>(rng.NextBelow(4));
-      // Linear scan first with no byte accounting, cached second with
-      // accounting, so counters are attributed once per lookup pair.
-      const sdn::FlowEntry* scanned = table.Lookup(*frame, in_port, 0);
+      // Only the cached lookup accounts bytes, so counters are
+      // attributed once per step.
+      const sdn::FlowEntry* scanned = FirstMatch(table, *frame, in_port);
+      const sdn::FlowEntry* classified = table.Lookup(*frame, in_port, 0);
       const sdn::FlowEntry* cached =
           table.LookupCached(cache, *frame, in_port, bytes.size());
-      ASSERT_EQ(scanned, cached)
+      ASSERT_EQ(classified, scanned)
           << "round " << round << " step " << step
           << " gen " << table.generation();
+      ASSERT_EQ(cached, scanned)
+          << "round " << round << " step " << step
+          << " gen " << table.generation();
+      if (scanned != nullptr) {
+        ++counts[scanned->cookie].first;
+        counts[scanned->cookie].second += bytes.size();
+      }
+    }
+    for (const sdn::FlowEntry& e : table.Entries()) {
+      EXPECT_EQ(e.packets, counts[e.cookie].first) << "cookie " << e.cookie;
+      EXPECT_EQ(e.bytes, counts[e.cookie].second) << "cookie " << e.cookie;
     }
     // The steady-state phase above must actually exercise the cache.
     EXPECT_GT(cache.stats().hits, 0u);

@@ -11,7 +11,11 @@
 
 #include "common/stats.h"
 #include "core/iotsec.h"
+#include "net/packet.h"
 #include "obs/obs.h"
+#include "proto/frame.h"
+#include "sdn/switch.h"
+#include "sim/simulator.h"
 
 namespace iotsec {
 namespace {
@@ -230,6 +234,31 @@ TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
               std::string::npos)
         << name;
   }
+}
+
+// Pin the switch classification span: each frame Switch::Receive
+// classifies while sampling is on lands in "sdn.classify_ns".
+TEST(ObsRegistryTest, SwitchClassifySpanExportsUnderStableName) {
+  auto& reg = obs::MetricsRegistry::Global();
+  ASSERT_EQ(obs::M().sdn_classify_ns, reg.GetHistogram("sdn.classify_ns"));
+  obs::M().sdn_classify_ns->Reset();
+
+  sim::Simulator sim;
+  sdn::Switch sw(1, sim, sdn::Switch::MissBehavior::kDrop);
+  const Bytes wire = proto::BuildUdpFrame(
+      net::MacAddress::FromId(1), net::MacAddress::FromId(2),
+      net::Ipv4Address(10, 0, 0, 1), net::Ipv4Address(10, 0, 0, 2), 1000,
+      80, {});
+  obs::SetSampling(true);
+  sw.Receive(net::MakePacket(wire), 0);
+  sw.Receive(net::MakePacket(wire), 0);
+  obs::SetSampling(false);
+  sw.Receive(net::MakePacket(wire), 0);  // off: not timed
+  EXPECT_EQ(obs::M().sdn_classify_ns->Snapshot().count, 2u);
+
+  EXPECT_NE(reg.ToJson().find("\"sdn.classify_ns\""), std::string::npos);
+  EXPECT_NE(reg.ToPrometheusText().find("# TYPE sdn_classify_ns summary"),
+            std::string::npos);
 }
 
 TEST(ObsRegistryTest, StatsCompatAdapterPublishesIntoRegistry) {

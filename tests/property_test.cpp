@@ -1,12 +1,17 @@
-// Cross-cutting property suites: flow-table semantics vs a reference
-// implementation, connection-tracker behaviour under random traffic,
+// Cross-cutting property suites: flow-table semantics vs reference
+// implementations (an independent best-match table and a first-match
+// scan over Entries()), connection-tracker behaviour under random traffic,
 // environment determinism, and HTTP codec round-trips on random messages.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <utility>
 
 #include "common/rng.h"
 #include "env/dynamics.h"
 #include "proto/conn_track.h"
 #include "proto/http.h"
+#include "proto/tunnel.h"
 #include "sdn/flow_table.h"
 
 namespace iotsec {
@@ -27,6 +32,15 @@ struct ReferenceTable {
   std::uint64_t next_seq = 0;
 
   void Install(const sdn::FlowEntry& e) { entries.push_back({e, next_seq++}); }
+  void RemoveByCookie(std::uint64_t cookie) {
+    std::erase_if(entries,
+                  [cookie](const Entry& e) { return e.entry.cookie == cookie; });
+  }
+  void RemoveOlderThan(std::uint64_t min_version) {
+    std::erase_if(entries, [min_version](const Entry& e) {
+      return e.entry.version < min_version;
+    });
+  }
 
   const sdn::FlowEntry* Lookup(const proto::ParsedFrame& frame,
                                int in_port) const {
@@ -89,6 +103,188 @@ TEST_P(FlowTablePropertyTest, LookupMatchesReference) {
           << "probe " << probe << " port " << in_port;
     }
   }
+}
+
+/// The pre-classifier semantics, stated directly: the first entry of
+/// Entries() (rank order) whose match accepts the frame.
+const sdn::FlowEntry* FirstMatch(const sdn::FlowTable& table,
+                                 const proto::ParsedFrame& frame,
+                                 int in_port) {
+  for (const sdn::FlowEntry& e : table.Entries()) {
+    if (e.match.Matches(frame, in_port)) return &e;
+  }
+  return nullptr;
+}
+
+// Small value pools so rules and frames collide often. Port 0 is what an
+// IP frame without a TCP/UDP header reports, so l4 rules on 0 match it.
+Ipv4Address PoolIp(Rng& rng) {
+  static const Ipv4Address kPool[] = {
+      Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
+      Ipv4Address(10, 0, 1, 1), Ipv4Address(10, 128, 0, 1),
+      Ipv4Address(192, 168, 1, 1)};
+  return kPool[rng.NextBelow(5)];
+}
+std::uint16_t PoolPort(Rng& rng) {
+  static const std::uint16_t kPool[] = {0, 1000, 1001};
+  return kPool[rng.NextBelow(3)];
+}
+MacAddress PoolMac(Rng& rng) {
+  return MacAddress::FromId(static_cast<std::uint32_t>(rng.NextBelow(4)));
+}
+
+/// A match over every field, each set with probability 0.3; prefixes
+/// take any length 0-32.
+sdn::FlowMatch RandomMatch(Rng& rng) {
+  sdn::FlowMatch m;
+  if (rng.NextBool(0.3)) m.in_port = static_cast<int>(rng.NextBelow(4));
+  if (rng.NextBool(0.3)) m.eth_src = PoolMac(rng);
+  if (rng.NextBool(0.3)) m.eth_dst = PoolMac(rng);
+  if (rng.NextBool(0.3)) {
+    m.ethertype = rng.NextBool(0.7) ? proto::EtherType::kIpv4
+                                    : proto::EtherType::kTunnel;
+  }
+  if (rng.NextBool(0.3)) {
+    m.ip_src = net::Ipv4Prefix(PoolIp(rng),
+                               static_cast<int>(rng.NextBelow(33)));
+  }
+  if (rng.NextBool(0.3)) {
+    m.ip_dst = net::Ipv4Prefix(PoolIp(rng),
+                               static_cast<int>(rng.NextBelow(33)));
+  }
+  if (rng.NextBool(0.3)) {
+    static const proto::IpProto kProtos[] = {
+        proto::IpProto::kTcp, proto::IpProto::kUdp, proto::IpProto::kIcmp};
+    m.ip_proto = kProtos[rng.NextBelow(3)];
+  }
+  if (rng.NextBool(0.3)) m.l4_src = PoolPort(rng);
+  if (rng.NextBool(0.3)) m.l4_dst = PoolPort(rng);
+  return m;
+}
+
+/// A UDP, TCP, L4-less IPv4 (ICMP) or tunnel (non-IP) frame. `wire`
+/// owns the bytes the parsed view points into.
+proto::ParsedFrame RandomFrame(Rng& rng, Bytes& wire) {
+  const MacAddress src_mac = PoolMac(rng);
+  const MacAddress dst_mac = PoolMac(rng);
+  const Ipv4Address src = PoolIp(rng);
+  const Ipv4Address dst = PoolIp(rng);
+  const std::uint16_t sport = PoolPort(rng);
+  const std::uint16_t dport = PoolPort(rng);
+  const auto kind = rng.NextBelow(4);
+  if (kind == 1) {
+    proto::TcpHeader tcp;
+    tcp.src_port = sport;
+    tcp.dst_port = dport;
+    tcp.flags = proto::TcpFlags::kAck;
+    wire = proto::BuildTcpFrame(src_mac, dst_mac, src, dst, tcp,
+                                ToBytes("t"));
+    return *proto::ParseFrame(wire);
+  }
+  wire = proto::BuildUdpFrame(src_mac, dst_mac, src, dst, sport, dport,
+                              ToBytes("u"));
+  if (kind == 3) {
+    proto::TunnelHeader th;
+    th.vni = 7;
+    wire = proto::Encapsulate(src_mac, dst_mac, th, Bytes(wire));
+  }
+  proto::ParsedFrame frame = *proto::ParseFrame(wire);
+  if (kind == 2) {
+    frame.ip->protocol = proto::IpProto::kIcmp;
+    frame.udp.reset();
+  }
+  return frame;
+}
+
+// The classifier must be exactly the first-match scan over Entries(),
+// across every field, prefix lengths 0-32, TCP/UDP/L4-less/non-IP frames,
+// duplicate masked keys at equal and different priorities, and install /
+// remove-by-cookie / version-sweep / clear interleavings. Counters must
+// land on the winner; Entries() must stay in (-priority, install) order.
+TEST_P(FlowTablePropertyTest, ClassifierEqualsFirstMatchScanUnderMutation) {
+  Rng rng(GetParam());
+  sdn::FlowTable table;
+  ReferenceTable reference;
+  std::vector<sdn::FlowMatch> installed;  // matches to duplicate
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> counts;
+  std::uint64_t next_cookie = 0;
+  std::uint64_t version = 1;
+  std::size_t hits = 0;
+  std::size_t ip_less_hits = 0;
+
+  auto install = [&] {
+    sdn::FlowEntry entry;
+    // Every fourth rule re-uses an earlier match: a duplicate masked key
+    // whose priority may tie, beat or trail the original.
+    entry.match = !installed.empty() && rng.NextBool(0.25)
+                      ? installed[rng.NextBelow(installed.size())]
+                      : RandomMatch(rng);
+    entry.priority = static_cast<int>(rng.NextBelow(4));
+    entry.cookie = next_cookie++;
+    entry.version = version;
+    entry.actions.push_back(sdn::FlowAction::Output(0));
+    installed.push_back(entry.match);
+    table.Install(entry);
+    reference.Install(entry);
+  };
+  for (int i = 0; i < 48; ++i) install();
+
+  for (int step = 0; step < 1500; ++step) {
+    if (rng.NextBool(0.08)) {
+      switch (rng.NextBelow(4)) {
+        case 0:
+          install();
+          break;
+        case 1: {
+          const std::uint64_t cookie = rng.NextBelow(next_cookie + 1);
+          table.RemoveByCookie(cookie);
+          reference.RemoveByCookie(cookie);
+          break;
+        }
+        case 2:
+          ++version;
+          for (int i = 0; i < 24; ++i) install();
+          table.RemoveOlderThan(version);
+          reference.RemoveOlderThan(version);
+          break;
+        case 3:
+          if (rng.NextBool(0.2)) {
+            table.Clear();
+            reference.entries.clear();
+          }
+          break;
+      }
+    }
+
+    Bytes wire;
+    const proto::ParsedFrame frame = RandomFrame(rng, wire);
+    const int in_port = static_cast<int>(rng.NextBelow(4));
+    const sdn::FlowEntry* want = FirstMatch(table, frame, in_port);
+    const sdn::FlowEntry* got = table.Lookup(frame, in_port, wire.size());
+    ASSERT_EQ(got, want) << "seed " << GetParam() << " step " << step;
+    const sdn::FlowEntry* ref = reference.Lookup(frame, in_port);
+    ASSERT_EQ(got == nullptr, ref == nullptr) << "step " << step;
+    if (got == nullptr) continue;
+    ASSERT_EQ(got->cookie, ref->cookie) << "step " << step;
+    ++hits;
+    if (!frame.ip) ++ip_less_hits;
+    ++counts[got->cookie].first;
+    counts[got->cookie].second += wire.size();
+  }
+
+  for (std::size_t i = 0; i < table.Entries().size(); ++i) {
+    const sdn::FlowEntry& e = table.Entries()[i];
+    EXPECT_EQ(e.packets, counts[e.cookie].first) << "cookie " << e.cookie;
+    EXPECT_EQ(e.bytes, counts[e.cookie].second) << "cookie " << e.cookie;
+    if (i == 0) continue;
+    const sdn::FlowEntry& prev = table.Entries()[i - 1];
+    EXPECT_TRUE(prev.priority > e.priority ||
+                (prev.priority == e.priority && prev.cookie < e.cookie))
+        << "rank order broken at " << i;
+  }
+  // The walk must actually exercise hits, including non-IP ones.
+  EXPECT_GT(hits, 300u);
+  EXPECT_GT(ip_less_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTablePropertyTest,

@@ -306,20 +306,20 @@ TEST(MicroflowGenerationTest, WraparoundDoesNotServeStaleEntry) {
 
   // A verdict recorded under the all-ones generation...
   const std::uint64_t gen_max = ~std::uint64_t{0};
-  cache.Insert(key, &entry, gen_max);
+  cache.Insert(key, key.Hash(), &entry, gen_max);
   const sdn::FlowEntry* out = nullptr;
-  EXPECT_TRUE(cache.Find(key, gen_max, &out));
+  EXPECT_TRUE(cache.Find(key, key.Hash(), gen_max, &out));
   EXPECT_EQ(out, &entry);
 
   // ...must read as stale at generation 0 (a wrapped counter), never as
   // a hit against a table that has since changed.
   out = nullptr;
-  EXPECT_FALSE(cache.Find(key, 0, &out));
+  EXPECT_FALSE(cache.Find(key, key.Hash(), 0, &out));
   EXPECT_EQ(cache.stats().stale, 1u);
 
   // Re-inserting under the new generation heals the slot.
-  cache.Insert(key, &entry, 0);
-  EXPECT_TRUE(cache.Find(key, 0, &out));
+  cache.Insert(key, key.Hash(), &entry, 0);
+  EXPECT_TRUE(cache.Find(key, key.Hash(), 0, &out));
   EXPECT_EQ(out, &entry);
 }
 
@@ -328,13 +328,13 @@ TEST(MicroflowGenerationTest, ResizeClearsAndRoundsUp) {
   sdn::FlowKey key;
   key.in_port = 3;
   sdn::FlowEntry entry;
-  cache.Insert(key, &entry, 1);
+  cache.Insert(key, key.Hash(), &entry, 1);
   const sdn::FlowEntry* out = nullptr;
-  ASSERT_TRUE(cache.Find(key, 1, &out));
+  ASSERT_TRUE(cache.Find(key, key.Hash(), 1, &out));
 
   cache.Resize(1000);  // -> 1024 slots, all verdicts dropped
   EXPECT_EQ(cache.SlotCount(), 1024u);
-  EXPECT_FALSE(cache.Find(key, 1, &out));
+  EXPECT_FALSE(cache.Find(key, key.Hash(), 1, &out));
 }
 
 }  // namespace
