@@ -38,6 +38,10 @@ Deployment::Deployment(DeploymentOptions options)
         return std::make_unique<sim::ShardSet>(std::move(so));
       }()),
       sim_(own_sim_ != nullptr ? *own_sim_ : shard_set_->sim(0)) {
+  if (shard_set_ != nullptr) {
+    shard_env_writes_.resize(
+        static_cast<std::size_t>(shard_set_->shard_count()));
+  }
   env_ = env::MakeSmartHomeEnvironment();
   env_->AttachTo(sim_, options_.env_tick);
 
@@ -171,16 +175,16 @@ env::Environment* Deployment::EnvFor(DeviceId id) {
   if (shard_set_ == nullptr) return env_.get();
   auto it = env_replicas_.find(id);
   if (it == env_replicas_.end()) {
-    auto replica = std::make_unique<EnvReplica>();
-    replica->env = env_->Replicate();
-    auto* writes = &replica->writes;
-    replica->env->SetWriteCapture(
-        [writes](const std::string& name, double value, SimTime now) {
-          writes->push_back(EnvWrite{now, name, value});
+    auto replica = env_->Replicate();
+    replica->SetWriteCapture(
+        [this](const std::string& name, double value, SimTime now) {
+          shard_env_writes_[static_cast<std::size_t>(
+                                sim::ShardSet::CurrentShard())]
+              .writes.push_back(EnvWrite{now, name, value});
         });
     it = env_replicas_.emplace(id, std::move(replica)).first;
   }
-  return it->second->env.get();
+  return it->second.get();
 }
 
 void Deployment::BarrierSync(SimTime now) {
@@ -188,11 +192,11 @@ void Deployment::BarrierSync(SimTime now) {
   //    canonical order — (time, variable, value) is a function of the
   //    simulation, not of shard placement or thread timing.
   pending_env_writes_.clear();
-  for (auto& [id, replica] : env_replicas_) {
-    for (EnvWrite& w : replica->writes) {
+  for (ShardEnvWrites& buffer : shard_env_writes_) {
+    for (EnvWrite& w : buffer.writes) {
       pending_env_writes_.push_back(std::move(w));
     }
-    replica->writes.clear();
+    buffer.writes.clear();
   }
   if (!pending_env_writes_.empty()) {
     std::sort(pending_env_writes_.begin(), pending_env_writes_.end(),
@@ -211,7 +215,7 @@ void Deployment::BarrierSync(SimTime now) {
   if (env_->version() != synced_env_version_) {
     synced_env_version_ = env_->version();
     for (auto& [id, replica] : env_replicas_) {
-      replica->env->SyncFrom(*env_, now);
+      replica->SyncFrom(*env_, now);
     }
   }
   // 3. Snapshot network totals while every link counter is quiescent.

@@ -251,20 +251,22 @@ class Deployment {
   std::unique_ptr<sim::ShardSet> shard_set_;
   sim::Simulator& sim_;
   std::unique_ptr<env::Environment> env_;
-  // Sharded mode: per-device environment replicas. A replica's write
-  // buffer is touched mid-quantum only by its device's shard worker;
-  // the barrier phase (single-threaded, after workers park) drains all
-  // of them into pending_env_writes_ for one canonical sorted apply.
+  // Sharded mode: per-device environment replicas. A replica's writes
+  // are captured into the executing shard's buffer (ShardSet::
+  // CurrentShard()), which only that shard's thread touches mid-quantum;
+  // the barrier phase (single-threaded, after the workers are done)
+  // drains the buffers into pending_env_writes_ for one canonical sorted
+  // apply.
   struct EnvWrite {
     SimTime at = 0;
     std::string name;
     double value = 0.0;
   };
-  struct EnvReplica {
-    std::unique_ptr<env::Environment> env;
+  struct alignas(64) ShardEnvWrites {
     std::vector<EnvWrite> writes;
   };
-  std::map<DeviceId, std::unique_ptr<EnvReplica>> env_replicas_;
+  std::map<DeviceId, std::unique_ptr<env::Environment>> env_replicas_;
+  std::vector<ShardEnvWrites> shard_env_writes_;  // [shard]
   std::vector<EnvWrite> pending_env_writes_;
   std::uint64_t synced_env_version_ = 0;
   NetworkTotals stats_snapshot_;

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace iotsec::sim {
 
 namespace {
@@ -10,6 +14,35 @@ namespace {
 // thread runs shard 0 (and, in inline mode, temporarily adopts each shard
 // in turn); worker threads pin their shard for life.
 thread_local int t_current_shard = 0;
+
+// Polls a waiter makes before parking in std::atomic::wait: about 90 µs
+// of pause instructions on a 4-core Xeon. Long enough to cover a barrier
+// phase plus a few light quanta on the other side, short enough that an
+// idle worker soon gives its core back.
+constexpr int kSpinBudget = 4096;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Waits until `a` holds a value other than `old` and returns it: spins
+// for kSpinBudget acquire polls when `spin`, then parks.
+template <typename T>
+T AwaitChange(const std::atomic<T>& a, T old, bool spin) {
+  if (spin) {
+    for (int i = 0; i < kSpinBudget; ++i) {
+      const T v = a.load(std::memory_order_acquire);
+      if (v != old) return v;
+      CpuRelax();
+    }
+  }
+  a.wait(old, std::memory_order_acquire);  // returns once a != old
+  return a.load(std::memory_order_acquire);
+}
 }  // namespace
 
 int ShardSet::CurrentShard() { return t_current_shard; }
@@ -22,42 +55,38 @@ ShardSet::ShardSet(Options options) : options_(std::move(options)) {
   mailboxes_.resize(static_cast<std::size_t>(k) * static_cast<std::size_t>(k));
   for (auto& mb : mailboxes_) mb = std::make_unique<SpscMailbox>();
   src_seqs_.resize(static_cast<std::size_t>(k));
+  gates_ = std::make_unique<Gate[]>(static_cast<std::size_t>(k));
+  next_event_.resize(static_cast<std::size_t>(k));
+  const unsigned cores = std::thread::hardware_concurrency();
+  spin_ = static_cast<unsigned>(k) <= cores;
   if (options_.enter_shard) options_.enter_shard(0);  // driver == shard 0
 }
 
 ShardSet::~ShardSet() {
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-      ++start_generation_;
-    }
-    cv_start_.notify_all();
-    for (auto& t : threads_) t.join();
+  if (threads_.empty()) return;
+  shutdown_ = true;
+  for (int i = 1; i < shard_count(); ++i) {
+    gates_[static_cast<std::size_t>(i)].generation.fetch_add(
+        1, std::memory_order_release);
+    gates_[static_cast<std::size_t>(i)].generation.notify_one();
   }
+  for (auto& t : threads_) t.join();
 }
 
 void ShardSet::WorkerLoop(int shard) {
   t_current_shard = shard;
   if (options_.enter_shard) options_.enter_shard(shard);
-  std::uint64_t seen_generation = 0;
+  const auto& gate = gates_[static_cast<std::size_t>(shard)].generation;
+  // Gates start at 0 and are first bumped after this thread exists, but
+  // possibly before it gets here: start from 0, not from a fresh load.
+  std::uint32_t seen = 0;
   for (;;) {
-    SimTime target = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_start_.wait(lock, [&] {
-        return shutdown_ || start_generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = start_generation_;
-      target = target_;
+    seen = AwaitChange(gate, seen, spin_);
+    if (shutdown_) return;
+    sims_[static_cast<std::size_t>(shard)]->RunUntil(target_);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
     }
-    sims_[static_cast<std::size_t>(shard)]->RunUntil(target);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++workers_done_;
-    }
-    cv_done_.notify_one();
   }
 }
 
@@ -137,7 +166,11 @@ void ShardSet::RunUntil(SimTime deadline,
     // quanta — and therefore every barrier hook time actually doing work —
     // is identical at any shard count.
     SimTime next_event = ~SimTime{0};
-    for (auto& s : sims_) next_event = std::min(next_event, s->NextEventTime());
+    for (int i = 0; i < k; ++i) {
+      const SimTime t = sims_[static_cast<std::size_t>(i)]->NextEventTime();
+      next_event_[static_cast<std::size_t>(i)] = t;
+      next_event = std::min(next_event, t);
+    }
     if (next_event > target && target < deadline) {
       SimTime skip_to = deadline;
       if (next_event < deadline) {
@@ -146,6 +179,8 @@ void ShardSet::RunUntil(SimTime deadline,
         if (skip_to <= now_) skip_to = target;  // event inside first quantum
       }
       if (skip_to > target) {
+        // Nothing fires before skip_to, so the queues (and next_event_)
+        // are unchanged by moving the clocks.
         for (auto& s : sims_) s->RunUntil(skip_to - options_.quantum);
         now_ = skip_to - options_.quantum;
         target = skip_to;
@@ -154,18 +189,31 @@ void ShardSet::RunUntil(SimTime deadline,
     quantum_end_.store(target, std::memory_order_relaxed);
     running_.store(true, std::memory_order_relaxed);
     if (threaded) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        workers_done_ = 0;
-        target_ = target;
-        ++start_generation_;
+      // Idle-shard skip: wake only workers with an event due by the
+      // quantum end (<=, as Simulator::RunUntil fires events at exactly
+      // its deadline). Mid-quantum, other shards reach an idle shard only
+      // through the mailboxes, so it stays idle; its clock just moves.
+      target_ = target;
+      int woken = 0;
+      for (int i = 1; i < k; ++i) {
+        if (next_event_[static_cast<std::size_t>(i)] <= target) ++woken;
       }
-      cv_start_.notify_all();
+      pending_.store(woken, std::memory_order_relaxed);
+      for (int i = 1; i < k; ++i) {
+        auto& sim = *sims_[static_cast<std::size_t>(i)];
+        if (next_event_[static_cast<std::size_t>(i)] > target) {
+          sim.RunUntil(target);
+          continue;
+        }
+        auto& gate = gates_[static_cast<std::size_t>(i)].generation;
+        gate.fetch_add(1, std::memory_order_release);
+        gate.notify_one();
+      }
+      wakeups_ += static_cast<std::uint64_t>(woken);
       t_current_shard = 0;
       sims_[0]->RunUntil(target);
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_done_.wait(lock, [&] { return workers_done_ == k - 1; });
+      for (int left = pending_.load(std::memory_order_acquire); left != 0;) {
+        left = AwaitChange(pending_, left, spin_);
       }
     } else {
       for (int i = 0; i < k; ++i) {

@@ -2,11 +2,11 @@
 //
 // The single-threaded sim::Simulator caps aggregate throughput at one
 // core no matter how cheap each packet is. A ShardSet runs N simulators
-// (shards) in lockstep time quanta: within a quantum every shard executes
-// its own event queue on its own worker thread, touching only shard-local
-// state; at the quantum boundary all workers park at a barrier, the
-// cross-shard mailboxes are drained in a canonical order, and the next
-// quantum begins.
+// (shards) in lockstep time quanta: within a quantum every shard with
+// work due executes its own event queue on its own worker thread,
+// touching only shard-local state; at the quantum boundary the driver
+// waits for those workers, the cross-shard mailboxes are drained in a
+// canonical order, and the next quantum begins.
 //
 // The quantum is a conservative lookahead: it must be no larger than the
 // minimum latency of any cross-shard interaction (for links, the
@@ -28,11 +28,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -41,6 +39,15 @@
 
 namespace iotsec::sim {
 
+/// N lockstep simulators. The driver (the RunUntil caller) executes
+/// shard 0; shards 1..N-1 each own a worker thread that sleeps on its own
+/// generation gate between quanta. Per quantum the driver wakes only the
+/// workers whose simulator has an event due by the quantum end — an idle
+/// shard's clock is advanced by the driver instead — then runs shard 0,
+/// then waits for the woken workers to count themselves done. Waiting on
+/// either side spins for a bounded budget before parking, unless the set
+/// has more shards than the machine has hardware threads, in which case
+/// a spinner would only steal the core a peer needs, so it parks at once.
 class ShardSet {
  public:
   struct Options {
@@ -73,6 +80,10 @@ class ShardSet {
     return running_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t quanta_run() const { return quanta_; }
+  /// Times a worker thread was woken to run a quantum. Idle shards are
+  /// not woken, so this is at most quanta_run() * (shard_count() - 1) and
+  /// stays 0 in inline mode.
+  [[nodiscard]] std::uint64_t worker_wakeups() const { return wakeups_; }
 
   /// Shard whose event loop the calling thread is executing; 0 for the
   /// driver thread outside a run (setup happens in shard 0's context).
@@ -129,18 +140,24 @@ class ShardSet {
   };
   std::vector<SrcSeq> src_seqs_;
 
-  // Worker rendezvous. Two-phase: start (workers pick up target_) and
-  // finish (driver learns every shard reached it). Generation-counted
-  // condvar barrier rather than std::barrier so the driver can also
-  // shut workers down through the same gate.
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::uint64_t start_generation_ = 0;
-  int workers_done_ = 0;
+  // Worker rendezvous. Each worker sleeps on its own cache-line gate;
+  // the driver publishes target_ (or shutdown_) and then bumps the gate
+  // with release ordering, so a worker that acquires the new generation
+  // also sees them. pending_ counts woken workers not yet done; the last
+  // one to finish notifies the driver. std::barrier would wake every
+  // worker every quantum and has no shutdown path.
+  struct alignas(64) Gate {
+    std::atomic<std::uint32_t> generation{0};
+  };
+  std::unique_ptr<Gate[]> gates_;  // [shard]; shard 0's is unused
+  alignas(64) std::atomic<int> pending_{0};
   SimTime target_ = 0;
   bool shutdown_ = false;
+  // Spin before parking only while every shard can have a core.
+  bool spin_ = false;
+  std::uint64_t wakeups_ = 0;
+  // Each shard's earliest queued event at the start of the quantum.
+  std::vector<SimTime> next_event_;
 
   SimTime now_ = 0;
   std::atomic<SimTime> quantum_end_{0};
@@ -149,6 +166,8 @@ class ShardSet {
   std::atomic<std::uint64_t> late_posts_{0};
   std::uint64_t cross_delivered_ = 0;
   std::vector<CrossShardEvent> drain_scratch_;
+  // Workers use every member above; the destructor joins them first.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace iotsec::sim
