@@ -1,7 +1,5 @@
 #include "common/strings.h"
 
-#include <cctype>
-
 namespace iotsec {
 
 std::vector<std::string> Split(std::string_view s, char sep) {
@@ -20,9 +18,9 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
   std::vector<std::string> out;
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    while (i < s.size() && IsAsciiSpace(s[i])) ++i;
     std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    while (i < s.size() && !IsAsciiSpace(s[i])) ++i;
     if (i > start) out.emplace_back(s.substr(start, i - start));
   }
   return out;
@@ -31,16 +29,15 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
 std::string_view Trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (AsciiToLower(a[i]) != AsciiToLower(b[i])) {
       return false;
     }
   }
@@ -58,7 +55,7 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 std::string ToLower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = AsciiToLower(c);
   return out;
 }
 

@@ -1,4 +1,9 @@
 // Small string utilities used by the rule/config parsers.
+//
+// Every helper classifies bytes by explicit ASCII tests rather than
+// <cctype>, whose answers for bytes >= 0x80 follow the process locale: an
+// embedder's setlocale() must not change what the HTTP, policy-DSL or rule
+// grammars accept. The results equal the C locale's.
 #pragma once
 
 #include <string>
@@ -6,6 +11,16 @@
 #include <vector>
 
 namespace iotsec {
+
+/// The C locale's isspace(): ' ', '\t', '\n', '\v', '\f', '\r'.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// The C locale's tolower(): 'A'-'Z' fold, every other byte is kept.
+constexpr char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 /// Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);

@@ -35,6 +35,13 @@ Umbox* UmboxHost::Launch(UmboxSpec spec, const ElementContext& ctx,
   box->SetAlertSink([this, id](Alert alert) {
     if (alert_sink_) alert_sink_(id, alert);
   });
+  // Verdict frames return through this host's tunnel toward the switch
+  // the µmbox's traffic last came from (recorded by Receive).
+  box->SetEgress([this, id](net::PacketPtr inner) {
+    const auto it = origin_switch_.find(id);
+    ReturnFrame(id, it == origin_switch_.end() ? 0 : it->second,
+                std::move(inner));
+  });
   boxes_[id] = std::move(box);
   ptr->Boot(std::move(on_ready));
   return ptr;
@@ -136,19 +143,7 @@ void UmboxHost::Receive(net::PacketPtr pkt, int port) {
     return;
   }
   origin_switch_[vni] = origin;
-  Umbox* box = it->second.get();
-  // (Re)bind the egress so verdict frames return through this host's
-  // tunnel toward the frame's origin switch.
-  box->SetEgress([this, vni](net::PacketPtr inner) {
-    const auto oit = origin_switch_.find(vni);
-    const SwitchId origin_sw =
-        oit == origin_switch_.end() ? 0 : oit->second;
-    ReturnFrame(vni, origin_sw, std::move(inner));
-  });
-  auto inner = net::MakePacket(std::move(decap->inner));
-  inner->created_at = pkt->created_at;
-  inner->CopyTraceFrom(*pkt);
-  box->Process(std::move(inner));
+  it->second->Process(net::TunnelDecap(*pkt, decap->inner));
 }
 
 void UmboxHost::ReturnFrame(UmboxId vni, SwitchId origin,
@@ -159,13 +154,10 @@ void UmboxHost::ReturnFrame(UmboxId vni, SwitchId origin,
   th.vni = vni;
   th.direction = proto::TunnelDirection::kFromUmbox;
   th.origin_switch = origin;
-  Bytes outer =
-      proto::Encapsulate(net::MacAddress::FromId(0xee0000 + id_),
-                         net::MacAddress::Broadcast(), th, inner->data());
-  auto pkt = net::MakePacket(std::move(outer));
-  pkt->created_at = inner->created_at;
-  pkt->CopyTraceFrom(*inner);
-  uplink_->Send(uplink_end_, std::move(pkt));
+  const net::MacAddress host_mac = net::MacAddress::FromId(0xee0000 + id_);
+  uplink_->Send(uplink_end_,
+                net::TunnelEncap(*inner, host_mac,
+                                 net::MacAddress::Broadcast(), th));
 }
 
 UmboxHost* Cluster::PickHost() const {

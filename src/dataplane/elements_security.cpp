@@ -199,10 +199,12 @@ void PasswordProxy::Reject(const proto::ParsedFrame& frame) {
   tcp.ack =
       frame.tcp->seq + static_cast<std::uint32_t>(frame.payload.size());
   tcp.flags = proto::TcpFlags::kPsh | proto::TcpFlags::kAck;
-  Bytes wire =
-      proto::BuildTcpFrame(frame.eth.dst, frame.eth.src, *&device_ip_,
-                           frame.ip->src, tcp, resp.Serialize());
-  Output(net::MakePacket(std::move(wire)));
+  auto pkt = net::MakePacket();
+  Bytes& wire = pkt->MutableData();
+  proto::WriteTcpHeaders(wire, frame.eth.dst, frame.eth.src, device_ip_,
+                         frame.ip->src, tcp, resp.SerializedSize());
+  resp.SerializeTo(wire);
+  Output(std::move(pkt));
 }
 
 void PasswordProxy::Push(net::PacketPtr pkt, int in_port) {
@@ -214,12 +216,12 @@ void PasswordProxy::Push(net::PacketPtr pkt, int in_port) {
     Output(std::move(pkt));
     return;
   }
-  auto req = proto::HttpRequest::Parse(frame->payload);
-  if (!req) {
+  const auto view = proto::HttpRequestView::Parse(frame->payload);
+  if (!view) {
     Output(std::move(pkt));
     return;
   }
-  const auto auth = req->Header("Authorization");
+  const auto auth = view->Header("Authorization");
   const auto creds = auth ? proto::ParseBasicAuth(*auth) : std::nullopt;
   if (!creds || creds->first != user_ || creds->second != password_) {
     Drop(pkt);
@@ -231,6 +233,8 @@ void PasswordProxy::Push(net::PacketPtr pkt, int in_port) {
   // Authenticated against the *administrator's* credential: rewrite the
   // header to the device's hardcoded credential so the unfixable device
   // still accepts it ("patching" the password at the network layer).
+  // The owned parse runs the view's grammar, so it accepts this payload.
+  auto req = proto::HttpRequest::Parse(frame->payload);
   req->SetHeader("Authorization",
                  proto::BasicAuthValue(device_user_, device_password_));
   Bytes rewritten = proto::ReplacePayload(*frame, req->Serialize());
@@ -396,7 +400,7 @@ void AuthGuard::Push(net::PacketPtr pkt, int in_port) {
       return;
     }
     // Requests from locked-out clients die here.
-    if (proto::HttpRequest::Parse(frame->payload)) {
+    if (proto::HttpRequestView::Parse(frame->payload)) {
       const auto it = clients_.find(frame->ip->src.value());
       if (it != clients_.end() && it->second.locked_until > now) {
         Drop(pkt);

@@ -14,8 +14,11 @@ void Attacker::ConnectUplink(net::Link* link, int my_end) {
 
 void Attacker::SendFrame(Bytes frame) {
   if (uplink_ == nullptr) return;
+  SendPacket(net::MakePacket(std::move(frame)));
+}
+
+void Attacker::SendPacket(net::PacketPtr pkt) {
   ++frames_out_;
-  auto pkt = net::MakePacket(std::move(frame));
   pkt->created_at = sim_.Now();
   uplink_->Send(uplink_end_, std::move(pkt));
 }
@@ -39,8 +42,13 @@ void Attacker::HttpGet(
   tcp.seq = 1;
   tcp.flags = proto::TcpFlags::kPsh | proto::TcpFlags::kAck;
   pending_http_[src_port] = std::move(on_response);
-  SendFrame(proto::BuildTcpFrame(mac_, target_mac, ip_, target_ip, tcp,
-                                 req.Serialize()));
+  if (uplink_ == nullptr) return;
+  auto pkt = net::MakePacket();
+  Bytes& wire = pkt->MutableData();
+  proto::WriteTcpHeaders(wire, mac_, target_mac, ip_, target_ip, tcp,
+                         req.SerializedSize());
+  req.SerializeTo(wire);
+  SendPacket(std::move(pkt));
 }
 
 void Attacker::SendIotCommand(net::Ipv4Address target_ip,

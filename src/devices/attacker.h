@@ -90,6 +90,7 @@ class Attacker final : public net::PacketSink {
 
  private:
   std::uint16_t NextPort() { return next_port_++; }
+  void SendPacket(net::PacketPtr pkt);
 
   net::MacAddress mac_;
   net::Ipv4Address ip_;

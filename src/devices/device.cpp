@@ -81,7 +81,7 @@ void Device::Receive(net::PacketPtr pkt, int port) {
     }
   }
   if (frame->tcp && !frame->payload.empty()) {
-    auto req = proto::HttpRequest::Parse(frame->payload);
+    const auto req = proto::HttpRequestView::Parse(frame->payload);
     if (req) {
       HandleHttp(*frame, *req);
       return;
@@ -127,7 +127,7 @@ bool Device::Authorized(const proto::IotCtlMessage& msg) const {
   return token.has_value() && *token == spec_.credential;
 }
 
-bool Device::AuthorizedHttp(const proto::HttpRequest& req) const {
+bool Device::AuthorizedHttp(const proto::HttpRequestView& req) const {
   if (Has(Vulnerability::kExposedAccess)) return true;
   const auto auth = req.Header("Authorization");
   if (!auth) return false;
@@ -138,8 +138,11 @@ bool Device::AuthorizedHttp(const proto::HttpRequest& req) const {
 
 void Device::SendFrame(Bytes frame) {
   if (uplink_ == nullptr) return;
+  SendPacket(net::MakePacket(std::move(frame)));
+}
+
+void Device::SendPacket(net::PacketPtr pkt) {
   ++stats_.frames_out;
-  auto pkt = net::MakePacket(std::move(frame));
   pkt->created_at = sim_.Now();
   uplink_->Send(uplink_end_, std::move(pkt));
 }
@@ -152,17 +155,21 @@ void Device::SendUdpReply(const proto::ParsedFrame& req,
                                  req.udp->src_port, payload));
 }
 
-void Device::SendTcpReply(const proto::ParsedFrame& req,
-                          std::span<const std::uint8_t> payload) {
-  if (!req.ip || !req.tcp) return;
+void Device::SendHttpReply(const proto::ParsedFrame& req,
+                           const proto::HttpResponse& resp) {
+  if (!req.ip || !req.tcp || uplink_ == nullptr) return;
   proto::TcpHeader tcp;
   tcp.src_port = req.tcp->dst_port;
   tcp.dst_port = req.tcp->src_port;
   tcp.seq = req.tcp->ack;
   tcp.ack = req.tcp->seq + static_cast<std::uint32_t>(req.payload.size());
   tcp.flags = proto::TcpFlags::kPsh | proto::TcpFlags::kAck;
-  SendFrame(proto::BuildTcpFrame(spec_.mac, req.eth.src, spec_.ip,
-                                 req.ip->src, tcp, payload));
+  auto pkt = net::MakePacket();
+  Bytes& wire = pkt->MutableData();
+  proto::WriteTcpHeaders(wire, spec_.mac, req.eth.src, spec_.ip, req.ip->src,
+                         tcp, resp.SerializedSize());
+  resp.SerializeTo(wire);
+  SendPacket(std::move(pkt));
 }
 
 void Device::SendEvent(std::string sensor, std::string reading) {
@@ -216,11 +223,11 @@ void Device::RespondToCommand(const proto::ParsedFrame& frame,
 }
 
 void Device::HandleHttp(const proto::ParsedFrame& frame,
-                        const proto::HttpRequest& req) {
+                        const proto::HttpRequestView& req) {
   proto::HttpResponse resp;
   resp.status = 404;
   resp.reason = "Not Found";
-  SendTcpReply(frame, resp.Serialize());
+  SendHttpReply(frame, resp);
   (void)req;
 }
 

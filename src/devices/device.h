@@ -147,22 +147,24 @@ class Device : public net::PacketSink {
   [[nodiscard]] bool Authorized(const proto::IotCtlMessage& msg) const;
 
   /// Same logic for HTTP Basic credentials.
-  [[nodiscard]] bool AuthorizedHttp(const proto::HttpRequest& req) const;
+  [[nodiscard]] bool AuthorizedHttp(const proto::HttpRequestView& req) const;
 
   void SendFrame(Bytes frame);
   /// Replies to `req` with src/dst (mac, ip, ports) swapped.
   void SendUdpReply(const proto::ParsedFrame& req,
                     std::span<const std::uint8_t> payload);
-  void SendTcpReply(const proto::ParsedFrame& req,
-                    std::span<const std::uint8_t> payload);
+  /// TCP reply carrying `resp`, serialized straight into a pooled packet.
+  void SendHttpReply(const proto::ParsedFrame& req,
+                     const proto::HttpResponse& resp);
   /// Pushes an IoTCtl event {sensor, reading} to the hub.
   void SendEvent(std::string sensor, std::string reading);
 
   // Protocol hooks; default implementations deny/ignore.
   virtual void HandleIotCtl(const proto::ParsedFrame& frame,
                             const proto::IotCtlMessage& msg);
+  /// `req` views `frame`'s payload.
   virtual void HandleHttp(const proto::ParsedFrame& frame,
-                          const proto::HttpRequest& req);
+                          const proto::HttpRequestView& req);
   virtual void HandleDns(const proto::ParsedFrame& frame,
                          const proto::DnsMessage& query);
   /// Raw hook for anything else (TCP SYNs, unknown ports).
@@ -178,6 +180,7 @@ class Device : public net::PacketSink {
   Stats stats_;
 
  private:
+  void SendPacket(net::PacketPtr pkt);
   void RespondToCommand(const proto::ParsedFrame& frame,
                         const proto::IotCtlMessage& msg);
 

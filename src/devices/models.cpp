@@ -55,7 +55,7 @@ void Camera::Start() {
 }
 
 void Camera::HandleHttp(const proto::ParsedFrame& frame,
-                        const proto::HttpRequest& req) {
+                        const proto::HttpRequestView& req) {
   using proto::HttpResponse;
   HttpResponse resp;
   if (req.path == "/") {
@@ -92,7 +92,7 @@ void Camera::HandleHttp(const proto::ParsedFrame& frame,
     resp.status = 404;
     resp.reason = "Not Found";
   }
-  SendTcpReply(frame, resp.Serialize());
+  SendHttpReply(frame, resp);
 }
 
 std::string Camera::Execute(const proto::IotCtlMessage& msg) {
@@ -378,7 +378,7 @@ SetTopBox::SetTopBox(DeviceSpec spec, sim::Simulator& simulator,
 void SetTopBox::Start() { SetState("idle"); }
 
 void SetTopBox::HandleHttp(const proto::ParsedFrame& frame,
-                           const proto::HttpRequest& req) {
+                           const proto::HttpRequestView& req) {
   proto::HttpResponse resp;
   if (req.path == "/") {
     resp = Ok("Set-top box — " + spec_.vendor + "\n");
@@ -394,7 +394,7 @@ void SetTopBox::HandleHttp(const proto::ParsedFrame& frame,
     resp.status = 404;
     resp.reason = "Not Found";
   }
-  SendTcpReply(frame, resp.Serialize());
+  SendHttpReply(frame, resp);
 }
 
 std::string SetTopBox::Execute(const proto::IotCtlMessage& msg) {
@@ -410,7 +410,7 @@ Refrigerator::Refrigerator(DeviceSpec spec, sim::Simulator& simulator,
 void Refrigerator::Start() { SetState("cooling"); }
 
 void Refrigerator::HandleHttp(const proto::ParsedFrame& frame,
-                              const proto::HttpRequest& req) {
+                              const proto::HttpRequestView& req) {
   proto::HttpResponse resp;
   if (req.path == "/") {
     resp = Ok("Smart refrigerator — " + spec_.vendor + "\n");
@@ -425,7 +425,7 @@ void Refrigerator::HandleHttp(const proto::ParsedFrame& frame,
     resp.status = 404;
     resp.reason = "Not Found";
   }
-  SendTcpReply(frame, resp.Serialize());
+  SendHttpReply(frame, resp);
 }
 
 void Refrigerator::BecomeSpamBot(net::Ipv4Address relay,

@@ -21,7 +21,7 @@ class Camera final : public Device {
 
  protected:
   void HandleHttp(const proto::ParsedFrame& frame,
-                  const proto::HttpRequest& req) override;
+                  const proto::HttpRequestView& req) override;
   std::string Execute(const proto::IotCtlMessage& msg) override;
 
  private:
@@ -153,7 +153,7 @@ class SetTopBox final : public Device {
 
  protected:
   void HandleHttp(const proto::ParsedFrame& frame,
-                  const proto::HttpRequest& req) override;
+                  const proto::HttpRequestView& req) override;
   std::string Execute(const proto::IotCtlMessage& msg) override;
 };
 
@@ -173,7 +173,7 @@ class Refrigerator final : public Device {
 
  protected:
   void HandleHttp(const proto::ParsedFrame& frame,
-                  const proto::HttpRequest& req) override;
+                  const proto::HttpRequestView& req) override;
   std::string Execute(const proto::IotCtlMessage& msg) override;
 
  private:

@@ -54,10 +54,18 @@ std::optional<Ipv4Address> Ipv4Address::Parse(std::string_view s) {
 }
 
 std::string Ipv4Address::ToString() const {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value_ >> 24) & 0xff,
-                (value_ >> 16) & 0xff, (value_ >> 8) & 0xff, value_ & 0xff);
-  return buf;
+  // Dotted quad without leading zeros (what "%u.%u.%u.%u" prints); at most
+  // 15 chars, so the string stays in its small-string buffer.
+  char buf[15];
+  char* p = buf;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    const unsigned octet = (value_ >> shift) & 0xff;
+    if (octet >= 100) *p++ = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) *p++ = static_cast<char>('0' + octet / 10 % 10);
+    *p++ = static_cast<char>('0' + octet % 10);
+    if (shift > 0) *p++ = '.';
+  }
+  return std::string(buf, p);
 }
 
 Ipv4Prefix::Ipv4Prefix(Ipv4Address base, int length) : length_(length) {

@@ -11,9 +11,9 @@
 //     encap/decap and every µmbox element share one parse instead of
 //     re-decoding the same bytes at each hop. Mutating the bytes through
 //     `MutableData()`/`SetData()` invalidates the cached view.
-//   * pooled allocation — `PacketPool` recycles Packet objects (and the
-//     heap capacity of their byte/trace vectors) through a free list;
-//     `MakePacket`/`ClonePacket` draw from the global pool.
+//   * pooled allocation — `PacketPool` recycles Packet objects, their
+//     byte buffers and their shared_ptr control blocks through free
+//     lists; `MakePacket`/`ClonePacket` draw from the thread's pool.
 //   * gated tracing — per-hop trace appends are test-only machinery; they
 //     compile to a single predictable branch when disabled via
 //     `SetPacketTracing(false)` (benches) or IOTSEC_NO_PACKET_TRACE.
@@ -30,6 +30,7 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "proto/frame.h"
+#include "proto/tunnel.h"
 
 namespace iotsec::net {
 
@@ -160,8 +161,13 @@ class Packet {
 using PacketPtr = std::shared_ptr<Packet>;
 
 /// Free-list allocator recycling Packet objects. Single-threaded within
-/// its owning shard (the simulator is event-driven); released packets
-/// return here and hand their heap capacity to the next Acquire.
+/// its owning shard (the simulator is event-driven). A released packet
+/// returns here with its byte buffer's capacity. Only Acquire() hands that
+/// buffer on, to a caller that writes its frame through MutableData();
+/// Acquire(Bytes) move-assigns the caller's buffer, which frees the
+/// recycled one. Each packet's shared_ptr control block is recycled
+/// through a second free list, so a warm acquire/release cycle never
+/// touches the heap.
 ///
 /// Sharded runs give every worker its own pool, bound to the thread via
 /// BindToThisThread(): MakePacket/ClonePacket draw from Current(), and a
@@ -179,7 +185,17 @@ class PacketPool {
   /// Binds `pool` as the calling thread's pool; nullptr restores Global().
   static void BindToThisThread(PacketPool* pool);
 
-  /// A packet whose bytes are `data` (recycled storage when available).
+  PacketPool() = default;
+  ~PacketPool();
+  PacketPool(const PacketPool&) = delete;
+  PacketPool& operator=(const PacketPool&) = delete;
+
+  /// A blank packet to write a frame into: its MutableData() is empty but
+  /// keeps the recycled buffer's capacity.
+  PacketPtr Acquire();
+
+  /// A packet whose bytes are `data` (a recycled Packet object, but
+  /// `data`'s own buffer).
   PacketPtr Acquire(Bytes data);
 
   /// A copy of `src` (data, metadata, trace) in recycled storage.
@@ -210,11 +226,21 @@ class PacketPool {
   }
 
  private:
+  /// Allocator for the control blocks of the shared_ptrs Wrap() hands out.
+  template <class T>
+  struct BlockAllocator;
+
   PacketPtr Wrap(std::unique_ptr<Packet> pkt);
   void Release(Packet* pkt);
   void PublishOccupancy() const;
+  void* AllocateBlock(std::size_t bytes);
+  void FreeBlock(void* block, std::size_t bytes);
 
   std::vector<std::unique_ptr<Packet>> free_;
+  /// Recycled control blocks, all `block_bytes_` large (one shared_ptr
+  /// instantiation, so one size); owned raw memory, freed in ~PacketPool.
+  std::vector<void*> free_blocks_;
+  std::size_t block_bytes_ = 0;
   std::size_t max_free_ = 16384;
   bool enabled_ = true;
   std::atomic<std::uint64_t> foreign_releases_{0};
@@ -223,6 +249,8 @@ class PacketPool {
   std::atomic<std::int64_t> live_{0};
 };
 
+inline PacketPtr MakePacket() { return PacketPool::Current().Acquire(); }
+
 inline PacketPtr MakePacket(Bytes data) {
   return PacketPool::Current().Acquire(std::move(data));
 }
@@ -230,6 +258,17 @@ inline PacketPtr MakePacket(Bytes data) {
 inline PacketPtr ClonePacket(const Packet& src) {
   return PacketPool::Current().Clone(src);
 }
+
+/// The tunnel hop on pooled packets, shared by the edge switch and the
+/// µmbox host. TunnelEncap writes `inner` wrapped in a tunnel frame into a
+/// pooled packet's recycled buffer; TunnelDecap copies a decapsulated
+/// frame (a view into `outer`) into one. Either way the new packet
+/// inherits the old one's creation time and hop trace.
+PacketPtr TunnelEncap(const Packet& inner, const MacAddress& src_mac,
+                      const MacAddress& dst_mac,
+                      const proto::TunnelHeader& header);
+PacketPtr TunnelDecap(const Packet& outer,
+                      std::span<const std::uint8_t> inner_frame);
 
 /// Anything that can accept packets on numbered ports: switches, device
 /// NICs, µmbox hosts, the attacker node.

@@ -69,12 +69,12 @@ Bytes BuildUdpFrame(const net::MacAddress& src_mac,
   return out;
 }
 
-Bytes BuildTcpFrame(const net::MacAddress& src_mac,
-                    const net::MacAddress& dst_mac, net::Ipv4Address src_ip,
-                    net::Ipv4Address dst_ip, const TcpHeader& tcp,
-                    std::span<const std::uint8_t> payload) {
-  Bytes out;
-  out.reserve(kTcpHeaders + payload.size());
+void WriteTcpHeaders(Bytes& out, const net::MacAddress& src_mac,
+                     const net::MacAddress& dst_mac, net::Ipv4Address src_ip,
+                     net::Ipv4Address dst_ip, const TcpHeader& tcp,
+                     std::size_t payload_size) {
+  out.clear();
+  out.reserve(kTcpHeaders + payload_size);
   ByteWriter w(out);
   EthernetHeader eth{dst_mac, src_mac, EtherType::kIpv4};
   eth.Serialize(w);
@@ -84,11 +84,19 @@ Bytes BuildTcpFrame(const net::MacAddress& src_mac,
   ip.src = src_ip;
   ip.dst = dst_ip;
   ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + TcpHeader::kSize + payload.size());
+      Ipv4Header::kSize + TcpHeader::kSize + payload_size);
   ip.Serialize(w);
 
   tcp.Serialize(w);
-  w.Raw(payload);
+}
+
+Bytes BuildTcpFrame(const net::MacAddress& src_mac,
+                    const net::MacAddress& dst_mac, net::Ipv4Address src_ip,
+                    net::Ipv4Address dst_ip, const TcpHeader& tcp,
+                    std::span<const std::uint8_t> payload) {
+  Bytes out;
+  WriteTcpHeaders(out, src_mac, dst_mac, src_ip, dst_ip, tcp, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 

@@ -51,6 +51,16 @@ Bytes BuildUdpFrame(const net::MacAddress& src_mac,
                     std::uint16_t dst_port,
                     std::span<const std::uint8_t> payload);
 
+/// Writes eth+ipv4+tcp headers for a `payload_size`-byte payload into
+/// `out`, replacing its contents but keeping its capacity (a pooled
+/// packet's buffer). The caller appends exactly `payload_size` payload
+/// bytes next, e.g. with HttpRequest::SerializeTo, so a message is
+/// serialized straight into the frame.
+void WriteTcpHeaders(Bytes& out, const net::MacAddress& src_mac,
+                     const net::MacAddress& dst_mac, net::Ipv4Address src_ip,
+                     net::Ipv4Address dst_ip, const TcpHeader& tcp,
+                     std::size_t payload_size);
+
 /// Builds eth+ipv4+tcp+payload.
 Bytes BuildTcpFrame(const net::MacAddress& src_mac,
                     const net::MacAddress& dst_mac, net::Ipv4Address src_ip,

@@ -1,6 +1,6 @@
 #include "proto/http.h"
 
-#include <cctype>
+#include <charconv>
 
 #include "common/strings.h"
 
@@ -10,69 +10,125 @@ namespace {
 constexpr char kB64Alphabet[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-void SerializeHeaders(std::string& out, const HttpHeaders& headers,
-                      std::size_t body_size) {
-  bool has_length = false;
-  for (const auto& [k, v] : headers) {
-    out += k;
-    out += ": ";
-    out += v;
-    out += "\r\n";
-    if (EqualsIgnoreCase(k, "Content-Length")) has_length = true;
-  }
-  if (!has_length && body_size > 0) {
-    out += "Content-Length: " + std::to_string(body_size) + "\r\n";
-  }
-  out += "\r\n";
-}
-
-/// A message split into (start-line, headers, body); shared by both
-/// codecs. The start line is a view into the frame being parsed.
-struct RawMessage {
+/// A message head split in place: the trimmed start line, the header
+/// lines after it (validated: every non-blank line has a ':'), and the
+/// body after the blank CRLF line.
+struct MessageHead {
   std::string_view start_line;
-  HttpHeaders headers;
-  std::string body;
+  std::string_view header_block;
+  std::string_view body;
 };
 
-/// Walks the frame in place: the only copies are the header strings and
-/// the body that the parsed message keeps.
-std::optional<RawMessage> SplitMessage(std::span<const std::uint8_t> data) {
+enum class HeaderLine : std::uint8_t { kEnd, kHeader, kMalformed };
+
+/// Pops lines off the front of `rest` up to the next non-blank one and
+/// splits it at its first ':' into trimmed name and value.
+HeaderLine NextHeader(std::string_view& rest, std::string_view& name,
+                      std::string_view& value) {
+  while (!rest.empty()) {
+    const std::size_t eol = rest.find('\n');
+    const std::string_view line = Trim(rest.substr(0, eol));
+    rest = eol == std::string_view::npos ? std::string_view()
+                                         : rest.substr(eol + 1);
+    if (line.empty()) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos) return HeaderLine::kMalformed;
+    name = Trim(line.substr(0, colon));
+    value = Trim(line.substr(colon + 1));
+    return HeaderLine::kHeader;
+  }
+  return HeaderLine::kEnd;
+}
+
+std::optional<MessageHead> SplitHead(std::span<const std::uint8_t> data) {
   const std::string_view text(reinterpret_cast<const char*>(data.data()),
                               data.size());
-  const auto head_end = text.find("\r\n\r\n");
+  const std::size_t head_end = text.find("\r\n\r\n");
   if (head_end == std::string_view::npos) return std::nullopt;
   const std::string_view head = text.substr(0, head_end);
-  RawMessage msg;
-  std::size_t eol = head.find('\n');
+  const std::size_t eol = head.find('\n');
+  MessageHead msg;
   msg.start_line = Trim(head.substr(0, eol));
-  while (eol != std::string_view::npos) {
-    const std::size_t begin = eol + 1;
-    eol = head.find('\n', begin);
-    const auto line = Trim(head.substr(
-        begin, eol == std::string_view::npos ? eol : eol - begin));
-    if (line.empty()) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
-    msg.headers.emplace_back(Trim(line.substr(0, colon)),
-                             Trim(line.substr(colon + 1)));
-  }
+  if (eol != std::string_view::npos) msg.header_block = head.substr(eol + 1);
   msg.body = text.substr(head_end + 4);
+  std::string_view rest = msg.header_block;
+  std::string_view name;
+  std::string_view value;
+  HeaderLine line = HeaderLine::kHeader;
+  while (line == HeaderLine::kHeader) line = NextHeader(rest, name, value);
+  if (line == HeaderLine::kMalformed) return std::nullopt;
   return msg;
+}
+
+/// Copies a validated header block into owned pairs.
+HttpHeaders CopyHeaders(std::string_view block) {
+  HttpHeaders headers;
+  std::string_view name;
+  std::string_view value;
+  while (NextHeader(block, name, value) == HeaderLine::kHeader) {
+    headers.emplace_back(name, value);
+  }
+  return headers;
 }
 
 /// Pops the next whitespace-delimited token off the front of `rest`;
 /// empty once none is left.
 std::string_view NextToken(std::string_view& rest) {
-  auto space = [&rest](std::size_t i) {
-    return std::isspace(static_cast<unsigned char>(rest[i])) != 0;
-  };
   std::size_t b = 0;
-  while (b < rest.size() && space(b)) ++b;
+  while (b < rest.size() && IsAsciiSpace(rest[b])) ++b;
   std::size_t e = b;
-  while (e < rest.size() && !space(e)) ++e;
+  while (e < rest.size() && !IsAsciiSpace(rest[e])) ++e;
   const std::string_view token = rest.substr(b, e - b);
   rest.remove_prefix(e);
   return token;
+}
+
+/// Decimal text of `v` in `buf`; the returned view points into it.
+std::string_view Decimal(long long v, char (&buf)[24]) {
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return {buf, static_cast<std::size_t>(res.ptr - buf)};
+}
+
+/// True when Serialize must add the Content-Length header itself.
+bool NeedsLength(const HttpHeaders& headers, std::size_t body_size) {
+  if (body_size == 0) return false;
+  for (const auto& [k, v] : headers) {
+    if (EqualsIgnoreCase(k, "Content-Length")) return false;
+  }
+  return true;
+}
+
+constexpr std::string_view kLengthName = "Content-Length: ";
+
+/// Bytes of the header lines, the added Content-Length, the blank line
+/// and the body.
+std::size_t TailSize(const HttpHeaders& headers, std::string_view body) {
+  std::size_t n = 2 + body.size();
+  for (const auto& [k, v] : headers) n += k.size() + 2 + v.size() + 2;
+  if (NeedsLength(headers, body.size())) {
+    char buf[24];
+    n += kLengthName.size() +
+         Decimal(static_cast<long long>(body.size()), buf).size() + 2;
+  }
+  return n;
+}
+
+void WriteTail(ByteWriter& w, const HttpHeaders& headers,
+               std::string_view body) {
+  for (const auto& [k, v] : headers) {
+    w.Str(k);
+    w.Str(": ");
+    w.Str(v);
+    w.Str("\r\n");
+  }
+  if (NeedsLength(headers, body.size())) {
+    char buf[24];
+    w.Str(kLengthName);
+    w.Str(Decimal(static_cast<long long>(body.size()), buf));
+    w.Str("\r\n");
+  }
+  w.Str("\r\n");
+  w.Str(body);
 }
 
 std::optional<std::string> FindHeader(const HttpHeaders& headers,
@@ -96,6 +152,36 @@ void UpsertHeader(HttpHeaders& headers, std::string_view name,
 
 }  // namespace
 
+std::optional<std::string_view> HttpRequestView::Header(
+    std::string_view name) const {
+  std::string_view rest = header_block;
+  std::string_view key;
+  std::string_view value;
+  while (NextHeader(rest, key, value) == HeaderLine::kHeader) {
+    if (EqualsIgnoreCase(key, name)) return value;
+  }
+  return std::nullopt;
+}
+
+std::optional<HttpRequestView> HttpRequestView::Parse(
+    std::span<const std::uint8_t> data) {
+  const auto msg = SplitHead(data);
+  if (!msg) return std::nullopt;
+  // Exactly three tokens: method, path, version.
+  std::string_view rest = msg->start_line;
+  HttpRequestView req;
+  req.method = NextToken(rest);
+  req.path = NextToken(rest);
+  req.version = NextToken(rest);
+  if (req.version.empty() || !NextToken(rest).empty() ||
+      !StartsWith(req.version, "HTTP/")) {
+    return std::nullopt;
+  }
+  req.header_block = msg->header_block;
+  req.body = msg->body;
+  return req;
+}
+
 std::optional<std::string> HttpRequest::Header(std::string_view name) const {
   return FindHeader(headers, name);
 }
@@ -103,32 +189,39 @@ void HttpRequest::SetHeader(std::string_view name, std::string_view value) {
   UpsertHeader(headers, name, value);
 }
 
+std::size_t HttpRequest::SerializedSize() const {
+  return method.size() + 1 + path.size() + 1 + version.size() + 2 +
+         TailSize(headers, body);
+}
+
+void HttpRequest::SerializeTo(Bytes& out) const {
+  ByteWriter w(out);
+  w.Str(method);
+  w.Str(" ");
+  w.Str(path);
+  w.Str(" ");
+  w.Str(version);
+  w.Str("\r\n");
+  WriteTail(w, headers, body);
+}
+
 Bytes HttpRequest::Serialize() const {
-  std::string out = method + " " + path + " " + version + "\r\n";
-  SerializeHeaders(out, headers, body.size());
-  out += body;
-  return ToBytes(out);
+  Bytes out;
+  out.reserve(SerializedSize());
+  SerializeTo(out);
+  return out;
 }
 
 std::optional<HttpRequest> HttpRequest::Parse(
     std::span<const std::uint8_t> data) {
-  auto msg = SplitMessage(data);
-  if (!msg) return std::nullopt;
-  // Exactly three tokens: method, path, version.
-  std::string_view rest = msg->start_line;
-  const std::string_view method = NextToken(rest);
-  const std::string_view path = NextToken(rest);
-  const std::string_view version = NextToken(rest);
-  if (version.empty() || !NextToken(rest).empty() ||
-      !StartsWith(version, "HTTP/")) {
-    return std::nullopt;
-  }
+  const auto view = HttpRequestView::Parse(data);
+  if (!view) return std::nullopt;
   HttpRequest req;
-  req.method = method;
-  req.path = path;
-  req.version = version;
-  req.headers = std::move(msg->headers);
-  req.body = std::move(msg->body);
+  req.method = view->method;
+  req.path = view->path;
+  req.version = view->version;
+  req.headers = CopyHeaders(view->header_block);
+  req.body = view->body;
   return req;
 }
 
@@ -139,17 +232,34 @@ void HttpResponse::SetHeader(std::string_view name, std::string_view value) {
   UpsertHeader(headers, name, value);
 }
 
+std::size_t HttpResponse::SerializedSize() const {
+  char buf[24];
+  return version.size() + 1 + Decimal(status, buf).size() + 1 +
+         reason.size() + 2 + TailSize(headers, body);
+}
+
+void HttpResponse::SerializeTo(Bytes& out) const {
+  char buf[24];
+  ByteWriter w(out);
+  w.Str(version);
+  w.Str(" ");
+  w.Str(Decimal(status, buf));
+  w.Str(" ");
+  w.Str(reason);
+  w.Str("\r\n");
+  WriteTail(w, headers, body);
+}
+
 Bytes HttpResponse::Serialize() const {
-  std::string out =
-      version + " " + std::to_string(status) + " " + reason + "\r\n";
-  SerializeHeaders(out, headers, body.size());
-  out += body;
-  return ToBytes(out);
+  Bytes out;
+  out.reserve(SerializedSize());
+  SerializeTo(out);
+  return out;
 }
 
 std::optional<HttpResponse> HttpResponse::Parse(
     std::span<const std::uint8_t> data) {
-  auto msg = SplitMessage(data);
+  const auto msg = SplitHead(data);
   if (!msg) return std::nullopt;
   const std::string_view line = msg->start_line;
   const auto space1 = line.find(' ');
@@ -170,8 +280,8 @@ std::optional<HttpResponse> HttpResponse::Parse(
   resp.status = static_cast<int>(status);
   resp.reason =
       space2 == std::string_view::npos ? "" : line.substr(space2 + 1);
-  resp.headers = std::move(msg->headers);
-  resp.body = std::move(msg->body);
+  resp.headers = CopyHeaders(msg->header_block);
+  resp.body = msg->body;
   return resp;
 }
 

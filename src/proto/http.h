@@ -4,10 +4,17 @@
 // set-top box, refrigerator) and is the protocol the password-proxy µmbox
 // (the paper's Figure 4 use case) interposes on. Supports request line,
 // status line, headers, body, and HTTP Basic authentication.
+//
+// One grammar: HttpRequestView parses a request in place, as views over
+// the frame payload, and is what the packet path (DPI rules, devices,
+// guard elements) reads. The owned HttpRequest/HttpResponse parses run the
+// same splitter and copy the views out.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,6 +23,27 @@
 namespace iotsec::proto {
 
 using HttpHeaders = std::vector<std::pair<std::string, std::string>>;
+
+/// A request parsed in place: every field is a view into the parsed
+/// buffer, which must outlive the view. Parse validates the whole head
+/// (request line and every header line) once; Header() re-walks the
+/// validated header block.
+struct HttpRequestView {
+  std::string_view method;
+  std::string_view path;
+  std::string_view version;
+  /// Header lines after the request line, unsplit ('\n'-separated).
+  std::string_view header_block;
+  std::string_view body;
+
+  /// Value of the first header named `name` (ASCII case-insensitive),
+  /// trimmed; nullopt when absent.
+  [[nodiscard]] std::optional<std::string_view> Header(
+      std::string_view name) const;
+
+  static std::optional<HttpRequestView> Parse(
+      std::span<const std::uint8_t> data);
+};
 
 struct HttpRequest {
   std::string method = "GET";
@@ -27,6 +55,11 @@ struct HttpRequest {
   [[nodiscard]] std::optional<std::string> Header(std::string_view name) const;
   void SetHeader(std::string_view name, std::string_view value);
 
+  /// Wire size of Serialize(), so a frame builder can size the headers
+  /// before SerializeTo() writes the payload in place.
+  [[nodiscard]] std::size_t SerializedSize() const;
+  /// Appends exactly SerializedSize() bytes to `out`.
+  void SerializeTo(Bytes& out) const;
   [[nodiscard]] Bytes Serialize() const;
   static std::optional<HttpRequest> Parse(std::span<const std::uint8_t> data);
 };
@@ -41,6 +74,8 @@ struct HttpResponse {
   [[nodiscard]] std::optional<std::string> Header(std::string_view name) const;
   void SetHeader(std::string_view name, std::string_view value);
 
+  [[nodiscard]] std::size_t SerializedSize() const;
+  void SerializeTo(Bytes& out) const;
   [[nodiscard]] Bytes Serialize() const;
   static std::optional<HttpResponse> Parse(std::span<const std::uint8_t> data);
 };

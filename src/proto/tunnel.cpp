@@ -4,10 +4,11 @@
 
 namespace iotsec::proto {
 
-Bytes Encapsulate(const net::MacAddress& src_mac,
-                  const net::MacAddress& dst_mac, const TunnelHeader& header,
-                  std::span<const std::uint8_t> inner) {
-  Bytes out;
+void EncapsulateInto(Bytes& out, const net::MacAddress& src_mac,
+                     const net::MacAddress& dst_mac,
+                     const TunnelHeader& header,
+                     std::span<const std::uint8_t> inner) {
+  out.clear();
   out.reserve(EthernetHeader::kSize + TunnelHeader::kSize + inner.size());
   ByteWriter w(out);
   EthernetHeader eth{dst_mac, src_mac, EtherType::kTunnel};
@@ -16,6 +17,13 @@ Bytes Encapsulate(const net::MacAddress& src_mac,
   w.U8(static_cast<std::uint8_t>(header.direction));
   w.U32(header.origin_switch);
   w.Raw(inner);
+}
+
+Bytes Encapsulate(const net::MacAddress& src_mac,
+                  const net::MacAddress& dst_mac, const TunnelHeader& header,
+                  std::span<const std::uint8_t> inner) {
+  Bytes out;
+  EncapsulateInto(out, src_mac, dst_mac, header, inner);
   return out;
 }
 
@@ -29,8 +37,7 @@ std::optional<DecapsulatedFrame> Decapsulate(
   out.header.direction = static_cast<TunnelDirection>(r.U8());
   out.header.origin_switch = r.U32();
   if (!r.Ok()) return std::nullopt;
-  auto rest = r.Rest();
-  out.inner.assign(rest.begin(), rest.end());
+  out.inner = r.Rest();
   return out;
 }
 

@@ -30,14 +30,24 @@ struct TunnelHeader {
   static constexpr std::size_t kSize = 9;
 };
 
-/// Wraps `inner` in an Ethernet frame with EtherType kTunnel.
+/// Writes `inner` wrapped in an Ethernet frame with EtherType kTunnel into
+/// `out`, replacing its contents but keeping its capacity: the switch and
+/// the µmbox host write into a pooled packet's recycled buffer.
+void EncapsulateInto(Bytes& out, const net::MacAddress& src_mac,
+                     const net::MacAddress& dst_mac,
+                     const TunnelHeader& header,
+                     std::span<const std::uint8_t> inner);
+
+/// EncapsulateInto a fresh buffer.
 Bytes Encapsulate(const net::MacAddress& src_mac,
                   const net::MacAddress& dst_mac, const TunnelHeader& header,
                   std::span<const std::uint8_t> inner);
 
 struct DecapsulatedFrame {
   TunnelHeader header;
-  Bytes inner;  // the original Ethernet frame
+  /// The original Ethernet frame: a view into the decapsulated buffer,
+  /// valid while that buffer is.
+  std::span<const std::uint8_t> inner;
 };
 
 /// Unwraps a kTunnel frame; nullopt if the frame is not a valid tunnel.

@@ -78,7 +78,7 @@ void Switch::Receive(net::PacketPtr pkt, int port) {
       if (decap->header.origin_switch == id_ ||
           decap->header.origin_switch == 0) {
         ++stats_.decapsulated;
-        HandleTunnelReturn(net::MakePacket(std::move(decap->inner)));
+        HandleTunnelReturn(net::TunnelDecap(*pkt, decap->inner));
         return;
       }
       const int toward = PortToSwitch(decap->header.origin_switch);
@@ -154,13 +154,9 @@ void Switch::Apply(const FlowEntry& entry, net::PacketPtr pkt, int in_port) {
         th.vni = action.umbox;
         th.direction = proto::TunnelDirection::kToUmbox;
         th.origin_switch = id_;
-        Bytes outer = proto::Encapsulate(net::MacAddress::FromId(0xffff00 + id_),
-                                         net::MacAddress::Broadcast(), th,
-                                         pkt->data());
-        auto outer_pkt = net::MakePacket(std::move(outer));
-        outer_pkt->created_at = pkt->created_at;
-        outer_pkt->CopyTraceFrom(*pkt);
-        Output(std::move(outer_pkt), action.out_port);
+        Output(net::TunnelEncap(*pkt, net::MacAddress::FromId(0xffff00 + id_),
+                                net::MacAddress::Broadcast(), th),
+               action.out_port);
         break;
       }
     }

@@ -130,7 +130,7 @@ bool Rule::HeaderMatches(const proto::ParsedFrame& frame) const {
     }
   }
   if (http_path_prefix || require_http_auth_absent) {
-    auto req = proto::HttpRequest::Parse(frame.payload);
+    const auto req = proto::HttpRequestView::Parse(frame.payload);
     if (!req) return false;
     if (http_path_prefix && !StartsWith(req->path, *http_path_prefix)) {
       return false;

@@ -3,60 +3,20 @@
 // cache-fronted LookupCached must not touch the heap.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "proto/frame.h"
 #include "proto/tunnel.h"
 #include "sdn/flow_table.h"
 #include "sdn/microflow_cache.h"
-
-// Counting replacements for the global allocation functions. Every
-// allocation in the process bumps the counter; tests read it around the
-// code under test only.
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-// Out of line (like the operator delete below), so GCC's
-// -Wmismatched-new-delete never sees a malloc() or free() inlined against
-// the other half of a new/delete pair and misreports a mismatch.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept {
-  ::operator delete(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  ::operator delete(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  ::operator delete(p);
-}
 
 namespace iotsec {
 namespace {
 
 using net::Ipv4Address;
 using net::MacAddress;
-
-std::uint64_t News() { return g_news.load(std::memory_order_relaxed); }
 
 /// The shapes a deployment's edge table holds: per-device /32 steering,
 /// port-pinned source rules, a tunnel transit rule and a table-miss

@@ -89,6 +89,42 @@ TEST(StringsTest, CaseHelpers) {
   EXPECT_EQ(ToLower("MiXeD"), "mixed");
 }
 
+// The helpers classify bytes by ASCII tests, never by the process locale:
+// over all 256 bytes they give the C locale's answers, and no byte >= 0x80
+// is ever trimmed, split on or case-folded.
+TEST(StringsTest, AsciiOnlyClassification) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const std::string one(1, c);
+    const bool space = b == ' ' || (b >= '\t' && b <= '\r');
+    SCOPED_TRACE(b);
+    EXPECT_EQ(IsAsciiSpace(c), space);
+    EXPECT_EQ(Trim(one).empty(), space);
+    EXPECT_EQ(SplitWhitespace("a" + one + "b").size(), space ? 2u : 1u);
+    const char lower =
+        b >= 'A' && b <= 'Z' ? static_cast<char>(b - 'A' + 'a') : c;
+    EXPECT_EQ(AsciiToLower(c), lower);
+    EXPECT_EQ(ToLower(one), std::string(1, lower));
+    for (int o = 0; o < 256; ++o) {
+      const char d = static_cast<char>(o);
+      const bool same_letter = AsciiToLower(c) == AsciiToLower(d);
+      EXPECT_EQ(EqualsIgnoreCase(one, std::string(1, d)), same_letter);
+      if (b >= 0x80) {
+        EXPECT_EQ(EqualsIgnoreCase(one, std::string(1, d)), b == o);
+      }
+    }
+  }
+  // High bytes around and inside a token stay put.
+  const std::string high = "\xa0\x85 x\xc3\x89y \xa0";
+  EXPECT_EQ(Trim(high), high);
+  EXPECT_EQ(Trim(" \xa0 "), "\xa0");
+  const auto parts = SplitWhitespace("\x85\xa0 x\xc3\x89y");
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(parts[0], "\x85\xa0");
+  EXPECT_EQ(parts[1], "x\xc3\x89y");
+  EXPECT_EQ(ToLower("\xc3\x89" "A"), "\xc3\x89" "a");
+}
+
 TEST(StringsTest, ParseUint) {
   std::uint64_t v = 0;
   EXPECT_TRUE(ParseUint("12345", v));

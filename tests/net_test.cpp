@@ -1,6 +1,8 @@
 // Tests for links and the connection tracker.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "net/link.h"
 #include "proto/conn_track.h"
 #include "proto/frame.h"
@@ -11,6 +13,28 @@ namespace {
 
 using net::Ipv4Address;
 using net::MacAddress;
+
+// The dotted-quad formatter prints what "%u.%u.%u.%u" does for every
+// digit-count boundary an octet can sit on.
+TEST(AddressTest, Ipv4ToStringMatchesPrintf) {
+  const unsigned octets[] = {0, 9, 10, 99, 100, 255};
+  for (const unsigned a : octets) {
+    for (const unsigned b : octets) {
+      for (const unsigned c : octets) {
+        for (const unsigned d : octets) {
+          char expected[16];
+          std::snprintf(expected, sizeof expected, "%u.%u.%u.%u", a, b, c, d);
+          const Ipv4Address addr(static_cast<std::uint8_t>(a),
+                                 static_cast<std::uint8_t>(b),
+                                 static_cast<std::uint8_t>(c),
+                                 static_cast<std::uint8_t>(d));
+          EXPECT_EQ(addr.ToString(), expected);
+          EXPECT_EQ(Ipv4Address::Parse(addr.ToString()), addr);
+        }
+      }
+    }
+  }
+}
 
 class Collector final : public net::PacketSink {
  public:

@@ -8,6 +8,8 @@
 #include "proto/http.h"
 #include "proto/iotctl.h"
 #include "proto/tunnel.h"
+#include "sig/corpus.h"
+#include "sig/rule.h"
 
 namespace iotsec::proto {
 namespace {
@@ -170,6 +172,50 @@ TEST(HttpTest, ResponseRoundTrip) {
   EXPECT_EQ(parsed->status, 401);
   EXPECT_EQ(parsed->reason, "Unauthorized");
   EXPECT_EQ(parsed->body, "denied");
+}
+
+// The wire format is pinned byte for byte, and SerializeTo behind
+// WriteTcpHeaders builds the same frame as BuildTcpFrame over Serialize.
+TEST(HttpTest, SerializeWireFormatIsPinned) {
+  HttpRequest req;
+  req.path = "/admin";
+  req.SetHeader("Host", "10.0.0.12");
+  req.SetHeader("Authorization", BasicAuthValue("admin", "admin"));
+  req.body = "mode=night";
+  EXPECT_EQ(ToString(req.Serialize()),
+            "GET /admin HTTP/1.1\r\nHost: 10.0.0.12\r\n"
+            "Authorization: Basic YWRtaW46YWRtaW4=\r\n"
+            "Content-Length: 10\r\n\r\nmode=night");
+  HttpResponse resp;
+  resp.status = 401;
+  resp.reason = "Unauthorized";
+  resp.SetHeader("WWW-Authenticate", "Basic realm=\"device\"");
+  resp.SetHeader("content-length", "0");
+  EXPECT_EQ(ToString(resp.Serialize()),
+            "HTTP/1.1 401 Unauthorized\r\n"
+            "WWW-Authenticate: Basic realm=\"device\"\r\n"
+            "content-length: 0\r\n\r\n");
+  HttpResponse empty;
+  EXPECT_EQ(ToString(empty.Serialize()), "HTTP/1.1 200 OK\r\n\r\n");
+
+  TcpHeader tcp;
+  tcp.src_port = 80;
+  tcp.dst_port = 40000;
+  const auto src = MacAddress::FromId(1);
+  const auto dst = MacAddress::FromId(2);
+  const Ipv4Address sip(10, 0, 0, 12);
+  const Ipv4Address dip(10, 0, 0, 200);
+  for (std::size_t body : {0u, 9u, 10u, 999u, 1000u}) {
+    req.body.assign(body, 'b');
+    resp.body.assign(body, 'r');
+    EXPECT_EQ(req.SerializedSize(), req.Serialize().size());
+    EXPECT_EQ(resp.SerializedSize(), resp.Serialize().size());
+    Bytes in_place = {0xde, 0xad};  // replaced, not appended to
+    WriteTcpHeaders(in_place, src, dst, sip, dip, tcp, req.SerializedSize());
+    req.SerializeTo(in_place);
+    EXPECT_EQ(in_place,
+              BuildTcpFrame(src, dst, sip, dip, tcp, req.Serialize()));
+  }
 }
 
 TEST(HttpTest, MalformedRejected) {
@@ -436,6 +482,149 @@ TEST_P(HttpDifferentialTest, AgreesWithReferenceSplitter) {
   }
 }
 
+/// A ~1.4 kB path of the shape padded management GETs carry.
+std::string PaddedPath(Rng& rng, std::string_view prefix) {
+  constexpr std::string_view kAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789";
+  std::string path(prefix);
+  const std::size_t n = 1290 + rng.NextBelow(41);
+  for (std::size_t i = 0; i < n; ++i) {
+    path += kAlphabet[rng.NextBelow(kAlphabet.size())];
+  }
+  return path;
+}
+
+/// Offsets inside the request line and inside header names: where a
+/// tokenizer or header splitter could be fooled.
+std::vector<std::size_t> GrammarOffsets(const std::string& text) {
+  std::vector<std::size_t> at;
+  const std::size_t head_end = std::min(text.find("\r\n\r\n"), text.size());
+  std::size_t line = 0;
+  bool start_line = true;
+  while (line <= head_end) {
+    const std::size_t eol = std::min(text.find('\n', line), head_end);
+    const std::size_t colon = std::min(text.find(':', line), eol);
+    for (std::size_t i = line; i <= (start_line ? eol : colon); ++i) {
+      at.push_back(i);
+    }
+    start_line = false;
+    line = eol + 1;
+  }
+  return at;
+}
+
+const sig::Rule& AdminWithoutAuthRule() {
+  static const std::vector<sig::Rule> rules = sig::BuiltinRules();
+  for (const auto& rule : rules) {
+    if (rule.sid == 1002) return rule;
+  }
+  ADD_FAILURE() << "builtin ruleset lost sid 1002";
+  return rules.front();
+}
+
+// Property: on hostile mutations of valid requests (bytes flipped, cut
+// short, \t \v \f \r and bytes >= 0x80 planted in the request line and in
+// header names, 1.4 kB paths) the in-place view, the owned parse and the
+// reference splitter accept the same inputs with the same fields, and sid
+// 1002 (http_path:"/admin"; http_auth_absent) on the view agrees with the
+// same predicate evaluated on the owned parse.
+TEST_P(HttpDifferentialTest, ViewOwnedAndReferenceAgreeOnHostileRequests) {
+  Rng rng(GetParam());
+  const sig::Rule& rule = AdminWithoutAuthRule();
+  constexpr std::string_view kHostile = "\t\v\f\r";
+  int accepted = 0;
+  int matched = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string text;
+    switch (rng.NextBelow(4)) {
+      case 0:
+        text = "GET /admin HTTP/1.1\r\nHost: 10.0.0.12\r\n\r\n";
+        break;
+      case 1:
+        text = "GET /admin/cfg HTTP/1.1\r\nHost: cam\r\n"
+               "Authorization: Basic YWRtaW46YWRtaW4=\r\n\r\n";
+        break;
+      case 2:
+        text = "GET " + PaddedPath(rng, rng.NextBool(0.5) ? "/admin" : "/?pad=") +
+               " HTTP/1.1\r\nHost: 10.0.0.12\r\n\r\n";
+        break;
+      default:
+        text = "POST /cfg HTTP/1.0\r\nX-A: 1\r\nContent-Length: 3\r\n\r\nabc";
+        break;
+    }
+    const int edits = static_cast<int>(rng.NextBelow(5));
+    for (int e = 0; e < edits; ++e) {
+      const auto grammar = GrammarOffsets(text);
+      const std::size_t at = grammar[rng.NextBelow(grammar.size())];
+      const char hostile =
+          rng.NextBool(0.5)
+              ? kHostile[rng.NextBelow(kHostile.size())]
+              : static_cast<char>(0x80 + rng.NextBelow(0x80));
+      switch (rng.NextBelow(4)) {
+        case 0:
+          text.insert(std::min(at, text.size()), 1, hostile);
+          break;
+        case 1:
+          if (at < text.size()) text[at] = hostile;
+          break;
+        case 2: {
+          if (text.empty()) break;
+          const std::size_t flip = rng.NextBelow(text.size());
+          text[flip] = static_cast<char>(
+              text[flip] ^ static_cast<char>(1 + rng.NextBelow(255)));
+          break;
+        }
+        default:
+          text.resize(rng.NextBelow(text.size() + 1));
+          break;
+      }
+    }
+    SCOPED_TRACE(::testing::PrintToString(text));
+    const Bytes wire = ToBytes(text);
+    const auto view = HttpRequestView::Parse(wire);
+    const auto owned = HttpRequest::Parse(wire);
+    const auto ref = ReferenceParseRequest(text);
+    ASSERT_EQ(view.has_value(), ref.has_value());
+    ASSERT_EQ(owned.has_value(), ref.has_value());
+    if (ref) {
+      ++accepted;
+      EXPECT_EQ(view->method, ref->method);
+      EXPECT_EQ(view->path, ref->path);
+      EXPECT_EQ(view->version, ref->version);
+      EXPECT_EQ(view->body, ref->body);
+      EXPECT_EQ(owned->method, ref->method);
+      EXPECT_EQ(owned->path, ref->path);
+      EXPECT_EQ(owned->version, ref->version);
+      EXPECT_EQ(owned->headers, ref->headers);
+      EXPECT_EQ(owned->body, ref->body);
+      for (const auto& [name, value] : ref->headers) {
+        const auto first = ref->Header(name);
+        const auto got = view->Header(name);
+        ASSERT_TRUE(got.has_value()) << name;
+        EXPECT_EQ(*got, *first) << name;
+      }
+      EXPECT_EQ(view->Header("Authorization").has_value(),
+                ref->Header("Authorization").has_value());
+    }
+
+    TcpHeader tcp;
+    tcp.src_port = 40000;
+    tcp.dst_port = 80;
+    const Bytes frame_bytes =
+        BuildTcpFrame(MacAddress::FromId(1), MacAddress::FromId(2),
+                      Ipv4Address(10, 0, 0, 200), Ipv4Address(10, 0, 0, 12),
+                      tcp, wire);
+    const auto frame = ParseFrame(frame_bytes);
+    ASSERT_TRUE(frame.has_value());
+    const bool expect_match = owned && StartsWith(owned->path, "/admin") &&
+                              !owned->Header("Authorization").has_value();
+    EXPECT_EQ(rule.HeaderMatches(*frame), expect_match);
+    matched += expect_match ? 1 : 0;
+  }
+  // The mutations must leave both outcomes well represented.
+  EXPECT_GT(accepted, 30);
+  EXPECT_GT(matched, 10);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HttpDifferentialTest,
                          ::testing::Values(3, 17, 29, 41, 53, 67, 79, 97));
 
@@ -558,7 +747,7 @@ TEST(TunnelTest, EncapDecapRoundTrip) {
   ASSERT_TRUE(decap.has_value());
   EXPECT_EQ(decap->header.vni, 77u);
   EXPECT_EQ(decap->header.origin_switch, 3u);
-  EXPECT_EQ(decap->inner, inner);
+  EXPECT_EQ(Bytes(decap->inner.begin(), decap->inner.end()), inner);
   // The inner frame is still parseable.
   auto parsed = ParseFrame(decap->inner);
   ASSERT_TRUE(parsed.has_value());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/iotsec.h"
+#include "core/postures.h"
 #include "core/sharded_fleet.h"
 #include "obs/obs.h"
 
@@ -152,6 +153,92 @@ TEST(ScaleDeterminismTest, ThreadedMatchesInlineAtDeploymentLevel) {
   const ScenarioResult inline_run =
       RunScenario(/*shards=*/2, /*threads=*/false);
   EXPECT_EQ(threaded.digest, inline_run.digest);
+}
+
+/// Guarded HTTP: every device sits behind the Monitor posture, so each
+/// GET and its reply cross the tunnel (pooled encap/decap buffers), the
+/// µmbox chain and the signature matcher (in-place HTTP views), on
+/// threaded shards. Bare, ~1.4 kB and unauthenticated "/admin" GETs
+/// rotate over the fleet; every reply, the recorder timeline (DPI alerts
+/// included) and the link totals fold into the digest.
+struct GuardedRun {
+  std::uint64_t digest = 0;
+  std::uint64_t answered = 0;
+  std::uint64_t tunneled = 0;
+  std::uint64_t alerts = 0;
+};
+
+GuardedRun RunGuardedHttp(int shards) {
+  obs::FlightRecorder::Global().Clear();
+  core::DeploymentOptions opts;
+  opts.shards = shards;
+  opts.shard_threads = true;
+  opts.cluster_hosts = 2;
+  core::Deployment dep(opts);
+  std::vector<devices::Device*> devs;
+  for (int i = 0; i < 3; ++i) {
+    devs.push_back(dep.AddCamera("cam" + std::to_string(i)));
+  }
+  devs.push_back(dep.AddSmartPlug("plug0", "plug0_power"));
+  devs.push_back(dep.AddThermostat("thermo0"));
+  devs.push_back(dep.AddMotionSensor("motion0"));
+  policy::FsmPolicy policy;
+  policy.SetDefault(core::MonitorPosture());
+  dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
+  dep.Start();
+  dep.RunFor(2 * kSecond);
+
+  std::string pad = "/?pad=";
+  for (int i = 0; i < 1311; ++i) {
+    pad += "abcdefghijklmnopqrstuvwxyz0123456789"[(i * 7) % 36];
+  }
+  const std::string paths[] = {"/", pad, "/admin"};
+  std::uint64_t replies = 0;
+  std::uint64_t digest = 0;
+  std::size_t sent = 0;
+  auto ticker = dep.sim().Every(10 * kMillisecond, [&] {
+    const devices::DeviceSpec& spec = devs[sent % devs.size()]->spec();
+    const std::string& path = paths[(sent / devs.size()) % 3];
+    ++sent;
+    dep.attacker().HttpGet(spec.ip, spec.mac, path, std::nullopt,
+                           [&](const proto::HttpResponse& r) {
+                             ++replies;
+                             digest += Mix64(static_cast<std::uint64_t>(
+                                                 r.status),
+                                             HashString(r.body));
+                           });
+  });
+  dep.RunFor(4 * kSecond);
+  ticker.Cancel();
+  dep.RunFor(1 * kSecond);
+
+  digest = Mix64(digest, RecorderDigest());
+  const auto net = dep.AggregateLinkStats();
+  digest = Mix64(digest, net.packets);
+  digest = Mix64(digest, net.bytes);
+  digest = Mix64(digest, net.queue_drops);
+  digest = Mix64(digest, net.lost);
+  digest = Mix64(digest, replies);
+  digest = Mix64(digest, sent);
+  GuardedRun run;
+  run.digest = digest;
+  run.answered = replies;
+  run.tunneled = dep.edge().stats().tunneled;
+  run.alerts = dep.controller().stats().alerts;
+  return run;
+}
+
+TEST(ScaleDeterminismTest, GuardedHttpDigestInvariantAcrossShardCounts) {
+  const GuardedRun ref = RunGuardedHttp(/*shards=*/1);
+  EXPECT_GT(ref.answered, 300u);
+  EXPECT_GE(ref.tunneled, 2 * ref.answered);  // request and reply diverted
+  EXPECT_GT(ref.alerts, 0u);                  // sid 1002 on "/admin"
+  for (const int shards : {2, 8}) {
+    const GuardedRun got = RunGuardedHttp(shards);
+    EXPECT_EQ(got.digest, ref.digest) << "shards=" << shards;
+    EXPECT_EQ(got.answered, ref.answered) << "shards=" << shards;
+    EXPECT_EQ(got.alerts, ref.alerts) << "shards=" << shards;
+  }
 }
 
 TEST(ScaleDeterminismTest, FleetDigestInvariantAcrossShardCounts) {

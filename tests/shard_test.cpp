@@ -1,7 +1,8 @@
 // Tests for the sharded execution engine: SPSC mailboxes, the ShardSet
 // lockstep scheduler (idle-shard skip, worker park/unpark), barrier-phase
 // environment sync, the PendingEvents live count, shard-bound packet
-// pools, and microflow-cache generation wraparound.
+// pools (thread binding, buffer reuse), and microflow-cache generation
+// wraparound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/deployment.h"
 #include "net/packet.h"
 #include "sdn/flow_table.h"
@@ -560,6 +562,33 @@ TEST(PacketPoolShardTest, ForeignReleaseDeletesInsteadOfRecycling) {
   pkt2.reset();
   EXPECT_EQ(pool.FreeCount(), 1u);
   EXPECT_EQ(pool.ForeignReleases(), 1u);
+  net::PacketPool::BindToThisThread(nullptr);
+}
+
+// A released packet keeps its byte buffer, and Acquire() hands that same
+// buffer to the next writer: building a frame into a warm pool (the tunnel
+// encap/decap and in-place HTTP serialization) allocates nothing, control
+// block included.
+TEST(PacketPoolShardTest, AcquireToWriteReusesReleasedBuffer) {
+  net::PacketPool pool;
+  net::PacketPool::BindToThisThread(&pool);
+  auto first = net::MakePacket();
+  first->MutableData().assign(1500, 0xab);
+  const std::uint8_t* buffer = first->data().data();
+  const std::size_t capacity = first->data().capacity();
+  first.reset();
+  ASSERT_EQ(pool.FreeCount(), 1u);
+
+  const std::uint64_t before = News();
+  auto second = net::MakePacket();
+  second->MutableData().assign(1400, 0xcd);
+  EXPECT_EQ(News() - before, 0u);
+  EXPECT_EQ(second->data().data(), buffer);
+  EXPECT_EQ(second->data().capacity(), capacity);
+  EXPECT_EQ(pool.FreeCount(), 0u);
+  EXPECT_EQ(pool.Live(), 1);
+  second.reset();
+  EXPECT_EQ(pool.FreeCount(), 1u);
   net::PacketPool::BindToThisThread(nullptr);
 }
 

@@ -6,52 +6,19 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/rng.h"
 #include "sim/simulator.h"
 
-// Counting replacements for the global allocation functions. Every
-// allocation in the process bumps the counter; tests read it around the
-// code under test only.
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace iotsec {
 namespace {
-
-std::uint64_t News() { return g_news.load(std::memory_order_relaxed); }
 
 // Stand-in for net::Link: its delivery lambda captures `this`, the
 // destination end and the packet (a shared_ptr).
