@@ -75,13 +75,24 @@ void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
 
 void IoTSecController::RegisterDevice(devices::Device* device,
                                       sdn::Switch* sw, int port) {
+  const DeviceId id = device->id();
   ManagedDevice md;
   md.device = device;
   md.sw = sw;
   md.port = port;
-  devices_[device->id()] = md;
+  devices_[id] = md;
+  const auto pos = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (pos == ids_.end() || *pos != id) ids_.insert(pos, id);
+  // Name and address lookups answer with the lowest matching id.
+  const auto keep_lowest = [id](auto& index, const auto& key) {
+    const auto [it, inserted] = index.emplace(key, id);
+    if (!inserted && id < it->second) it->second = id;
+  };
+  keep_lowest(id_by_name_, device->spec().name);
+  keep_lowest(id_by_ip_, device->spec().ip);
+  IndexReader(id);
   if (rollout_ != nullptr) {
-    rollout_->RegisterDevice(device->id(), device->spec().sku);
+    rollout_->RegisterDevice(id, device->spec().sku);
   }
 
   sw->SetMacPort(device->spec().mac, port);
@@ -89,6 +100,17 @@ void IoTSecController::RegisterDevice(devices::Device* device,
   view_.SetDeviceState(name, device->State());
   view_.SetDeviceContext(
       name, device->spec().vulns.empty() ? "normal" : "unpatched");
+  if (started_) InvalidateAll();
+}
+
+void IoTSecController::IndexReader(DeviceId device) {
+  for (const std::string& key : policy_.RelevantDims(device)) {
+    readers_.Add(key, device);
+  }
+}
+
+void IoTSecController::InvalidateAll() {
+  pending_.insert(ids_.begin(), ids_.end());
 }
 
 void IoTSecController::RegisterEndpoint(const net::MacAddress& mac,
@@ -117,6 +139,10 @@ void IoTSecController::SetPolicy(policy::StateSpace space,
                                  policy::FsmPolicy policy) {
   space_ = std::move(space);
   policy_ = std::move(policy);
+  view_.Bind(space_);
+  readers_.Clear();
+  for (const DeviceId id : ids_) IndexReader(id);
+  InvalidateAll();
 }
 
 void IoTSecController::AttachCrowdRepo(learn::CrowdRepo* repo) {
@@ -286,7 +312,8 @@ void IoTSecController::Start() {
       EmitInstall(ms.sw, transit, /*urgent=*/false);
     }
   }
-  Reevaluate();
+  InvalidateAll();
+  ReevaluateDevices(ids_);
 }
 
 void IoTSecController::OnPacketIn(SwitchId sw, int in_port,
@@ -359,14 +386,9 @@ void IoTSecController::SetDeviceContext(const std::string& device_name,
   audit_.Record(sim_.Now(), AuditCategory::kContext, device_name,
                 "operator set context to " + context);
   view_.SetDeviceContext(device_name, context);
-  DeviceId owner = kInvalidDevice;
-  for (const auto& [id, md] : devices_) {
-    if (md.device->spec().name == device_name) {
-      owner = id;
-      break;
-    }
-  }
-  NotifyViewEvent(owner, policy::StateSpace::ContextDim(device_name));
+  const auto owner = id_by_name_.find(device_name);
+  NotifyViewEvent(owner == id_by_name_.end() ? kInvalidDevice : owner->second,
+                  policy::StateSpace::ContextDim(device_name));
 }
 
 void IoTSecController::EscalateContext(const std::string& device_name,
@@ -412,26 +434,32 @@ void IoTSecController::ScheduleReevaluate() {
   reeval_pending_ = true;
   sim_.After(config_.control_latency, [this] {
     reeval_pending_ = false;
-    Reevaluate();
+    ReevaluateDevices(ids_);
   });
 }
 
-void IoTSecController::Reevaluate() {
-  std::vector<DeviceId> all;
-  all.reserve(devices_.size());
-  for (const auto& [id, md] : devices_) all.push_back(id);
-  ReevaluateDevices(all);
-}
-
-void IoTSecController::ReevaluateDevices(
-    const std::vector<DeviceId>& devices) {
+void IoTSecController::ReevaluateDevices(const std::vector<DeviceId>& scope) {
   ++stats_.policy_evals;
-  const policy::SystemState state = view_.ToSystemState(space_);
-  for (const DeviceId device_id : devices) {
-    const auto it = devices_.find(device_id);
+  // Dirty keys wake their readers wherever they live; readers outside
+  // this scope stay pending until their own scope sweeps.
+  view_.DrainDirtyKeys([this](const std::string& key) {
+    if (const auto* readers = readers_.ReadersOf(key)) {
+      pending_.insert(readers->begin(), readers->end());
+    }
+  });
+  std::vector<DeviceId> visit;
+  for (const DeviceId id : pending_) {
+    if (std::binary_search(scope.begin(), scope.end(), id)) {
+      visit.push_back(id);
+    }
+  }
+  const policy::SystemState& state = view_.State();
+  for (const DeviceId id : visit) {
+    pending_.erase(id);
+    const auto it = devices_.find(id);
     if (it == devices_.end()) continue;
-    const DeviceId id = it->first;
     ManagedDevice& md = it->second;
+    ++stats_.devices_evaluated;
     const policy::Posture& posture = policy_.Evaluate(space_, state, id);
     if (posture == md.posture) continue;
     ++stats_.posture_changes;
@@ -445,6 +473,9 @@ void IoTSecController::ReevaluateDevices(
                   md.device->spec().name,
                   md.posture.profile + " -> " + posture.profile);
     ApplyPosture(md, posture);
+    // Unsettled (shed launch, failed reconfig, no cluster or host): a
+    // full sweep would retry it every time, so it stays pending.
+    if (!(md.posture == posture)) pending_.insert(id);
   }
 }
 
@@ -1002,10 +1033,10 @@ std::string IoTSecController::PostureProfileOf(DeviceId device) const {
 
 IoTSecController::ManagedDevice* IoTSecController::FindByIp(
     net::Ipv4Address ip) {
-  for (auto& [id, md] : devices_) {
-    if (md.device->spec().ip == ip) return &md;
-  }
-  return nullptr;
+  const auto id = id_by_ip_.find(ip);
+  if (id == id_by_ip_.end()) return nullptr;
+  const auto it = devices_.find(id->second);
+  return it == devices_.end() ? nullptr : &it->second;
 }
 
 IoTSecController::ManagedDevice* IoTSecController::FindByUmbox(

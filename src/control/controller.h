@@ -5,7 +5,8 @@
 //     feeds and µmbox alerts (each arriving after a control latency);
 //   - infer security contexts (devices with known flaws start
 //     "unpatched"; alerts escalate to "suspicious"/"compromised");
-//   - on every view change, re-evaluate the FSM policy and diff postures;
+//   - on every view change, re-evaluate the FSM policy for the devices
+//     that read a changed key, and diff postures;
 //   - drive the orchestrator: launch/hot-reconfigure µmboxes on the
 //     cluster and (re)program edge-switch flow tables, version-stamped
 //     for consistent updates.
@@ -14,12 +15,15 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "control/admission.h"
 #include "control/audit.h"
+#include "control/delta_sync.h"
 #include "control/health.h"
 #include "control/view.h"
 #include "dataplane/cluster.h"
@@ -93,6 +97,7 @@ class IoTSecController final : public sdn::PacketInHandler,
   void SetCluster(dataplane::Cluster* cluster);
   /// Registers a device attached to `sw` at `port`; installs its L2 entry
   /// and starts its context as "unpatched" (has flaws) or "normal".
+  /// Registering after Start() re-evaluates every device at the next sweep.
   void RegisterDevice(devices::Device* device, sdn::Switch* sw, int port);
   /// Registers a non-device endpoint (controller uplink, WAN gateway).
   void RegisterEndpoint(const net::MacAddress& mac, sdn::Switch* sw,
@@ -100,6 +105,8 @@ class IoTSecController final : public sdn::PacketInHandler,
   /// Environment sensor feed: level changes reach the view after the
   /// control latency.
   void BindEnvironment(env::Environment* environment);
+  /// Installs the policy and binds the view's maintained state to
+  /// `space`; every device is re-evaluated at its next sweep.
   void SetPolicy(policy::StateSpace space, policy::FsmPolicy policy);
 
   /// Crowd-to-enforcement pipeline (§4.1 -> §5): subscribes to the
@@ -175,11 +182,19 @@ class IoTSecController final : public sdn::PacketInHandler,
   void SetFederation(FederatedControlPlane* federation) {
     federation_ = federation;
   }
-  /// Segment-scoped policy evaluation: exactly the given devices are
-  /// rechecked against the current view; posture machinery (ApplyPosture,
-  /// diversion/quarantine installs, recovery) is shared with the flat
-  /// path. Flat Reevaluate() == ReevaluateDevices(every device).
-  void ReevaluateDevices(const std::vector<DeviceId>& devices);
+  /// The one policy sweep, flat and federated. `scope` (ascending ids)
+  /// is every device when flat, one segment under federation. Evaluates,
+  /// in ascending id order, the in-scope devices that are dirty (they
+  /// read a view key written since their last evaluation, or everything
+  /// was invalidated) or unsettled (their last ApplyPosture left the
+  /// enforced posture short of the evaluated one), against the view's
+  /// maintained state. Every other in-scope device would evaluate to the
+  /// posture it already enforces, so the result equals evaluating the
+  /// whole scope.
+  void ReevaluateDevices(const std::vector<DeviceId>& scope);
+  /// Makes the next sweep of every scope evaluate all of its devices
+  /// (SetPolicy, Start and late registration do this themselves).
+  void InvalidateAll();
   /// Registered (id, name) pairs, ascending id — the federation's
   /// segment-assignment input.
   [[nodiscard]] std::vector<std::pair<DeviceId, std::string>> DeviceNames()
@@ -187,13 +202,19 @@ class IoTSecController final : public sdn::PacketInHandler,
   [[nodiscard]] const policy::FsmPolicy& ActivePolicy() const {
     return policy_;
   }
+  /// View key -> registered devices whose rules read it (built from
+  /// FsmPolicy::RelevantDims); federation derives its segment index here.
+  [[nodiscard]] const DependencyIndex<DeviceId>& dependencies() const {
+    return readers_;
+  }
 
   struct Stats {
     std::uint64_t telemetry_events = 0;
     std::uint64_t env_events = 0;
     std::uint64_t alerts = 0;
     std::uint64_t packet_ins = 0;
-    std::uint64_t policy_evals = 0;
+    std::uint64_t policy_evals = 0;       // sweeps
+    std::uint64_t devices_evaluated = 0;  // per-device evaluations
     std::uint64_t umbox_launches = 0;
     std::uint64_t umbox_reconfigs = 0;
     std::uint64_t flow_ops = 0;
@@ -252,7 +273,8 @@ class IoTSecController final : public sdn::PacketInHandler,
   };
 
   void ScheduleReevaluate();
-  void Reevaluate();
+  /// Indexes the keys `device`'s rules read.
+  void IndexReader(DeviceId device);
   /// Routes a view mutation to the federation (segment-local scheduling)
   /// or, flat, to ScheduleReevaluate(). `device` owns the changed key;
   /// kInvalidDevice marks global keys (environment levels).
@@ -313,8 +335,15 @@ class IoTSecController final : public sdn::PacketInHandler,
   dataplane::Cluster* cluster_ = nullptr;
   std::vector<ManagedSwitch> switches_;
   std::map<DeviceId, ManagedDevice> devices_;
+  std::vector<DeviceId> ids_;  // ascending: the flat sweep's scope
+  std::unordered_map<std::string, DeviceId> id_by_name_;
+  std::unordered_map<net::Ipv4Address, DeviceId> id_by_ip_;
   policy::StateSpace space_;
   policy::FsmPolicy policy_;
+  DependencyIndex<DeviceId> readers_;
+  /// Dirty or unsettled devices, ascending: what the next sweep of each
+  /// scope evaluates.
+  std::set<DeviceId> pending_;
   bool started_ = false;
   bool reeval_pending_ = false;
   UmboxId next_umbox_id_ = 1;

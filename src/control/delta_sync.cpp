@@ -57,7 +57,7 @@ StateDelta SegmentStateView::DrainDelta() {
 }
 
 void GlobalStateStore::AddDependency(const std::string& key, int segment) {
-  readers_[key].insert(segment);
+  readers_.Add(key, segment);
 }
 
 std::vector<int> GlobalStateStore::Apply(const StateDelta& delta) {
@@ -69,9 +69,9 @@ std::vector<int> GlobalStateStore::Apply(const StateDelta& delta) {
         digest_,
         FedMix64(static_cast<std::uint64_t>(delta.segment) << 32 | delta.epoch,
                  FedMix64(FedHash(e.key), FedHash(e.value))));
-    const auto it = readers_.find(e.key);
-    if (it == readers_.end()) continue;
-    for (const int seg : it->second) {
+    const auto* readers = readers_.ReadersOf(e.key);
+    if (readers == nullptr) continue;
+    for (const int seg : *readers) {
       if (seg != delta.segment) dependents.insert(seg);
     }
   }
@@ -84,9 +84,9 @@ std::vector<int> GlobalStateStore::Apply(const StateDelta& delta) {
 std::vector<int> GlobalStateStore::DependentsOf(const std::string& key,
                                                 int except) const {
   std::vector<int> out;
-  const auto it = readers_.find(key);
-  if (it == readers_.end()) return out;
-  for (const int seg : it->second) {
+  const auto* readers = readers_.ReadersOf(key);
+  if (readers == nullptr) return out;
+  for (const int seg : *readers) {
     if (seg != except) out.push_back(seg);
   }
   return out;

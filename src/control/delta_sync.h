@@ -1,14 +1,14 @@
 // Versioned delta state sync for the federated control plane (§5.1).
 //
 // The flat controller ships its whole view implicitly: every event is a
-// global message and every reevaluation scans every device. Federation
-// replaces that with *delta* synchronisation: each segment's local
-// controller tracks exactly which state keys changed since its last sync
-// epoch (a dirty set, not a snapshot diff), and ships only those entries
-// to the global tier. The global store applies deltas in deterministic
-// order, keeps per-segment sync versions, and answers the one question
-// cross-segment reconciliation needs: "which other segments' policies
-// read this key?" — via a dependency index built once from the policy.
+// global message to the one controller. Federation replaces that with
+// *delta* synchronisation: each segment's local controller tracks
+// exactly which state keys changed since its last sync epoch (a dirty
+// set, not a snapshot diff), and ships only those entries to the global
+// tier. The global store applies deltas in deterministic order, keeps
+// per-segment sync versions, and answers the one question cross-segment
+// reconciliation needs: "which other segments' policies read this key?"
+// — via a dependency index built once from the policy.
 //
 // Determinism contract: dirty sets drain in lexicographic key order,
 // deltas carry (segment, epoch, version) and every applied entry is
@@ -50,6 +50,35 @@ struct StateDelta {
   std::uint64_t epoch = 0;    // sender's sync epoch counter
   std::uint64_t version = 0;  // sender's view version after these writes
   std::vector<DeltaEntry> entries;
+};
+
+/// Key -> readers: who must be re-evaluated when a state key changes. A
+/// reader is whatever evaluates policy over the key — a device for the
+/// controller's sweep, a segment for the federation's global tier. Built
+/// from FsmPolicy::RelevantDims. Readers of a key come back ascending.
+template <typename Reader>
+class DependencyIndex {
+ public:
+  void Add(const std::string& key, Reader reader) {
+    readers_[key].insert(reader);
+  }
+  void Clear() { readers_.clear(); }
+
+  /// Readers of `key`, ascending; null when nothing reads it.
+  [[nodiscard]] const std::set<Reader>* ReadersOf(
+      const std::string& key) const {
+    const auto it = readers_.find(key);
+    return it == readers_.end() ? nullptr : &it->second;
+  }
+
+  /// Every (key, readers) pair in key order.
+  [[nodiscard]] const std::map<std::string, std::set<Reader>>& Entries()
+      const {
+    return readers_;
+  }
+
+ private:
+  std::map<std::string, std::set<Reader>> readers_;
 };
 
 /// A segment's local slice of the system state with per-epoch dirty-set
@@ -108,6 +137,9 @@ class GlobalStateStore {
   /// Segments (≠ except) registered as readers of `key`.
   [[nodiscard]] std::vector<int> DependentsOf(const std::string& key,
                                               int except) const;
+  [[nodiscard]] const DependencyIndex<int>& dependencies() const {
+    return readers_;
+  }
 
   [[nodiscard]] const std::string* Get(const std::string& key) const;
   [[nodiscard]] std::uint64_t AppliedEpoch(int segment) const;
@@ -124,7 +156,7 @@ class GlobalStateStore {
 
  private:
   std::map<std::string, std::string> values_;
-  std::map<std::string, std::set<int>> readers_;
+  DependencyIndex<int> readers_;
   std::map<int, std::uint64_t> applied_epoch_;
   std::uint64_t digest_ = 0;
   Stats stats_;

@@ -215,18 +215,16 @@ void FederatedControlPlane::Build() {
   }
   reeval_pending_.assign(segments_.size(), false);
 
-  // Dependency index: which segments read which keys. A device key read
-  // by any segment other than its owner becomes a sync candidate.
-  std::map<std::string, std::set<int>> readers;
-  for (const auto& [id, name] : device_names) {
-    const int seg = segment_of_.at(id);
-    for (const std::string& dim : policy.RelevantDims(id)) {
-      global_.AddDependency(dim, seg);
-      readers[dim].insert(seg);
+  // Dependency index: which segments read which keys, lifted from the
+  // controller's key -> device index. A device key read by any segment
+  // other than its owner becomes a sync candidate.
+  for (const auto& [dim, devices] : ctl_.dependencies().Entries()) {
+    for (const DeviceId reader : devices) {
+      global_.AddDependency(dim, segment_of_.at(reader));
     }
   }
   cross_keys_.clear();
-  for (const auto& [dim, segs] : readers) {
+  for (const auto& [dim, segs] : global_.dependencies().Entries()) {
     std::string owner;
     if (dim.rfind("ctx:", 0) == 0 || dim.rfind("dev:", 0) == 0) {
       owner = dim.substr(4);

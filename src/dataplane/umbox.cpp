@@ -45,6 +45,8 @@ std::unique_ptr<Umbox> Umbox::Create(UmboxSpec spec, const ElementContext& ctx,
   return box;
 }
 
+Umbox::~Umbox() { boot_timer_.Cancel(); }
+
 void Umbox::Boot(std::function<void()> on_ready) {
   state_ = UmboxState::kBooting;
   stats_.last_boot_started = ctx_.sim != nullptr ? ctx_.sim->Now() : 0;
@@ -62,7 +64,9 @@ void Umbox::Boot(std::function<void()> on_ready) {
     if (on_ready) on_ready();
   };
   if (ctx_.sim != nullptr) {
-    ctx_.sim->After(BootLatency(spec_.boot), std::move(become_ready));
+    boot_timer_.Cancel();  // superseded; it would no-op anyway
+    boot_timer_ =
+        ctx_.sim->After(BootLatency(spec_.boot), std::move(become_ready));
   } else {
     become_ready();
   }

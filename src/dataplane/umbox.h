@@ -67,6 +67,11 @@ class Umbox {
   static std::unique_ptr<Umbox> Create(UmboxSpec spec,
                                        const ElementContext& ctx,
                                        std::string* error);
+  /// Cancels a pending ready-timer: it holds `this`, and a µmbox can be
+  /// stopped (destroyed) mid-boot.
+  ~Umbox();
+  Umbox(const Umbox&) = delete;
+  Umbox& operator=(const Umbox&) = delete;
 
   [[nodiscard]] const UmboxSpec& spec() const { return spec_; }
   [[nodiscard]] UmboxState state() const { return state_; }
@@ -136,6 +141,7 @@ class Umbox {
   /// Bumped by every Boot(); stale ready-timers from an interrupted boot
   /// check it and no-op (see Boot()).
   std::uint64_t boot_generation_ = 0;
+  sim::EventHandle boot_timer_;  // the latest Boot()'s ready-timer
   std::deque<net::PacketPtr> boot_queue_;
   std::function<void(net::PacketPtr)> egress_;
   std::function<void(Alert)> alert_sink_;

@@ -26,6 +26,7 @@ Metrics& M() {
     out.ctl_heartbeat_misses = r.GetCounter("ctl.heartbeat_misses");
     out.ctl_recoveries = r.GetCounter("ctl.recoveries");
     out.ctl_mttr_ns = r.GetHistogram("ctl.mttr_ns");
+    out.ctl_view_unknown_values = r.GetCounter("ctl.view_unknown_values");
     out.ctl_admission_level = r.GetGauge("ctl.admission.level");
     out.ctl_admission_transitions = r.GetCounter("ctl.admission.transitions");
     out.ctl_admission_shed_launches =

@@ -49,6 +49,8 @@ struct Metrics {
   Histogram* ctl_mttr_ns;          // detection -> forwarding restored
                                    // (simulated time, unlike the
                                    // wall-clock spans above)
+  Counter* ctl_view_unknown_values; // view writes outside the dimension's
+                                    // domain (read as value 0)
 
   // ---- control: admission / brownout (see control/admission.h).
   Gauge* ctl_admission_level;      // current BrownoutLevel (0..3)

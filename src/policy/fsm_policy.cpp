@@ -104,6 +104,16 @@ std::string PolicyRule::ToString() const {
          " [prio " + std::to_string(priority) + "]";
 }
 
+void FsmPolicy::Add(PolicyRule rule) {
+  rules_of_[rule.device].push_back(rules_.size());
+  rules_.push_back(std::move(rule));
+}
+
+const std::vector<std::size_t>* FsmPolicy::RulesOf(DeviceId device) const {
+  const auto it = rules_of_.find(device);
+  return it == rules_of_.end() ? nullptr : &it->second;
+}
+
 const Posture& FsmPolicy::Evaluate(const StateSpace& space,
                                    const SystemState& state,
                                    DeviceId device) const {
@@ -114,10 +124,12 @@ const Posture& FsmPolicy::Evaluate(const StateSpace& space,
 std::optional<std::size_t> FsmPolicy::WinningRule(const StateSpace& space,
                                                   const SystemState& state,
                                                   DeviceId device) const {
+  const auto* indices = RulesOf(device);
+  if (indices == nullptr) return std::nullopt;
+  // The device's rules in list order, so ties keep the first match.
   std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
+  for (const std::size_t i : *indices) {
     const auto& rule = rules_[i];
-    if (rule.device != device) continue;
     if (!rule.when.Matches(space, state)) continue;
     if (!best || rule.priority > rules_[*best].priority) best = i;
   }
@@ -134,9 +146,10 @@ std::map<DeviceId, Posture> FsmPolicy::EvaluateAll(
 
 std::set<std::string> FsmPolicy::RelevantDims(DeviceId device) const {
   std::set<std::string> dims;
-  for (const auto& rule : rules_) {
-    if (rule.device != device) continue;
-    for (const auto& [dim, _] : rule.when.constraints) dims.insert(dim);
+  const auto* indices = RulesOf(device);
+  if (indices == nullptr) return dims;
+  for (const std::size_t i : *indices) {
+    for (const auto& [dim, _] : rules_[i].when.constraints) dims.insert(dim);
   }
   return dims;
 }

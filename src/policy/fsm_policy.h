@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "policy/state_space.h"
@@ -74,7 +75,7 @@ struct PolicyRule {
 
 class FsmPolicy {
  public:
-  void Add(PolicyRule rule) { rules_.push_back(std::move(rule)); }
+  void Add(PolicyRule rule);
   void SetDefault(Posture posture) { default_posture_ = std::move(posture); }
   [[nodiscard]] const Posture& DefaultPosture() const {
     return default_posture_;
@@ -103,7 +104,8 @@ class FsmPolicy {
       const std::vector<DeviceId>& devices) const;
 
   /// Dimensions the policy actually reads for `device` — the projection
-  /// used by pruning.
+  /// used by pruning, and the keys whose changes can move the device's
+  /// posture. Walks only the device's own rules.
   [[nodiscard]] std::set<std::string> RelevantDims(DeviceId device) const;
 
   /// Every dimension any rule's predicate constrains, across all devices.
@@ -113,7 +115,14 @@ class FsmPolicy {
   [[nodiscard]] std::set<std::string> ReadDims() const;
 
  private:
+  /// Indices into rules_ of one device's rules, ascending; null if none.
+  [[nodiscard]] const std::vector<std::size_t>* RulesOf(
+      DeviceId device) const;
+
   std::vector<PolicyRule> rules_;
+  /// Per-device rule index, maintained by Add: evaluation and
+  /// RelevantDims touch a device's own rules only, never the whole list.
+  std::unordered_map<DeviceId, std::vector<std::size_t>> rules_of_;
   Posture default_posture_;
 };
 

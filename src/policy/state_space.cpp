@@ -1,8 +1,28 @@
 #include "policy/state_space.h"
 
+#include <atomic>
 #include <stdexcept>
+#include <utility>
 
 namespace iotsec::policy {
+
+StateSpace::StateSpace(StateSpace&& other) noexcept
+    : dims_(std::move(other.dims_)),
+      by_name_(std::move(other.by_name_)),
+      layout_(std::exchange(other.layout_, 0)) {
+  other.dims_.clear();
+  other.by_name_.clear();
+}
+
+StateSpace& StateSpace::operator=(StateSpace&& other) noexcept {
+  if (this == &other) return *this;
+  dims_ = std::move(other.dims_);
+  by_name_ = std::move(other.by_name_);
+  layout_ = std::exchange(other.layout_, 0);
+  other.dims_.clear();
+  other.by_name_.clear();
+  return *this;
+}
 
 std::size_t StateSpace::AddDimension(Dimension dim) {
   if (dim.values.empty()) {
@@ -12,9 +32,11 @@ std::size_t StateSpace::AddDimension(Dimension dim) {
   if (by_name_.count(dim.name)) {
     throw std::invalid_argument("duplicate dimension: " + dim.name);
   }
+  static std::atomic<std::uint64_t> next_layout{1};
   const std::size_t idx = dims_.size();
   by_name_[dim.name] = idx;
   dims_.push_back(std::move(dim));
+  layout_ = next_layout.fetch_add(1, std::memory_order_relaxed);
   return idx;
 }
 

@@ -52,8 +52,24 @@ struct SystemState {
 
 class StateSpace {
  public:
+  StateSpace() = default;
+  StateSpace(const StateSpace&) = default;
+  StateSpace& operator=(const StateSpace&) = default;
+  /// A moved-from space is left empty (layout 0), so equal layouts
+  /// always mean equal dimensions.
+  StateSpace(StateSpace&& other) noexcept;
+  StateSpace& operator=(StateSpace&& other) noexcept;
+
   /// Adds a dimension; returns its index. Dimension names must be unique.
   std::size_t AddDimension(Dimension dim);
+
+  /// True when both spaces hold the same dimensions because one is an
+  /// unmodified copy of the other (every AddDimension draws a fresh
+  /// process-wide layout id; copies keep it). A constant-time identity
+  /// test, never a false positive.
+  [[nodiscard]] bool SameLayout(const StateSpace& other) const {
+    return layout_ == other.layout_;
+  }
 
   [[nodiscard]] std::size_t DimensionCount() const { return dims_.size(); }
   [[nodiscard]] const Dimension& Dim(std::size_t i) const { return dims_[i]; }
@@ -73,8 +89,8 @@ class StateSpace {
   bool Assign(SystemState& state, const std::string& dim_name,
               const std::string& value) const;
 
-  [[nodiscard]] std::string ValueOf(const SystemState& state,
-                                    std::size_t dim) const {
+  [[nodiscard]] const std::string& ValueOf(const SystemState& state,
+                                           std::size_t dim) const {
     return dims_[dim].values[static_cast<std::size_t>(state.values[dim])];
   }
 
@@ -94,6 +110,7 @@ class StateSpace {
  private:
   std::vector<Dimension> dims_;
   std::map<std::string, std::size_t> by_name_;
+  std::uint64_t layout_ = 0;  // 0 = no dimensions
 };
 
 }  // namespace iotsec::policy

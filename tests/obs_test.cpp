@@ -202,9 +202,11 @@ TEST(ObsRegistryTest, AdmissionMetricsExportUnderStableNames) {
 }
 
 // Pin the control-fabric message-volume surface (flat vs federated
-// comparisons key on these) plus the federation counters.
+// comparisons key on these), the federation counters and the view's
+// out-of-domain write counter.
 TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
   auto& m = obs::M();
+  m.ctl_view_unknown_values->Inc(1);
   m.ctl_reevals_coalesced->Inc(2);
   m.ctl_msg_rule_pushes->Inc(7);
   m.ctl_msg_context_syncs->Inc(3);
@@ -217,8 +219,9 @@ TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
   auto& reg = obs::MetricsRegistry::Global();
   const std::string json = reg.ToJson();
   for (const char* name :
-       {"\"ctl.reevals_coalesced\"", "\"ctl.msg.rule_pushes\"",
-        "\"ctl.msg.context_syncs\"", "\"ctl.msg.heartbeat_forwards\"",
+       {"\"ctl.view_unknown_values\"", "\"ctl.reevals_coalesced\"",
+        "\"ctl.msg.rule_pushes\"", "\"ctl.msg.context_syncs\"",
+        "\"ctl.msg.heartbeat_forwards\"",
         "\"ctl.fed.sync_keys\"", "\"ctl.fed.push_ops\"",
         "\"ctl.fed.local_reevals\"", "\"ctl.fed.remote_reevals\""}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
@@ -226,8 +229,9 @@ TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
 
   const std::string prom = reg.ToPrometheusText();
   for (const char* name :
-       {"ctl_reevals_coalesced", "ctl_msg_rule_pushes",
-        "ctl_msg_context_syncs", "ctl_msg_heartbeat_forwards",
+       {"ctl_view_unknown_values", "ctl_reevals_coalesced",
+        "ctl_msg_rule_pushes", "ctl_msg_context_syncs",
+        "ctl_msg_heartbeat_forwards",
         "ctl_fed_sync_keys", "ctl_fed_push_ops", "ctl_fed_local_reevals",
         "ctl_fed_remote_reevals"}) {
     EXPECT_NE(prom.find(std::string("# TYPE ") + name + " counter"),

@@ -225,6 +225,77 @@ TEST_P(PredicatePropertyTest, StaticVerifierNeverCrashesAndIsDeterministic) {
   }
 }
 
+/// The pre-index evaluator: scan every rule, keep the first match with
+/// the highest priority.
+std::optional<std::size_t> LinearWinningRule(const FsmPolicy& policy,
+                                             const StateSpace& space,
+                                             const SystemState& state,
+                                             DeviceId device) {
+  std::optional<std::size_t> best;
+  const auto& rules = policy.rules();
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (rules[i].device != device) continue;
+    if (!rules[i].when.Matches(space, state)) continue;
+    if (!best || rules[i].priority > rules[*best].priority) best = i;
+  }
+  return best;
+}
+
+/// The pre-index RelevantDims: every rule's constrained dims.
+std::set<std::string> LinearRelevantDims(const FsmPolicy& policy,
+                                         DeviceId device) {
+  std::set<std::string> dims;
+  for (const auto& rule : policy.rules()) {
+    if (rule.device != device) continue;
+    for (const auto& [dim, _] : rule.when.constraints) dims.insert(dim);
+  }
+  return dims;
+}
+
+TEST_P(PredicatePropertyTest, IndexedEvaluationMatchesLinearScan) {
+  // Random multi-device policies with priority ties, rules for devices
+  // nobody asks about and for dimensions the space lacks, checked after
+  // every few additions — the index must track rules added after the
+  // first evaluation.
+  Rng rng(GetParam() ^ 0x1de);
+  const std::vector<DeviceId> devices = {0, 1, 2, 3, 77, kInvalidDevice};
+  for (int round = 0; round < 20; ++round) {
+    RandomSpace rs(rng);
+    FsmPolicy policy;
+    Posture def;
+    def.profile = "default";
+    policy.SetDefault(def);
+    const int n_rules = static_cast<int>(rng.NextBelow(12));
+    for (int r = 0; r <= n_rules; ++r) {
+      if (r > 0) {
+        PolicyRule rule;
+        rule.name = Numbered('r', static_cast<std::uint64_t>(r));
+        rule.when = rs.RandomPredicate(rng);
+        if (rng.NextBool(0.15)) rule.when.And("ctx:ghost", "suspicious");
+        rule.device = devices[rng.NextBelow(devices.size())];
+        rule.posture.profile = Numbered('p', static_cast<std::uint64_t>(r));
+        rule.priority = static_cast<int>(rng.NextBelow(3));  // many ties
+        policy.Add(std::move(rule));
+      }
+      if (rng.NextBool(0.6) && r != n_rules) continue;
+      for (const DeviceId device : devices) {
+        rs.ForEachState([&](const SystemState& s) {
+          const auto expected = LinearWinningRule(policy, rs.space, s, device);
+          ASSERT_EQ(policy.WinningRule(rs.space, s, device), expected)
+              << "round " << round << " device " << device << " state "
+              << rs.space.Describe(s);
+          const Posture& want =
+              expected ? policy.rules()[*expected].posture : def;
+          ASSERT_EQ(policy.Evaluate(rs.space, s, device), want);
+        });
+        EXPECT_EQ(policy.RelevantDims(device),
+                  LinearRelevantDims(policy, device))
+            << "round " << round << " device " << device;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PredicatePropertyTest,
                          ::testing::Values(1, 7, 42, 1234, 9999));
 

@@ -71,6 +71,27 @@ TEST(BootQueueTest, UnqueuedModeCountsSeparately) {
   EXPECT_EQ(box->stats().dropped_during_boot, 4u);
 }
 
+TEST(BootQueueTest, StoppingMidBootCancelsTheReadyTimer) {
+  // The ready-timer holds the instance; a stop inside the boot window
+  // destroys it, and no timer may fire on freed memory (the sanitizer
+  // build reports it if one does). The restart supersedes the first
+  // boot's timer.
+  sim::Simulator sim;
+  UmboxHost host(1, sim, 4);
+  UmboxSpec spec;
+  spec.id = 7;
+  spec.config_text = "c :: Counter()\n";
+  std::string error;
+  Umbox* box = host.Launch(spec, Ctx(sim), &error);
+  ASSERT_NE(box, nullptr) << error;
+  ASSERT_TRUE(box->Restart(spec.config_text, &error)) << error;
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  ASSERT_TRUE(host.Stop(spec.id));
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  sim.RunFor(2 * BootLatency(spec.boot));
+  EXPECT_EQ(host.Find(spec.id), nullptr);
+}
+
 TEST(CrashTest, CrashLosesQueueAndDropsTraffic) {
   sim::Simulator sim;
   UmboxSpec spec;
