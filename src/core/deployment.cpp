@@ -1,6 +1,7 @@
 #include "core/deployment.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace iotsec::core {
 
@@ -291,6 +292,18 @@ Deployment::NetworkTotals Deployment::AggregateLinkStats() const {
   return totals;
 }
 
+net::Ipv4Address Deployment::NextDeviceAddress() {
+  const net::Ipv4Prefix lan = lan_prefix();
+  // Offsets stop short of the prefix's broadcast address.
+  const std::uint32_t broadcast = (1u << (32 - lan.Length())) - 1;
+  while (next_host_ < broadcast) {
+    const net::Ipv4Address ip(lan.Base().value() + next_host_++);
+    if (ip != controller_->hub_ip() && ip != attacker_->ip()) return ip;
+  }
+  throw std::length_error("device address space " + lan.ToString() +
+                          " exhausted");
+}
+
 devices::DeviceSpec Deployment::MakeSpec(
     const std::string& name, devices::DeviceClass cls,
     std::set<devices::Vulnerability> vulns, std::string credential) {
@@ -301,8 +314,7 @@ devices::DeviceSpec Deployment::MakeSpec(
   spec.vendor = "Generic";
   spec.sku = "Generic-" + std::string(devices::DeviceClassName(cls));
   spec.mac = net::MacAddress::FromId(spec.id);
-  spec.ip = net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(
-                                           next_host_octet_++));
+  spec.ip = NextDeviceAddress();
   spec.vulns = std::move(vulns);
   spec.credential = std::move(credential);
   spec.hub_ip = controller_->hub_ip();

@@ -148,12 +148,16 @@ class Deployment {
     return version_store_.get();
   }
   [[nodiscard]] const DeploymentOptions& options() const { return options_; }
+  /// The LAN every device address is allocated from.
   [[nodiscard]] net::Ipv4Prefix lan_prefix() const {
-    return net::Ipv4Prefix(net::Ipv4Address(10, 0, 0, 0), 24);
+    return net::Ipv4Prefix(net::Ipv4Address(10, 0, 0, 0), 16);
   }
 
   // ---- Building.
-  /// Allocates a spec (id, MAC, IP, hub address) for a new device.
+  /// Allocates a spec (id, MAC, IP, hub address) for a new device. IPs
+  /// are handed out in order from lan_prefix(), starting at host .10 and
+  /// skipping the hub's and the attacker's current addresses; throws
+  /// std::length_error once the prefix is exhausted.
   devices::DeviceSpec MakeSpec(const std::string& name,
                                devices::DeviceClass cls,
                                std::set<devices::Vulnerability> vulns = {},
@@ -227,6 +231,8 @@ class Deployment {
  private:
   /// null config: the deployment-wide options_.link.
   net::Link* NewLink(const net::LinkConfig* config = nullptr);
+  /// The next free device address (see MakeSpec).
+  net::Ipv4Address NextDeviceAddress();
   /// The environment a device reads/writes: its private replica when
   /// sharded (created here on first use), the shared owner otherwise.
   env::Environment* EnvFor(DeviceId id);
@@ -287,7 +293,7 @@ class Deployment {
   std::unique_ptr<fault::FaultInjector> chaos_;
   learn::ModelLibrary library_ = learn::ModelLibrary::Builtin();
   DeviceId next_device_id_ = 10;
-  std::uint32_t next_host_octet_ = 10;
+  std::uint32_t next_host_ = 10;  // offset of the next address in the LAN
   bool started_ = false;
 };
 

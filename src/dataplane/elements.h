@@ -196,15 +196,21 @@ class ContextGate final : public Element {
 /// Delay(ms=N) — holds every packet for a fixed simulated delay before
 /// forwarding. Used as a tar pit in front of credential-guessing targets:
 /// it caps the attacker's guess rate without affecting legitimate users
-/// who authenticate once.
+/// who authenticate once. Packets still held when the element is
+/// destroyed (its chain stopped or reconfigured) are discarded.
 class Delay final : public Element {
  public:
   using Element::Element;
+  /// Cancels the timers of held packets: each one captures `this`.
+  ~Delay() override;
   bool Configure(const ConfigMap& config, std::string* error) override;
   void Push(net::PacketPtr pkt, int in_port) override;
 
  private:
   SimDuration delay_ = 100 * kMillisecond;
+  // Timers of held packets, oldest first; fired ones are pruned from the
+  // front on each Push.
+  std::deque<sim::EventHandle> held_;
 };
 
 /// AuthGuard(max_failures=N, window_ms=W, lockout_ms=L)

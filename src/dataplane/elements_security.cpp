@@ -334,9 +334,14 @@ void Delay::Push(net::PacketPtr pkt, int in_port) {
     Output(std::move(pkt));
     return;
   }
-  ctx_.sim->After(delay_, [this, pkt = std::move(pkt)]() mutable {
-    Output(std::move(pkt));
-  });
+  while (!held_.empty() && !held_.front().Pending()) held_.pop_front();
+  held_.push_back(ctx_.sim->After(
+      delay_,
+      [this, pkt = std::move(pkt)]() mutable { Output(std::move(pkt)); }));
+}
+
+Delay::~Delay() {
+  for (sim::EventHandle& timer : held_) timer.Cancel();
 }
 
 // ------------------------------------------------------------- AuthGuard

@@ -90,7 +90,8 @@ class Umbox {
   void Process(net::PacketPtr pkt);
 
   /// Hot reconfiguration: builds the new graph and swaps it in atomically
-  /// between packets — zero downtime, zero drops. Returns false (old
+  /// between packets — zero downtime, and no drops beyond the packets a
+  /// Delay element of the old graph still holds. Returns false (old
   /// graph stays) if the new config is invalid.
   bool Reconfigure(const std::string& new_config, std::string* error);
 

@@ -1,5 +1,6 @@
 #include "net/link.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/log.h"
@@ -57,37 +58,28 @@ void Link::Send(int from_end, PacketPtr pkt) {
       return;
     }
   }
-  if (dir.queue.size() >= config_.queue_limit) {
+  sim::Simulator& src_sim = SimOf(from_end);
+  const SimTime now = src_sim.Now();
+  dir.waiting.PopStarted(now);
+  if (dir.waiting.size() >= config_.queue_limit) {
     ++dir.stats.drops;
     return;
   }
-  dir.queue.push_back(std::move(pkt));
-  if (!dir.transmitting) StartTransmit(from_end);
-}
-
-void Link::StartTransmit(int direction) {
-  Direction& dir = dirs_[direction];
-  if (dir.queue.empty()) {
-    dir.transmitting = false;
-    return;
-  }
-  dir.transmitting = true;
-  PacketPtr pkt = dir.queue.front();
-  dir.queue.pop_front();
 
   const double bits = static_cast<double>(pkt->size()) * 8.0;
   const auto tx_delay =
       static_cast<SimDuration>(bits / config_.bandwidth_bps * kSecond);
+  const SimTime start = std::max(now, dir.busy_until);
+  if (start > now) dir.waiting.Push(start);
+  dir.busy_until = start + tx_delay;
 
   ++dir.stats.packets;
   dir.stats.bytes += pkt->size();
 
-  // Serialization completes after tx_delay; delivery after propagation.
-  const int to_end = 1 - direction;
-  sim::Simulator& src_sim = SimOf(direction);
-  src_sim.After(tx_delay, [this, direction] { StartTransmit(direction); });
-  const SimTime deliver_at = src_sim.Now() + tx_delay + config_.latency;
-  auto deliver = [this, to_end, pkt]() mutable {
+  // Serialization completes at busy_until; delivery after propagation.
+  const int to_end = 1 - from_end;
+  const SimTime deliver_at = dir.busy_until + config_.latency;
+  auto deliver = [this, to_end, pkt = std::move(pkt)]() mutable {
     if (ends_[to_end].sink == nullptr) return;
     ends_[to_end].sink->Receive(std::move(pkt), ends_[to_end].port);
   };
@@ -99,6 +91,15 @@ void Link::StartTransmit(int direction) {
   } else {
     src_sim.At(deliver_at, std::move(deliver));
   }
+}
+
+void Link::StartRing::Grow() {
+  std::vector<SimTime> grown(slots_.empty() ? 8 : 2 * slots_.size());
+  for (std::size_t i = 0; i < count_; ++i) {
+    grown[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  slots_ = std::move(grown);
+  head_ = 0;
 }
 
 }  // namespace iotsec::net

@@ -1,10 +1,19 @@
 // Point-to-point simulated link with latency, bandwidth and a drop-tail
 // queue. Links are full-duplex: each direction has its own transmit state.
+//
+// Serialization is deterministic and FIFO, so a direction is modelled
+// analytically: Send computes when the packet starts serializing
+// (max(now, busy_until)), when the wire frees up (start + size/bandwidth)
+// and when it arrives (that plus latency), and schedules only the
+// delivery — one simulator event per packet per hop. The drop-tail queue
+// is the set of accepted packets whose serialization has not started,
+// kept as a ring of their start times; a packet whose start time is
+// <= now has left the queue.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/packet.h"
@@ -24,6 +33,10 @@ struct LinkConfig {
   std::uint64_t loss_seed = 0x10552;
 };
 
+/// Per-direction counters. `packets` and `bytes` count packets the link
+/// accepted (not lost, not dropped) at the moment Send accepts them, so
+/// mid-run they include packets still queued or on the wire; once the
+/// link drains they equal the packets that were serialized.
 struct LinkStats {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
@@ -42,12 +55,20 @@ class Link {
 
   /// Sends `pkt` from endpoint `from_end` toward the other endpoint.
   /// Serialization delay is size/bandwidth; transmissions queue FIFO.
+  /// The packet is dropped when `queue_limit` packets already wait for
+  /// the wire.
   void Send(int from_end, PacketPtr pkt);
 
   [[nodiscard]] const LinkStats& stats(int direction) const {
     return dirs_[direction].stats;
   }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
+
+  /// Start-time slots the direction's queue ring holds. The ring grows
+  /// with the deepest backlog seen, never to `queue_limit` up front.
+  [[nodiscard]] std::size_t queue_capacity(int direction) const {
+    return dirs_[direction].waiting.capacity();
+  }
 
   /// Runtime loss-rate override, used by fault injection to model link
   /// flaps / loss bursts. Draws still come from the same per-link
@@ -57,13 +78,14 @@ class Link {
   void SetLossRate(double rate);
 
   /// Places the link in sharded mode: endpoint `i` lives on shard
-  /// `end_shard[i]` of `set`. From then on each direction's transmit
-  /// chain runs on its source endpoint's shard, deliveries cross through
-  /// ShardSet::Post, and loss draws come from per-direction streams
-  /// (seeded loss_seed ^ (direction+1)) — per-direction state is what
-  /// makes behaviour independent of which shards the ends land on, so a
-  /// 1-shard run digest-matches an 8-shard run. Requires
-  /// latency >= set->quantum() (the conservative-lookahead contract).
+  /// `end_shard[i]` of `set`. From then on each direction's queue state
+  /// belongs to its source endpoint's shard, deliveries cross through
+  /// ShardSet::Post straight from Send, and loss draws come from
+  /// per-direction streams (seeded loss_seed ^ (direction+1)) —
+  /// per-direction state is what makes behaviour independent of which
+  /// shards the ends land on, so a 1-shard run digest-matches an 8-shard
+  /// run. Requires latency >= set->quantum() (the conservative-lookahead
+  /// contract).
   void BindShards(sim::ShardSet* set, int end0_shard, int end1_shard);
 
   /// True once BindShards has been called.
@@ -75,9 +97,36 @@ class Link {
     PacketSink* sink = nullptr;
     int port = 0;
   };
+
+  /// FIFO of start times in a power-of-two ring that doubles when full.
+  class StartRing {
+   public:
+    [[nodiscard]] std::size_t size() const { return count_; }
+    [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+    /// Drops the entries whose serialization has started by `now`.
+    void PopStarted(SimTime now) {
+      while (count_ != 0 && slots_[head_] <= now) {
+        head_ = (head_ + 1) & (slots_.size() - 1);
+        --count_;
+      }
+    }
+    void Push(SimTime start) {
+      if (count_ == slots_.size()) Grow();
+      slots_[(head_ + count_) & (slots_.size() - 1)] = start;
+      ++count_;
+    }
+
+   private:
+    void Grow();
+
+    std::vector<SimTime> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
+
   struct Direction {
-    std::deque<PacketPtr> queue;
-    bool transmitting = false;
+    StartRing waiting;      // accepted packets not yet serializing
+    SimTime busy_until = 0; // when the last accepted packet leaves the wire
     LinkStats stats;
     // Sharded mode only: per-direction loss stream/rate, owned (like the
     // queue and stats) by the source endpoint's shard.
@@ -85,9 +134,8 @@ class Link {
     double loss_rate = 0.0;
   };
 
-  void StartTransmit(int direction);
-  /// Simulator a direction's transmit chain runs on: the source end's
-  /// shard when bound, the construction simulator otherwise.
+  /// Simulator a direction's sends run on: the source end's shard when
+  /// bound, the construction simulator otherwise.
   [[nodiscard]] sim::Simulator& SimOf(int direction) {
     return shards_ ? shards_->sim(end_shard_[direction]) : sim_;
   }

@@ -2,6 +2,11 @@
 // state-space construction.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/iotsec.h"
 
 namespace iotsec::core {
@@ -46,6 +51,48 @@ TEST(DeploymentTest, SpecsAreUniqueAndWellFormed) {
   EXPECT_EQ(dep.registry().Count(), 3u);
   EXPECT_EQ(dep.Find("plug"), plug);
   EXPECT_EQ(dep.Find("nope"), nullptr);
+}
+
+TEST(DeploymentTest, AddressesStayUniqueAndExhaustionThrows) {
+  Deployment dep;
+  // Move the hub into the range devices are handed: it must be skipped.
+  const net::Ipv4Address hub(10, 0, 1, 7);
+  dep.controller().SetHubAddress(dep.controller().hub_mac(), hub);
+  std::set<std::uint32_t> seen;
+  std::vector<net::Ipv4Address> ips;
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "dev" + std::to_string(i);
+    devices::Device* device = i % 2 == 0 ? static_cast<devices::Device*>(
+                                               dep.AddCamera(name))
+                                         : dep.AddLightBulb(name);
+    const net::Ipv4Address ip = device->spec().ip;
+    EXPECT_TRUE(dep.lan_prefix().Contains(ip)) << ip.ToString();
+    EXPECT_NE(ip, hub);
+    EXPECT_NE(ip, dep.attacker().ip());
+    EXPECT_TRUE(seen.insert(ip.value()).second) << ip.ToString();
+    ips.push_back(ip);
+  }
+  // Devices #1-#190 keep the addresses the /24 allocator gave them; #191
+  // steps over the attacker.
+  EXPECT_EQ(ips[0], net::Ipv4Address(10, 0, 0, 10));
+  EXPECT_EQ(ips[189], net::Ipv4Address(10, 0, 0, 199));
+  EXPECT_EQ(ips[190], net::Ipv4Address(10, 0, 0, 201));
+  EXPECT_EQ(ips[299], net::Ipv4Address(10, 0, 1, 55));
+
+  // The /16 holds 65 525 offsets from .10 up to the broadcast address;
+  // the attacker's and the hub's are skipped.
+  std::size_t handed = seen.size();
+  EXPECT_THROW(
+      {
+        for (;;) {
+          dep.MakeSpec("spare", devices::DeviceClass::kLightBulb);
+          ++handed;
+        }
+      },
+      std::length_error);
+  EXPECT_EQ(handed, 65525u - 2u);
+  EXPECT_THROW(dep.MakeSpec("late", devices::DeviceClass::kLightBulb),
+               std::length_error);
 }
 
 TEST(DeploymentTest, BuildStateSpaceCoversDevicesAndEnv) {

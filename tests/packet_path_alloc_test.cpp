@@ -2,7 +2,8 @@
 // verdict on an HTTP frame (builtin ruleset, including the content-less
 // http_path/http_auth_absent rule), the in-place HTTP request view, and a
 // tunnel round trip through pooled packets (switch encap, host decap, host
-// encap, switch decap) must not touch the heap.
+// encap, switch decap) must not touch the heap; nor may a link's send
+// and delivery, bound or not.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,12 +11,14 @@
 #include <vector>
 
 #include "alloc_counter.h"
+#include "net/link.h"
 #include "net/packet.h"
 #include "proto/frame.h"
 #include "proto/http.h"
 #include "proto/tunnel.h"
 #include "sig/compiled_ruleset.h"
 #include "sig/corpus.h"
+#include "sim/shard_set.h"
 
 namespace iotsec {
 namespace {
@@ -137,6 +140,78 @@ TEST(PacketPathAllocTest, PooledTunnelRoundTripAllocatesNothing) {
 
   net::PacketPool::BindToThisThread(nullptr);
   net::SetPacketTracing(tracing);
+}
+
+// Counts arrivals and keeps no reference.
+class CountingSink final : public net::PacketSink {
+ public:
+  void Receive(net::PacketPtr pkt, int port) override {
+    (void)port;
+    bytes += pkt->size();
+    ++packets;
+  }
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+};
+
+TEST(PacketPathAllocTest, LinkSendAndDeliveryAllocateNothing) {
+  const net::PacketPtr bare = net::MakePacket(GetFrame("/"));
+  const net::PacketPtr padded = net::MakePacket(PaddedGetFrame());
+  for (const bool bound : {false, true}) {
+    SCOPED_TRACE(bound ? "bound" : "unbound");
+    sim::ShardSet::Options options;
+    options.shards = 2;
+    options.use_threads = false;
+    sim::ShardSet set(options);
+    net::Link link(set.sim(0));
+    if (bound) link.BindShards(&set, 0, 1);
+    CountingSink sink;
+    link.Attach(0, &sink, 0);
+    link.Attach(1, &sink, 1);
+    // Bursts in both directions, so packets queue behind the wire.
+    auto round = [&] {
+      for (int i = 0; i < 8; ++i) {
+        link.Send(0, bare);
+        link.Send(0, padded);
+        link.Send(1, padded);
+      }
+      set.RunFor(10 * kMillisecond);
+    };
+    for (int i = 0; i < kWarmup; ++i) round();
+    const std::uint64_t before = News();
+    for (int i = 0; i < kIters; ++i) round();
+    EXPECT_EQ(News() - before, 0u);
+    EXPECT_EQ(sink.packets, 24u * (kWarmup + kIters));
+    EXPECT_EQ(link.stats(0).drops + link.stats(1).drops, 0u);
+  }
+}
+
+TEST(PacketPathAllocTest, LinkQueueRingGrowsWithBacklogNotLimit) {
+  // ShardedFleet-sized limit: a ring preallocated to it would hold 8 MB
+  // per direction.
+  sim::Simulator sim;
+  net::LinkConfig cfg;
+  cfg.queue_limit = 1 << 20;
+  net::Link link(sim, cfg);
+  CountingSink sink;
+  link.Attach(1, &sink, 0);
+  const net::PacketPtr pkt = net::MakePacket(PaddedGetFrame());
+
+  for (int i = 0; i < 5; ++i) link.Send(0, pkt);  // one on the wire, 4 wait
+  EXPECT_GE(link.queue_capacity(0), 4u);
+  EXPECT_LE(link.queue_capacity(0), 8u);
+  EXPECT_EQ(link.queue_capacity(1), 0u) << "an idle direction holds nothing";
+  sim.Run();
+
+  // A deeper backlog grows the ring to within 2x of it, and draining
+  // keeps the ring for reuse instead of shrinking and regrowing.
+  for (int i = 0; i < 1001; ++i) link.Send(0, pkt);
+  EXPECT_GE(link.queue_capacity(0), 1000u);
+  EXPECT_LE(link.queue_capacity(0), 2000u);
+  sim.Run();
+  EXPECT_EQ(sink.packets, 1006u);
+  EXPECT_EQ(link.stats(0).drops, 0u);
+  EXPECT_LE(link.queue_capacity(0), 2000u);
 }
 
 }  // namespace

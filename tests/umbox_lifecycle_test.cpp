@@ -92,6 +92,42 @@ TEST(BootQueueTest, StoppingMidBootCancelsTheReadyTimer) {
   EXPECT_EQ(host.Find(spec.id), nullptr);
 }
 
+TEST(DelayLifecycleTest, TearingDownAChainDiscardsHeldPackets) {
+  // A Delay element's timers capture the element. Swapping the graph or
+  // stopping the µmbox destroys it with packets still held, and no timer
+  // may fire into freed memory (the sanitizer build reports it if one
+  // does).
+  sim::Simulator sim;
+  UmboxHost host(1, sim, 4);
+  UmboxSpec spec;
+  spec.id = 11;
+  spec.config_text = "d :: Delay(ms=50)\n";
+  std::string error;
+  Umbox* box = host.Launch(spec, Ctx(sim), &error);
+  ASSERT_NE(box, nullptr) << error;
+  std::vector<net::PacketPtr> out;
+  box->SetEgress([&](net::PacketPtr p) { out.push_back(std::move(p)); });
+  sim.RunFor(BootLatency(spec.boot) + kMillisecond);
+  ASSERT_EQ(box->state(), UmboxState::kRunning);
+
+  for (int i = 0; i < 3; ++i) box->Process(UdpPacket(ToBytes("held")));
+  EXPECT_EQ(sim.PendingEvents(), 3u);
+  ASSERT_TRUE(box->Reconfigure("d :: Delay(ms=20)\n", &error)) << error;
+  EXPECT_EQ(sim.PendingEvents(), 0u) << "the old graph's timers are gone";
+  box->Process(UdpPacket(ToBytes("after")));
+  sim.RunFor(100 * kMillisecond);
+  ASSERT_EQ(out.size(), 1u) << "only the new graph's packet leaves";
+
+  box->Process(UdpPacket(ToBytes("held")));
+  box->Process(UdpPacket(ToBytes("held")));
+  sim.RunFor(10 * kMillisecond);
+  ASSERT_TRUE(host.Stop(spec.id));
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  sim.RunFor(100 * kMillisecond);
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(host.Find(spec.id), nullptr);
+}
+
 TEST(CrashTest, CrashLosesQueueAndDropsTraffic) {
   sim::Simulator sim;
   UmboxSpec spec;
