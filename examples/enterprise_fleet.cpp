@@ -65,7 +65,9 @@ int main() {
 
   // ---- Step 1: sweep.
   dep.Start();
-  scan::VulnerabilityScanner scanner(dep.sim(), dep.attacker());
+  scan::VulnerabilityScanner scanner(
+      dep.sim(), dep.attacker(),
+      [&](SimDuration d) { dep.RunFor(d); });
   const auto report = scanner.Sweep(scan::TargetsOf(dep.registry()));
   std::map<devices::Vulnerability, int> by_class;
   for (const auto& finding : report.findings) {

@@ -17,8 +17,8 @@
 //   normal → defer → shed → fail-closed-lite
 //
 // Determinism contract: every input is a *barrier snapshot* — sampled by
-// the deployment at quantum barriers (sharded) or on a fixed ticker
-// (unsharded) — and every signal is shard-placement-invariant (sums over
+// the deployment at the quantum barrier ending each sample period — and
+// every signal is shard-placement-invariant (sums over
 // the whole cluster / all pools, never per-shard residue). Arithmetic is
 // integer permille. A fixed seed therefore yields a bit-identical
 // shed/defer decision trace at any shard count; DecisionDigest() folds
@@ -52,8 +52,8 @@ enum class AdmissionMode : std::uint8_t {
 struct AdmissionConfig {
   AdmissionMode mode = AdmissionMode::kOff;
 
-  /// Snapshot cadence. Sharded deployments align samples to the next
-  /// quantum barrier at or after each multiple of this period.
+  /// Snapshot cadence. A deployment samples at the quantum barrier that
+  /// ends each period, idle stretches included.
   SimDuration sample_period = 10 * kMillisecond;
 
   /// Packet-pool budget (live packets across every pool). 0 = unlimited:

@@ -7,19 +7,19 @@ namespace iotsec::core {
 
 namespace {
 
-// Builds the execution engine before sim_ binds to it. Returns the legacy
-// simulator (sharding off) or null (the ShardSet owns the simulators).
-std::unique_ptr<sim::Simulator> MakeLegacySim(const DeploymentOptions& opt) {
-  return opt.shards >= 1 ? nullptr : std::make_unique<sim::Simulator>();
+DeploymentOptions Checked(DeploymentOptions options) {
+  if (options.shards < 1) {
+    throw std::invalid_argument("DeploymentOptions::shards must be >= 1, got " +
+                                std::to_string(options.shards));
+  }
+  return options;
 }
 
 }  // namespace
 
 Deployment::Deployment(DeploymentOptions options)
-    : options_(std::move(options)),
-      own_sim_(MakeLegacySim(options_)),
-      shard_set_([this]() -> std::unique_ptr<sim::ShardSet> {
-        if (own_sim_ != nullptr) return nullptr;
+    : options_(Checked(std::move(options))),
+      shard_set_([this] {
         // One packet pool per shard, bound to the shard's thread so the
         // free list is never touched concurrently.
         for (int s = 0; s < options_.shards; ++s) {
@@ -38,11 +38,8 @@ Deployment::Deployment(DeploymentOptions options)
         };
         return std::make_unique<sim::ShardSet>(std::move(so));
       }()),
-      sim_(own_sim_ != nullptr ? *own_sim_ : shard_set_->sim(0)) {
-  if (shard_set_ != nullptr) {
-    shard_env_writes_.resize(
-        static_cast<std::size_t>(shard_set_->shard_count()));
-  }
+      sim_(shard_set_->sim(0)),
+      shard_env_writes_(static_cast<std::size_t>(options_.shards)) {
   env_ = env::MakeSmartHomeEnvironment();
   env_->AttachTo(sim_, options_.env_tick);
 
@@ -161,7 +158,7 @@ Deployment::Deployment(DeploymentOptions options)
 Deployment::~Deployment() {
   // The ShardSet constructor bound the caller thread to shard 0's pool;
   // that pool dies with this deployment, so restore the global binding.
-  if (shard_set_ != nullptr) net::PacketPool::BindToThisThread(nullptr);
+  net::PacketPool::BindToThisThread(nullptr);
 }
 
 net::Link* Deployment::NewLink(const net::LinkConfig* config) {
@@ -173,22 +170,19 @@ net::Link* Deployment::NewLink(const net::LinkConfig* config) {
 }
 
 env::Environment* Deployment::EnvFor(DeviceId id) {
-  if (shard_set_ == nullptr) return env_.get();
-  auto it = env_replicas_.find(id);
-  if (it == env_replicas_.end()) {
-    auto replica = env_->Replicate();
-    replica->SetWriteCapture(
+  auto [it, added] = env_replicas_.try_emplace(id, env_->Replicate());
+  if (added) {
+    it->second.SetWriteCapture(
         [this](const std::string& name, double value, SimTime now) {
           shard_env_writes_[static_cast<std::size_t>(
                                 sim::ShardSet::CurrentShard())]
               .writes.push_back(EnvWrite{now, name, value});
         });
-    it = env_replicas_.emplace(id, std::move(replica)).first;
   }
-  return it->second.get();
+  return &it->second;
 }
 
-void Deployment::BarrierSync(SimTime now) {
+void Deployment::SyncEnvironment(SimTime now) {
   // 1. Apply the quantum's captured device writes to the owner in one
   //    canonical order — (time, variable, value) is a function of the
   //    simulation, not of shard placement or thread timing.
@@ -216,17 +210,18 @@ void Deployment::BarrierSync(SimTime now) {
   if (env_->version() != synced_env_version_) {
     synced_env_version_ = env_->version();
     for (auto& [id, replica] : env_replicas_) {
-      replica->SyncFrom(*env_, now);
+      replica.SyncFrom(*env_, now);
     }
   }
-  // 3. Snapshot network totals while every link counter is quiescent.
-  stats_snapshot_ = AggregateLinkStats();
-  link_count_snapshot_ = links_.size();
-  // 4. Feed the admission controller. Barrier times are quantum
-  //    multiples — identical for every shard count — so sampling here
-  //    keeps the decision trace placement-invariant.
+}
+
+void Deployment::BarrierSync(SimTime now) {
+  SyncEnvironment(now);
+  // Feed the admission controller. Barrier times are quantum multiples,
+  // identical for every shard count, and RunFor ends a run at each
+  // sample instant, so the idle-quantum skip never jumps one.
   if (admission_ != nullptr && now >= next_admission_sample_) {
-    SampleAdmission(now);
+    admission_->Update(CollectAdmissionSignals(), now);
     next_admission_sample_ = now + options_.admission.sample_period;
   }
 }
@@ -237,30 +232,34 @@ control::AdmissionSignals Deployment::CollectAdmissionSignals() const {
     host->AccumulateBootQueue(sig.boot_queue_depth,
                               sig.boot_queue_worst_permille);
   }
-  if (shard_pools_.empty()) {
-    sig.pool_live = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, net::PacketPool::Global().Live()));
-  } else {
-    std::int64_t live = 0;
-    for (const auto& pool : shard_pools_) live += pool->Live();
-    sig.pool_live = static_cast<std::size_t>(std::max<std::int64_t>(0, live));
-  }
+  std::int64_t live = 0;
+  for (const auto& pool : shard_pools_) live += pool->Live();
+  sig.pool_live = static_cast<std::size_t>(std::max<std::int64_t>(0, live));
   sig.cluster_load = cluster_.TotalLoad();
   sig.cluster_capacity = cluster_.TotalCapacity();
   sig.recovering = controller_->RecoveringCount();
   return sig;
 }
 
-void Deployment::SampleAdmission(SimTime now) {
-  admission_->Update(CollectAdmissionSignals(), now);
-}
-
 void Deployment::RunFor(SimDuration d) {
-  if (shard_set_ == nullptr) {
-    sim_.RunFor(d);
-    return;
+  // Writes made between runs (the caller setting the environment or
+  // actuating a device) reach the replicas now, not at the first barrier
+  // after the next busy quantum, which an idle skip can put far ahead.
+  SyncEnvironment(shard_set_->Now());
+  const SimTime end = shard_set_->Now() + d;
+  const std::function<void(SimTime)> barrier = [this](SimTime now) {
+    BarrierSync(now);
+  };
+  while (shard_set_->Now() < end) {
+    // Stop at the next sample instant; a sample already due is taken at
+    // the barrier that ends the next quantum.
+    SimTime stop = end;
+    if (admission_ != nullptr) {
+      const SimTime next_barrier = shard_set_->Now() + shard_set_->quantum();
+      stop = std::min(stop, std::max(next_admission_sample_, next_barrier));
+    }
+    shard_set_->RunUntil(stop, barrier);
   }
-  shard_set_->RunFor(d, [this](SimTime now) { BarrierSync(now); });
 }
 
 fault::FaultInjector& Deployment::chaos() {
@@ -274,10 +273,9 @@ fault::FaultInjector& Deployment::chaos() {
 }
 
 Deployment::NetworkTotals Deployment::AggregateLinkStats() const {
-  if (shard_set_ != nullptr && shard_set_->running()) {
-    // Mid-quantum the counters belong to concurrently executing shards;
-    // the last barrier's snapshot is the newest consistent view.
-    return stats_snapshot_;
+  if (shard_set_->running()) {
+    throw std::logic_error(
+        "AggregateLinkStats: link counters are owned by running shards");
   }
   NetworkTotals totals;
   for (const auto& link : links_) {
@@ -327,18 +325,23 @@ devices::Device* Deployment::Attach(std::unique_ptr<devices::Device> device) {
   net::Link* link = NewLink();
   ptr->ConnectUplink(link, 0);
   const int port = switch_->AttachLink(link, 1);
-  if (shard_set_ != nullptr) {
-    // Device end (0) lives on the device's home shard, switch end (1) on
-    // shard 0. Bound regardless of where the hash lands the device — the
-    // bound path's behaviour is placement-independent, which is what
-    // makes a 1-shard run the reference for an N-shard run.
-    link->BindShards(shard_set_.get(),
-                     sdn::ShardOfDevice(ptr->id(), options_.shards),
-                     /*end1_shard=*/0);
-  }
+  // Device end (0) lives on the device's home shard, switch end (1) on
+  // shard 0. Bound regardless of where the hash lands the device — the
+  // bound path's behaviour is placement-independent, which is what makes
+  // a 1-shard run the reference for an N-shard run.
+  link->BindShards(shard_set_.get(),
+                   sdn::ShardOfDevice(ptr->id(), options_.shards),
+                   /*end1_shard=*/0);
   switch_->SetMacPort(ptr->spec().mac, port);
   controller_->RegisterDevice(ptr, switch_.get(), port);
   return ptr;
+}
+
+template <typename T, typename... Extra>
+T* Deployment::Place(devices::DeviceSpec&& spec, Extra&&... extra) {
+  const DeviceId id = spec.id;
+  return static_cast<T*>(Attach(std::make_unique<T>(
+      std::move(spec), SimFor(id), EnvFor(id), std::forward<Extra>(extra)...)));
 }
 
 devices::Camera* Deployment::AddCamera(const std::string& name,
@@ -349,9 +352,7 @@ devices::Camera* Deployment::AddCamera(const std::string& name,
   spec.vendor = "Avtech";
   spec.sku = "Avtech-AVN801";
   spec.ram_kb = 8 * 1024;
-  const DeviceId id = spec.id;
-  return static_cast<devices::Camera*>(Attach(std::make_unique<devices::Camera>(
-      std::move(spec), SimFor(id), EnvFor(id))));
+  return Place<devices::Camera>(std::move(spec));
 }
 
 devices::SmartPlug* Deployment::AddSmartPlug(
@@ -362,11 +363,8 @@ devices::SmartPlug* Deployment::AddSmartPlug(
   spec.vendor = "Belkin";
   spec.sku = "Wemo-Insight";
   spec.ram_kb = 2 * 1024;
-  const DeviceId id = spec.id;
-  return static_cast<devices::SmartPlug*>(
-      Attach(std::make_unique<devices::SmartPlug>(
-          std::move(spec), SimFor(id), EnvFor(id),
-          std::move(attached_env_var))));
+  return Place<devices::SmartPlug>(std::move(spec),
+                                   std::move(attached_env_var));
 }
 
 devices::FireAlarm* Deployment::AddFireAlarm(const std::string& name) {
@@ -374,10 +372,7 @@ devices::FireAlarm* Deployment::AddFireAlarm(const std::string& name) {
   spec.vendor = "Nest";
   spec.sku = "Nest-Protect";
   spec.ram_kb = 1024;
-  const DeviceId id = spec.id;
-  return static_cast<devices::FireAlarm*>(Attach(
-      std::make_unique<devices::FireAlarm>(std::move(spec), SimFor(id),
-                                           EnvFor(id))));
+  return Place<devices::FireAlarm>(std::move(spec));
 }
 
 devices::WindowActuator* Deployment::AddWindow(const std::string& name,
@@ -385,10 +380,7 @@ devices::WindowActuator* Deployment::AddWindow(const std::string& name,
   auto spec = MakeSpec(name, devices::DeviceClass::kWindowActuator, {},
                        std::move(credential));
   spec.ram_kb = 512;
-  const DeviceId id = spec.id;
-  return static_cast<devices::WindowActuator*>(
-      Attach(std::make_unique<devices::WindowActuator>(
-          std::move(spec), SimFor(id), EnvFor(id))));
+  return Place<devices::WindowActuator>(std::move(spec));
 }
 
 devices::LightBulb* Deployment::AddLightBulb(const std::string& name) {
@@ -396,19 +388,13 @@ devices::LightBulb* Deployment::AddLightBulb(const std::string& name) {
   spec.vendor = "Philips";
   spec.sku = "Hue-A19";
   spec.ram_kb = 256;
-  const DeviceId id = spec.id;
-  return static_cast<devices::LightBulb*>(Attach(
-      std::make_unique<devices::LightBulb>(std::move(spec), SimFor(id),
-                                           EnvFor(id))));
+  return Place<devices::LightBulb>(std::move(spec));
 }
 
 devices::LightSensor* Deployment::AddLightSensor(const std::string& name) {
   auto spec = MakeSpec(name, devices::DeviceClass::kLightSensor);
   spec.ram_kb = 128;
-  const DeviceId id = spec.id;
-  return static_cast<devices::LightSensor*>(Attach(
-      std::make_unique<devices::LightSensor>(std::move(spec), SimFor(id),
-                                             EnvFor(id))));
+  return Place<devices::LightSensor>(std::move(spec));
 }
 
 devices::Thermostat* Deployment::AddThermostat(const std::string& name) {
@@ -416,37 +402,25 @@ devices::Thermostat* Deployment::AddThermostat(const std::string& name) {
   spec.vendor = "Nest";
   spec.sku = "Nest-T3";
   spec.ram_kb = 4 * 1024;
-  const DeviceId id = spec.id;
-  return static_cast<devices::Thermostat*>(Attach(
-      std::make_unique<devices::Thermostat>(std::move(spec), SimFor(id),
-                                            EnvFor(id))));
+  return Place<devices::Thermostat>(std::move(spec));
 }
 
 devices::MotionSensor* Deployment::AddMotionSensor(const std::string& name) {
   auto spec = MakeSpec(name, devices::DeviceClass::kMotionSensor);
   spec.ram_kb = 128;
-  const DeviceId id = spec.id;
-  return static_cast<devices::MotionSensor*>(Attach(
-      std::make_unique<devices::MotionSensor>(std::move(spec), SimFor(id),
-                                              EnvFor(id))));
+  return Place<devices::MotionSensor>(std::move(spec));
 }
 
 devices::SmartLock* Deployment::AddSmartLock(const std::string& name) {
   auto spec = MakeSpec(name, devices::DeviceClass::kSmartLock);
   spec.ram_kb = 512;
-  const DeviceId id = spec.id;
-  return static_cast<devices::SmartLock*>(Attach(
-      std::make_unique<devices::SmartLock>(std::move(spec), SimFor(id),
-                                           EnvFor(id))));
+  return Place<devices::SmartLock>(std::move(spec));
 }
 
 devices::SmartOven* Deployment::AddSmartOven(const std::string& name) {
   auto spec = MakeSpec(name, devices::DeviceClass::kSmartOven);
   spec.ram_kb = 2 * 1024;
-  const DeviceId id = spec.id;
-  return static_cast<devices::SmartOven*>(Attach(
-      std::make_unique<devices::SmartOven>(std::move(spec), SimFor(id),
-                                           EnvFor(id))));
+  return Place<devices::SmartOven>(std::move(spec));
 }
 
 policy::StateSpace Deployment::BuildStateSpace() const {
@@ -494,13 +468,6 @@ void Deployment::Start() {
   }
   registry_.StartAll();
   if (options_.with_iotsec) controller_->Start();
-  // Unsharded engine has no barriers; a plain ticker gives the same
-  // sample times (quanta divide sample_period in every configuration we
-  // ship, so sharded barriers land on these instants too).
-  if (admission_ != nullptr && shard_set_ == nullptr) {
-    sim_.Every(options_.admission.sample_period,
-               [this] { SampleAdmission(sim_.Now()); });
-  }
 }
 
 }  // namespace iotsec::core

@@ -51,8 +51,9 @@ struct DeploymentOptions {
   /// no admission controller at all — byte-identical behaviour to every
   /// release before it existed. kMonitor samples and levels without
   /// acting; kEnforce sheds launches, defers restarts and backpressures
-  /// ingress. Signals are sampled at quantum barriers when sharded, on a
-  /// sample_period ticker otherwise.
+  /// ingress. Signals are sampled at the quantum barrier that ends each
+  /// sample_period; RunFor stops the idle-quantum skip at every sample
+  /// instant, so a quiet stretch still takes one sample per period.
   control::AdmissionConfig admission;
   /// Hierarchical controller federation (see control/federation.h).
   /// Disabled (default) keeps the flat controller byte-identical to every
@@ -79,19 +80,18 @@ struct DeploymentOptions {
   SimDuration env_tick = 500 * kMillisecond;
   /// Seed for the deployment's FaultInjector (see chaos()).
   std::uint64_t chaos_seed = 0xC4A05;
-  /// 0 (default): the legacy single-threaded engine — one Simulator, no
-  /// barriers, byte-identical to every release before sharding existed.
-  /// >= 1: the sharded engine — devices are homed on
-  /// ShardOfDevice(id, shards) worker shards running in lockstep quanta
-  /// (see sim::ShardSet); infrastructure (switch, controller, cluster,
-  /// attacker, environment owner) stays on shard 0. A 1-shard run is the
-  /// determinism reference an N-shard run must digest-match.
-  int shards = 0;
-  /// Sharded mode: execute shards 1..N-1 on worker threads (true) or all
-  /// inline on the caller (false — identical results, easier debugging).
+  /// Shards of the engine (see sim::ShardSet), at least 1; the
+  /// constructor throws std::invalid_argument otherwise. Devices are
+  /// homed on shard ShardOfDevice(id, shards) and run in lockstep quanta;
+  /// infrastructure (switch, controller, cluster, attacker, environment
+  /// owner) stays on shard 0. A 1-shard run is the determinism reference
+  /// an N-shard run must digest-match.
+  int shards = 1;
+  /// Execute shards 1..N-1 on worker threads (true) or all inline on the
+  /// caller (false — identical results, easier debugging).
   bool shard_threads = true;
-  /// Sharded mode: lockstep quantum override; 0 derives it from the link
-  /// latency (the conservative lookahead bound).
+  /// Lockstep quantum override; 0 derives it from the link latency (the
+  /// conservative lookahead bound).
   SimDuration shard_quantum = 0;
 };
 
@@ -104,17 +104,15 @@ class Deployment {
   Deployment& operator=(const Deployment&) = delete;
 
   // ---- Accessors.
-  /// Shard 0's simulator in sharded mode (infrastructure clock); THE
-  /// simulator otherwise. Prefer RunFor()/Now() — in sharded mode,
-  /// advancing this directly moves only shard 0.
+  /// Shard 0's simulator: the infrastructure clock. Schedule on it, but
+  /// advance with RunFor() — running it directly moves only shard 0 and
+  /// skips the barrier, so device environment writes never land.
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
-  /// Non-null iff options().shards >= 1.
+  /// The engine; never null.
   [[nodiscard]] sim::ShardSet* shard_set() { return shard_set_.get(); }
-  /// Simulator owning device `id`'s events (== sim() when unsharded).
+  /// Simulator owning device `id`'s events.
   [[nodiscard]] sim::Simulator& SimFor(DeviceId id) {
-    return shard_set_ == nullptr
-               ? sim_
-               : shard_set_->sim(sdn::ShardOfDevice(id, options_.shards));
+    return shard_set_->sim(sdn::ShardOfDevice(id, options_.shards));
   }
   [[nodiscard]] env::Environment& environment() { return *env_; }
   [[nodiscard]] devices::DeviceRegistry& registry() { return registry_; }
@@ -195,13 +193,10 @@ class Deployment {
 
   /// Boots devices (and the controller when IoTSec is on).
   void Start();
-  /// Advances the deployment: the single event loop when unsharded, the
-  /// lockstep quantum schedule (with barrier-phase environment sync and
-  /// stats snapshots) when sharded.
+  /// Advances every shard in lockstep quanta, running the barrier phase
+  /// (environment sync, admission sampling) after each one.
   void RunFor(SimDuration d);
-  [[nodiscard]] SimTime Now() const {
-    return shard_set_ == nullptr ? sim_.Now() : shard_set_->Now();
-  }
+  [[nodiscard]] SimTime Now() const { return shard_set_->Now(); }
 
   /// Convenience lookups for tests/benches.
   [[nodiscard]] devices::Device* Find(const std::string& name) const {
@@ -216,29 +211,30 @@ class Deployment {
     std::uint64_t queue_drops = 0;
     std::uint64_t lost = 0;  // random / flap-induced loss
   };
-  /// Safe at any time: while shards are running this returns the snapshot
-  /// taken at the last quantum barrier (exact as of that barrier — link
-  /// counters are owned by worker shards mid-quantum); otherwise it is
-  /// computed live.
+  /// Between runs only: mid-quantum the link counters belong to the
+  /// executing shards, so a call from inside an event throws
+  /// std::logic_error.
   [[nodiscard]] NetworkTotals AggregateLinkStats() const;
-  [[nodiscard]] std::size_t LinkCount() const {
-    if (shard_set_ != nullptr && shard_set_->running()) {
-      return link_count_snapshot_;
-    }
-    return links_.size();
-  }
+  [[nodiscard]] std::size_t LinkCount() const { return links_.size(); }
 
  private:
   /// null config: the deployment-wide options_.link.
   net::Link* NewLink(const net::LinkConfig* config = nullptr);
+  /// Builds a T from `spec` on the device's home shard, with its
+  /// environment replica, and attaches it.
+  template <typename T, typename... Extra>
+  T* Place(devices::DeviceSpec&& spec, Extra&&... extra);
   /// The next free device address (see MakeSpec).
   net::Ipv4Address NextDeviceAddress();
-  /// The environment a device reads/writes: its private replica when
-  /// sharded (created here on first use), the shared owner otherwise.
+  /// The environment device `id` reads/writes: its private replica,
+  /// created here on first use.
   env::Environment* EnvFor(DeviceId id);
-  /// Barrier-phase work: apply captured device environment writes to the
-  /// owner in canonical order, fan the owner's state back out to every
-  /// replica, snapshot link stats, feed the admission controller.
+  /// Applies captured device environment writes to the owner in
+  /// canonical order, then fans the owner's state back out to every
+  /// replica. Runs at every barrier and at the start of RunFor.
+  void SyncEnvironment(SimTime now);
+  /// Barrier-phase work: SyncEnvironment, then feed the admission
+  /// controller.
   void BarrierSync(SimTime now);
   /// One shard-placement-invariant admission snapshot: boot queues and
   /// cluster load live on shard 0, and pool_live sums Live() over every
@@ -246,23 +242,19 @@ class Deployment {
   /// simulation, not of where devices were placed (each release routes
   /// back to its acquiring pool's counter; see net::PacketPool::Live).
   [[nodiscard]] control::AdmissionSignals CollectAdmissionSignals() const;
-  void SampleAdmission(SimTime now);
 
   DeploymentOptions options_;
-  // Engine: exactly one of own_sim_ (legacy) / shard_set_ (sharded) is
-  // live; sim_ aliases the legacy simulator or the set's shard 0. Declared
+  // The engine and its per-shard packet pools; sim_ is shard 0. Declared
   // before every member that captures sim_ at construction.
-  std::unique_ptr<sim::Simulator> own_sim_;
   std::vector<std::unique_ptr<net::PacketPool>> shard_pools_;
   std::unique_ptr<sim::ShardSet> shard_set_;
   sim::Simulator& sim_;
   std::unique_ptr<env::Environment> env_;
-  // Sharded mode: per-device environment replicas. A replica's writes
-  // are captured into the executing shard's buffer (ShardSet::
-  // CurrentShard()), which only that shard's thread touches mid-quantum;
-  // the barrier phase (single-threaded, after the workers are done)
-  // drains the buffers into pending_env_writes_ for one canonical sorted
-  // apply.
+  // Per-device environment replicas. A replica's writes are captured
+  // into the executing shard's buffer (ShardSet::CurrentShard()), which
+  // only that shard's thread touches mid-quantum; the barrier phase
+  // (single-threaded, after the workers are done) drains the buffers
+  // into pending_env_writes_ for one canonical sorted apply.
   struct EnvWrite {
     SimTime at = 0;
     std::string name;
@@ -271,12 +263,10 @@ class Deployment {
   struct alignas(64) ShardEnvWrites {
     std::vector<EnvWrite> writes;
   };
-  std::map<DeviceId, std::unique_ptr<env::Environment>> env_replicas_;
+  std::map<DeviceId, env::Environment> env_replicas_;
   std::vector<ShardEnvWrites> shard_env_writes_;  // [shard]
   std::vector<EnvWrite> pending_env_writes_;
   std::uint64_t synced_env_version_ = 0;
-  NetworkTotals stats_snapshot_;
-  std::size_t link_count_snapshot_ = 0;
   devices::DeviceRegistry registry_;
   std::vector<std::unique_ptr<net::Link>> links_;
   std::unique_ptr<sdn::Switch> switch_;

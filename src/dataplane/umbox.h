@@ -54,8 +54,8 @@ struct UmboxSpec {
   /// Packets arriving while booting are queued (true) or dropped (false).
   bool queue_while_booting = true;
   std::size_t boot_queue_limit = 256;
-  /// Shard whose worker executes this µmbox's chain (0 in unsharded
-  /// deployments). Selects the dp.shard.<i>.packets counter.
+  /// Shard whose worker executes this µmbox's chain. Selects the
+  /// dp.shard.<i>.packets counter.
   int shard = 0;
 };
 

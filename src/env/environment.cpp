@@ -37,45 +37,51 @@ void Environment::Define(VarDef def) {
     throw std::invalid_argument("level_names must be thresholds+1 for " +
                                 def.name);
   }
-  Var var;
-  var.value = def.initial;
-  var.level = LevelFor(def, def.initial);
-  var.def = std::move(def);
-  vars_[var.def.name] = std::move(var);
+  if (schema_.use_count() > 1) schema_ = std::make_shared<Schema>(*schema_);
+  const Var var{def.initial, LevelFor(def, def.initial)};
+  const auto [it, added] = schema_->slots.try_emplace(def.name, vars_.size());
+  if (added) {
+    schema_->defs.push_back(std::move(def));
+    vars_.push_back(var);
+  } else {
+    schema_->defs[it->second] = std::move(def);
+    vars_[it->second] = var;
+  }
 }
 
 bool Environment::Has(const std::string& name) const {
-  return vars_.count(name) > 0;
+  return schema_->slots.count(name) > 0;
 }
 
-const Environment::Var& Environment::Get(const std::string& name) const {
-  const auto it = vars_.find(name);
-  if (it == vars_.end()) {
+std::size_t Environment::SlotOf(const std::string& name) const {
+  const auto it = schema_->slots.find(name);
+  if (it == schema_->slots.end()) {
     throw std::out_of_range("undefined environment variable: " + name);
   }
   return it->second;
 }
 
 double Environment::Value(const std::string& name) const {
-  return Get(name).value;
+  return vars_[SlotOf(name)].value;
 }
 
 int Environment::Level(const std::string& name) const {
-  return Get(name).level;
+  return vars_[SlotOf(name)].level;
 }
 
 const std::string& Environment::LevelName(const std::string& name) const {
-  const Var& var = Get(name);
-  return var.def.level_names[static_cast<std::size_t>(var.level)];
+  const std::size_t slot = SlotOf(name);
+  return schema_->defs[slot]
+      .level_names[static_cast<std::size_t>(vars_[slot].level)];
 }
 
 int Environment::LevelCount(const std::string& name) const {
-  return static_cast<int>(Get(name).def.level_names.size());
+  return static_cast<int>(LevelNames(name).size());
 }
 
 const std::vector<std::string>& Environment::LevelNames(
     const std::string& name) const {
-  return Get(name).def.level_names;
+  return schema_->defs[SlotOf(name)].level_names;
 }
 
 int Environment::LevelFor(const VarDef& def, double value) {
@@ -89,10 +95,7 @@ int Environment::LevelFor(const VarDef& def, double value) {
 
 void Environment::SetValue(const std::string& name, double value,
                            SimTime now) {
-  auto it = vars_.find(name);
-  if (it == vars_.end()) {
-    throw std::out_of_range("undefined environment variable: " + name);
-  }
+  const std::size_t slot = SlotOf(name);
   if (write_capture_) {
     // Replica in a sharded deployment: the write belongs to the owner
     // environment and is applied there at the next quantum barrier.
@@ -100,10 +103,10 @@ void Environment::SetValue(const std::string& name, double value,
     return;
   }
   if (now > now_) now_ = now;
-  Var& var = it->second;
+  Var& var = vars_[slot];
   var.value = value;
   ++version_;
-  const int new_level = LevelFor(var.def, value);
+  const int new_level = LevelFor(schema_->defs[slot], value);
   if (new_level == var.level) return;
   const LevelChange change{name, var.level, new_level, now};
   var.level = new_level;
@@ -139,8 +142,8 @@ void Environment::Step(SimTime now, double dt_seconds) {
 }
 
 void Environment::ResetToInitial(SimTime now) {
-  for (auto& [name, var] : vars_) {
-    SetValue(name, var.def.initial, now);
+  for (const auto& [name, slot] : schema_->slots) {
+    SetValue(name, schema_->defs[slot].initial, now);
   }
 }
 
@@ -153,33 +156,32 @@ void Environment::AttachTo(sim::Simulator& simulator, SimDuration tick) {
 
 std::map<std::string, int> Environment::SnapshotLevels() const {
   std::map<std::string, int> out;
-  for (const auto& [name, var] : vars_) out[name] = var.level;
+  for (const auto& [name, slot] : schema_->slots) {
+    out.emplace_hint(out.end(), name, vars_[slot].level);
+  }
   return out;
 }
 
 std::vector<std::string> Environment::VariableNames() const {
   std::vector<std::string> out;
   out.reserve(vars_.size());
-  for (const auto& [name, _] : vars_) out.push_back(name);
+  for (const auto& [name, slot] : schema_->slots) out.push_back(name);
   return out;
 }
 
-std::unique_ptr<Environment> Environment::Replicate() const {
-  auto replica = std::make_unique<Environment>();
-  replica->vars_ = vars_;  // defs + current values/levels
-  replica->now_ = now_;
-  return replica;
+Environment Environment::Replicate() const {
+  return Environment(schema_, vars_, now_);
 }
 
 void Environment::SyncFrom(const Environment& owner, SimTime now) {
   if (now > now_) now_ = now;
-  // vars_ is a std::map keyed by name, so iteration — and therefore the
-  // order replica listeners observe multi-variable changes — is the same
-  // everywhere.
-  for (const auto& [name, theirs] : owner.vars_) {
-    auto it = vars_.find(name);
-    if (it == vars_.end()) continue;
-    Var& mine = it->second;
+  // Name order, so the order replica listeners observe multi-variable
+  // changes is the same everywhere. A replica normally shares its
+  // owner's schema; if the owner has since defined more variables, the
+  // replica's slots still name the same variables there.
+  for (const auto& [name, slot] : schema_->slots) {
+    const Var& theirs = owner.vars_[slot];
+    Var& mine = vars_[slot];
     mine.value = theirs.value;
     if (theirs.level == mine.level) continue;
     const LevelChange change{name, mine.level, theirs.level, now};

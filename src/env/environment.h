@@ -66,6 +66,8 @@ class Environment {
  public:
   using Listener = std::function<void(const LevelChange&)>;
 
+  Environment() = default;
+
   void Define(VarDef def);
   [[nodiscard]] bool Has(const std::string& name) const;
 
@@ -134,11 +136,11 @@ class Environment {
 
   [[nodiscard]] std::vector<std::string> VariableNames() const;
 
-  // ---- Sharded-deployment replication -----------------------------------
+  // ---- Deployment replication --------------------------------------------
   //
   // The physical world is shared state: every device reads it, several
   // write it, and dynamics advance it — all of which would race across
-  // shard workers. Sharded deployments therefore keep ONE owner
+  // shard workers. A deployment therefore keeps ONE owner
   // environment (dynamics, shard 0) plus a replica per device. Replicas
   // never step dynamics; their writes are captured (SetWriteCapture) and
   // routed to the owner, which applies them at the quantum barrier in a
@@ -147,9 +149,9 @@ class Environment {
   // Devices see the world one quantum late — a fixed lag that is the same
   // at every shard count, so runs still digest-match.
 
-  /// A detached copy of the variable set and current values — no
-  /// dynamics, no listeners, no capture hook.
-  [[nodiscard]] std::unique_ptr<Environment> Replicate() const;
+  /// A detached copy of the current values — no dynamics, no listeners,
+  /// no capture hook. The variable definitions are shared, not copied.
+  [[nodiscard]] Environment Replicate() const;
 
   using WriteCapture =
       std::function<void(const std::string& name, double value, SimTime now)>;
@@ -167,15 +169,29 @@ class Environment {
 
  private:
   struct Var {
-    VarDef def;
     double value = 0.0;
     int level = 0;
   };
+  // The variable definitions: name -> slot in vars_ (in name order) and
+  // each slot's VarDef. Shared with replicas and copied on the next
+  // Define, so a replica copies values only. Define never moves a slot,
+  // so a slot names the same variable in every environment sharing or
+  // derived from this schema.
+  struct Schema {
+    std::map<std::string, std::size_t, std::less<>> slots;
+    std::vector<VarDef> defs;  // [slot]
+  };
+
+  Environment(std::shared_ptr<Schema> schema, std::vector<Var> vars,
+              SimTime now)
+      : schema_(std::move(schema)), vars_(std::move(vars)), now_(now) {}
 
   [[nodiscard]] static int LevelFor(const VarDef& def, double value);
-  [[nodiscard]] const Var& Get(const std::string& name) const;
+  /// Slot of `name`; throws std::out_of_range when undefined.
+  [[nodiscard]] std::size_t SlotOf(const std::string& name) const;
 
-  std::map<std::string, Var> vars_;
+  std::shared_ptr<Schema> schema_ = std::make_shared<Schema>();
+  std::vector<Var> vars_;  // [slot]
   std::vector<std::unique_ptr<Dynamics>> dynamics_;
   std::map<int, Listener> listeners_;
   int next_listener_id_ = 1;

@@ -19,13 +19,14 @@ std::vector<proto::IotCommand> AllCommands() {
 InteractionFuzzer::InteractionFuzzer(sim::Simulator& simulator,
                                      env::Environment& environment,
                                      std::vector<devices::Device*> devices,
-                                     ModelLibrary library,
-                                     WorldModel world)
+                                     ModelLibrary library, WorldModel world,
+                                     sim::Advance advance)
     : sim_(simulator),
       env_(environment),
       devices_(std::move(devices)),
       library_(std::move(library)),
-      world_(std::move(world)) {}
+      world_(std::move(world)),
+      advance_(advance ? std::move(advance) : sim::RunOf(simulator)) {}
 
 std::set<CouplingEdge> InteractionFuzzer::ComputeGroundTruth() const {
   // Env-level causal closure: var -> set of downstream vars.
@@ -84,7 +85,7 @@ void InteractionFuzzer::ResetWorld() {
     d->Actuate(IotCommand::kLock);
   }
   env_.ResetToInitial(sim_.Now());
-  sim_.RunFor(kSecond);
+  advance_(kSecond);
 }
 
 FuzzReport InteractionFuzzer::Run(const FuzzConfig& config) {
@@ -134,7 +135,7 @@ FuzzReport InteractionFuzzer::Run(const FuzzConfig& config) {
     const Snapshot before = Capture();
     probe.device->Actuate(probe.cmd);
     ++report.commands_issued;
-    sim_.RunFor(static_cast<SimDuration>(config.settle_seconds * kSecond));
+    advance_(static_cast<SimDuration>(config.settle_seconds * kSecond));
     const Snapshot after = Capture();
 
     const std::string& actor = probe.device->spec().name;

@@ -62,10 +62,12 @@ struct FuzzReport {
 class InteractionFuzzer {
  public:
   /// `library` is copied so callers may pass a temporary
-  /// (e.g. ModelLibrary::Builtin()).
+  /// (e.g. ModelLibrary::Builtin()). `advance` lets the world settle: a
+  /// deployment's RunFor, or (null) `simulator`'s own.
   InteractionFuzzer(sim::Simulator& simulator, env::Environment& environment,
                     std::vector<devices::Device*> devices,
-                    ModelLibrary library, WorldModel world);
+                    ModelLibrary library, WorldModel world,
+                    sim::Advance advance = nullptr);
 
   FuzzReport Run(const FuzzConfig& config);
 
@@ -87,6 +89,7 @@ class InteractionFuzzer {
   std::vector<devices::Device*> devices_;
   ModelLibrary library_;
   WorldModel world_;
+  sim::Advance advance_;
 };
 
 }  // namespace iotsec::learn

@@ -22,13 +22,17 @@ std::set<devices::Vulnerability> ScanReport::For(DeviceId device) const {
 }
 
 VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
-                                           devices::Attacker& probe)
-    : sim_(simulator), probe_(probe) {}
+                                           devices::Attacker& probe,
+                                           sim::Advance advance)
+    : VulnerabilityScanner(simulator, probe, Config{}, std::move(advance)) {}
 
 VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
                                            devices::Attacker& probe,
-                                           Config config)
-    : sim_(simulator), probe_(probe), config_(std::move(config)) {}
+                                           Config config, sim::Advance advance)
+    : sim_(simulator),
+      probe_(probe),
+      config_(std::move(config)),
+      advance_(advance ? std::move(advance) : sim::RunOf(simulator)) {}
 
 void VulnerabilityScanner::ProbeTarget(const ScanTarget& target,
                                        ScanReport& report) {
@@ -133,7 +137,7 @@ ScanReport VulnerabilityScanner::Sweep(
   const SimDuration horizon =
       config_.probe_interval * static_cast<SimDuration>(targets.size() + 1) +
       config_.drain;
-  sim_.RunFor(horizon);
+  advance_(horizon);
 
   // Open resolvers are attributed by the source address of the DNS
   // answers the probe node collected during the sweep.

@@ -56,12 +56,16 @@ class VulnerabilityScanner {
         {"admin", "1234"}};
   };
 
-  /// `attacker` provides the network vantage point; the scanner drives it.
-  VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe);
+  /// `attacker` provides the network vantage point; the scanner drives it
+  /// and schedules its probes on `simulator`, the attacker's. `advance`
+  /// moves time during a sweep: a deployment's RunFor, or (null) the
+  /// simulator's own.
   VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe,
-                       Config config);
+                       sim::Advance advance = nullptr);
+  VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe,
+                       Config config, sim::Advance advance = nullptr);
 
-  /// Sweeps the targets synchronously (runs the simulator). The returned
+  /// Sweeps the targets synchronously (advances time). The returned
   /// report is complete when the call returns.
   ScanReport Sweep(const std::vector<ScanTarget>& targets);
 
@@ -71,6 +75,7 @@ class VulnerabilityScanner {
   sim::Simulator& sim_;
   devices::Attacker& probe_;
   Config config_;
+  sim::Advance advance_;
 };
 
 /// Convenience: builds targets for every device in a registry.

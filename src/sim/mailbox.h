@@ -5,18 +5,24 @@
 // phase (single-threaded, after every worker has parked) is the only
 // drainer. The ring is a classic single-producer/single-consumer
 // power-of-two buffer with acquire/release cursors, so pushes are
-// wait-free and never contend; the rare overflow spills into a mutexed
-// side vector rather than dropping or blocking the producer.
+// wait-free and never contend; an event that finds the ring full spills
+// into a mutexed side vector rather than dropping or blocking the
+// producer.
 //
-// Determinism contract: every pushed event carries the (absolute) deliver
-// time and a per-source sequence number. The barrier drain merges all
-// mailboxes targeting a shard and sorts by (when, src shard, src seq) —
-// all three are functions of the simulation, not of thread timing — so
-// the destination queue's insertion order is bit-for-bit reproducible at
-// any shard count.
+// The ring is sized on demand: it starts empty, so a pair of shards that
+// never exchange traffic costs no ring slots, and the drain grows it to
+// the quantum's whole load after a spill. Growing happens only at the
+// barrier, when the producer is parked, never mid-quantum.
+//
+// Determinism contract: the drain hands events over in push order (ring
+// first, then the spill, which only ever holds later pushes). Push order
+// is the source shard's execution order, a function of the simulation,
+// not of thread timing.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <utility>
@@ -29,53 +35,56 @@ namespace iotsec::sim {
 
 /// One event crossing a shard boundary.
 struct CrossShardEvent {
-  SimTime when = 0;           // absolute delivery time on the destination
-  int src = 0;                // source shard (canonical-order tie-break)
-  std::uint64_t src_seq = 0;  // per-source-shard monotonic sequence
+  SimTime when = 0;  // absolute delivery time on the destination
   Callback fn;
 };
 
 class SpscMailbox {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1024;
-
-  explicit SpscMailbox(std::size_t capacity = kDefaultCapacity) {
-    std::size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
-    ring_.resize(cap);
-    mask_ = cap - 1;
-  }
+  /// Smallest ring a spill grows to.
+  static constexpr std::size_t kMinCapacity = 16;
 
   /// Producer side (the source shard's worker). Never blocks: if the ring
   /// is full the event spills to the overflow vector under a mutex.
-  void Push(CrossShardEvent ev) {
+  void Push(SimTime when, Callback&& fn) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
     if (head - tail < ring_.size()) {
-      ring_[head & mask_] = std::move(ev);
+      CrossShardEvent& slot = ring_[head & mask_];
+      slot.when = when;
+      slot.fn = std::move(fn);
       head_.store(head + 1, std::memory_order_release);
       return;
     }
     std::lock_guard<std::mutex> lock(overflow_mu_);
-    overflow_.push_back(std::move(ev));
+    overflow_.push_back({when, std::move(fn)});
     overflowed_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Consumer side (barrier phase only). Appends everything queued so far
-  /// to `out` in push order.
-  void Drain(std::vector<CrossShardEvent>& out) {
+  /// Consumer side (barrier phase only). Calls `sink(CrossShardEvent&)`
+  /// on everything queued so far, in push order; the sink may move from
+  /// the event. After a spill the ring grows to hold the whole load.
+  template <typename Sink>
+  void Drain(Sink&& sink) {
     const std::size_t head = head_.load(std::memory_order_acquire);
     std::size_t tail = tail_.load(std::memory_order_relaxed);
-    while (tail != head) {
-      out.push_back(std::move(ring_[tail & mask_]));
-      ++tail;
-    }
+    const std::size_t in_ring = head - tail;
+    for (; tail != head; ++tail) sink(ring_[tail & mask_]);
     tail_.store(tail, std::memory_order_release);
-    if (overflowed_.load(std::memory_order_relaxed) > drained_overflow_) {
-      std::lock_guard<std::mutex> lock(overflow_mu_);
-      for (auto& ev : overflow_) out.push_back(std::move(ev));
-      drained_overflow_ += overflow_.size();
-      overflow_.clear();
+    if (overflowed_.load(std::memory_order_relaxed) == drained_overflow_) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(overflow_mu_);
+    for (auto& ev : overflow_) sink(ev);
+    drained_overflow_ += overflow_.size();
+    const std::size_t load = in_ring + overflow_.size();
+    overflow_.clear();
+    // The ring is empty and the producer parked, so the cursors stay
+    // valid under the new mask.
+    const std::size_t capacity = std::bit_ceil(std::max(load, kMinCapacity));
+    if (capacity > ring_.size()) {
+      ring_ = std::vector<CrossShardEvent>(capacity);
+      mask_ = capacity - 1;
     }
   }
 
@@ -84,6 +93,9 @@ class SpscMailbox {
                tail_.load(std::memory_order_acquire) &&
            overflowed_.load(std::memory_order_relaxed) == drained_overflow_;
   }
+
+  /// Ring slots allocated so far (0 until the first spill).
+  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
   /// Total events that missed the ring and took the mutexed spill path
   /// (a sizing signal, not an error).

@@ -52,13 +52,10 @@ ShardSet::ShardSet(Options options) : options_(std::move(options)) {
   const int k = options_.shards;
   sims_.reserve(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) sims_.push_back(std::make_unique<Simulator>());
-  mailboxes_.resize(static_cast<std::size_t>(k) * static_cast<std::size_t>(k));
-  for (auto& mb : mailboxes_) mb = std::make_unique<SpscMailbox>();
-  src_seqs_.resize(static_cast<std::size_t>(k));
+  mailboxes_ = std::make_unique<SpscMailbox[]>(static_cast<std::size_t>(k) *
+                                               static_cast<std::size_t>(k));
   gates_ = std::make_unique<Gate[]>(static_cast<std::size_t>(k));
   next_event_.resize(static_cast<std::size_t>(k));
-  const unsigned cores = std::thread::hardware_concurrency();
-  spin_ = static_cast<unsigned>(k) <= cores;
   if (options_.enter_shard) options_.enter_shard(0);  // driver == shard 0
 }
 
@@ -109,41 +106,32 @@ void ShardSet::Post(int dst, SimTime when, Callback fn) {
     when = qend;
     late_posts_.fetch_add(1, std::memory_order_relaxed);
   }
-  const int src = t_current_shard;
-  CrossShardEvent ev;
-  ev.when = when;
-  ev.src = src;
-  ev.src_seq = src_seqs_[static_cast<std::size_t>(src)].v++;
-  ev.fn = std::move(fn);
-  MailboxFor(src, dst).Push(std::move(ev));
+  MailboxFor(t_current_shard, dst).Push(when, std::move(fn));
 }
 
 void ShardSet::DrainMailboxes() {
   const int k = shard_count();
   for (int dst = 0; dst < k; ++dst) {
-    drain_scratch_.clear();
+    // Source shard by source shard, each mailbox in push order. The
+    // destination fires events by (time, insertion order), so deliveries
+    // due at the same instant fire in (src shard, push order) — the same
+    // order for any threading of the same simulation — and no sort is
+    // needed.
+    Simulator& sim = *sims_[static_cast<std::size_t>(dst)];
     for (int src = 0; src < k; ++src) {
-      MailboxFor(src, dst).Drain(drain_scratch_);
-    }
-    if (drain_scratch_.empty()) continue;
-    // Canonical insertion order: (deliver time, source shard, source seq).
-    // Every component is a function of simulated execution, never of
-    // thread timing, so the destination queue ends up identical for any
-    // shard-count/threading configuration that produced the same events.
-    // The key is unique per event, so an in-place sort is already stable.
-    std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-              [](const CrossShardEvent& a, const CrossShardEvent& b) {
-                if (a.when != b.when) return a.when < b.when;
-                if (a.src != b.src) return a.src < b.src;
-                return a.src_seq < b.src_seq;
-              });
-    auto& sim = *sims_[static_cast<std::size_t>(dst)];
-    for (auto& ev : drain_scratch_) {
-      sim.At(ev.when, std::move(ev.fn));
-      ++cross_delivered_;
+      MailboxFor(src, dst).Drain([&](CrossShardEvent& ev) {
+        sim.At(ev.when, std::move(ev.fn));
+        ++cross_delivered_;
+      });
     }
   }
-  drain_scratch_.clear();
+}
+
+std::size_t ShardSet::ring_slots() const {
+  const std::size_t pairs = sims_.size() * sims_.size();
+  std::size_t slots = 0;
+  for (std::size_t i = 0; i < pairs; ++i) slots += mailboxes_[i].capacity();
+  return slots;
 }
 
 void ShardSet::RunUntil(SimTime deadline,
@@ -151,6 +139,7 @@ void ShardSet::RunUntil(SimTime deadline,
   const int k = shard_count();
   const bool threaded = options_.use_threads && k > 1;
   if (threaded && threads_.empty()) {
+    spin_ = static_cast<unsigned>(k) <= std::thread::hardware_concurrency();
     threads_.reserve(static_cast<std::size_t>(k - 1));
     for (int i = 1; i < k; ++i) {
       threads_.emplace_back([this, i] { WorkerLoop(i); });

@@ -16,10 +16,11 @@
 // fixed seed at ANY shard count:
 //   1. within a shard, Simulator's (time, insertion-seq) order is
 //      sequential and deterministic;
-//   2. cross-shard deliveries carry (when, src shard, src seq) — all
-//      functions of simulated execution, not thread timing — and the
-//      barrier drain sorts by exactly that tuple before insertion;
-//   3. the barrier hook (stats snapshots, environment sync) runs
+//   2. the barrier drain inserts cross-shard deliveries source shard by
+//      source shard, each mailbox in push order, so deliveries due at
+//      the same instant fire in (src shard, push order) — a function of
+//      simulated execution, not of thread timing;
+//   3. the barrier hook (environment sync, admission sampling) runs
 //      single-threaded between quanta at fixed multiples of Δ.
 //
 // With threads disabled (or one shard) the same quantum/barrier/drain
@@ -118,27 +119,24 @@ class ShardSet {
   [[nodiscard]] std::uint64_t cross_shard_events() const {
     return cross_delivered_;
   }
+  /// Mailbox ring slots allocated, over every shard pair. Rings are sized
+  /// on first use, so a set whose shards exchange nothing holds none.
+  [[nodiscard]] std::size_t ring_slots() const;
 
  private:
   struct Worker;
 
   SpscMailbox& MailboxFor(int src, int dst) {
-    return *mailboxes_[static_cast<std::size_t>(src) *
-                           static_cast<std::size_t>(shard_count()) +
-                       static_cast<std::size_t>(dst)];
+    return mailboxes_[static_cast<std::size_t>(src) *
+                          static_cast<std::size_t>(shard_count()) +
+                      static_cast<std::size_t>(dst)];
   }
   void DrainMailboxes();
   void WorkerLoop(int shard);
 
   Options options_;
   std::vector<std::unique_ptr<Simulator>> sims_;
-  std::vector<std::unique_ptr<SpscMailbox>> mailboxes_;  // [src * K + dst]
-  // Per-source-shard Post sequence numbers (only the owning shard's
-  // thread increments its slot; padded so neighbours never share a line).
-  struct alignas(64) SrcSeq {
-    std::uint64_t v = 0;
-  };
-  std::vector<SrcSeq> src_seqs_;
+  std::unique_ptr<SpscMailbox[]> mailboxes_;  // [src * K + dst]
 
   // Worker rendezvous. Each worker sleeps on its own cache-line gate;
   // the driver publishes target_ (or shutdown_) and then bumps the gate
@@ -153,7 +151,8 @@ class ShardSet {
   alignas(64) std::atomic<int> pending_{0};
   SimTime target_ = 0;
   bool shutdown_ = false;
-  // Spin before parking only while every shard can have a core.
+  // Spin before parking only while every shard can have a core (set when
+  // the workers start).
   bool spin_ = false;
   std::uint64_t wakeups_ = 0;
   // Each shard's earliest queued event at the start of the quantum.
@@ -165,7 +164,6 @@ class ShardSet {
   std::uint64_t quanta_ = 0;
   std::atomic<std::uint64_t> late_posts_{0};
   std::uint64_t cross_delivered_ = 0;
-  std::vector<CrossShardEvent> drain_scratch_;
   // Workers use every member above; the destructor joins them first.
   std::vector<std::thread> threads_;
 };

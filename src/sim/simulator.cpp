@@ -28,7 +28,7 @@ Simulator::~Simulator() {
   slots_->size = 0;
 }
 
-std::uint32_t Simulator::AcquireSlot(Callback fn) {
+std::uint32_t Simulator::AcquireSlot(Callback&& fn) {
   std::uint32_t id;
   if (!free_slots_.empty()) {
     id = free_slots_.back();

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -53,6 +54,12 @@ struct SlotTable {
 };
 
 }  // namespace detail
+
+/// Advances a simulation by a duration. Components that wait on simulated
+/// time (scanner sweeps, fuzzer rounds) take one from their caller: a
+/// deployment passes its RunFor, which also runs the shard barrier; a
+/// bare simulator's is RunOf(simulator).
+using Advance = std::function<void(SimDuration)>;
 
 /// Handle for a scheduled event; lets the owner cancel it before it fires.
 /// It names (slot, generation): once the event has fired (or was
@@ -147,7 +154,7 @@ class Simulator {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
-  std::uint32_t AcquireSlot(Callback fn);
+  std::uint32_t AcquireSlot(Callback&& fn);
   /// Destroys the slot's callback and returns the slot to the free list.
   void ReleaseSlot(std::uint32_t slot);
   EventHandle Handle(std::uint32_t slot) {
@@ -166,5 +173,10 @@ class Simulator {
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
 };
+
+/// The Advance that runs `simulator` alone.
+inline Advance RunOf(Simulator& simulator) {
+  return [&simulator](SimDuration d) { simulator.RunFor(d); };
+}
 
 }  // namespace iotsec::sim

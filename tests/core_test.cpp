@@ -53,6 +53,40 @@ TEST(DeploymentTest, SpecsAreUniqueAndWellFormed) {
   EXPECT_EQ(dep.Find("nope"), nullptr);
 }
 
+TEST(DeploymentTest, RejectsFewerThanOneShard) {
+  for (const int shards : {0, -1}) {
+    DeploymentOptions opts;
+    opts.shards = shards;
+    EXPECT_THROW(Deployment{opts}, std::invalid_argument)
+        << "shards=" << shards;
+  }
+  Deployment dep;  // the default engine is one shard
+  ASSERT_NE(dep.shard_set(), nullptr);
+  EXPECT_EQ(dep.shard_set()->shard_count(), 1);
+}
+
+TEST(DeploymentTest, LinkTotalsAreReadBetweenRuns) {
+  Deployment dep;
+  auto* cam = dep.AddCamera("cam");
+  dep.Start();
+  int status = 0;
+  dep.attacker().HttpGet(
+      cam->spec().ip, cam->spec().mac, "/", std::nullopt,
+      [&](const proto::HttpResponse& r) { status = r.status; });
+  bool threw = false;
+  dep.sim().After(kMillisecond, [&] {
+    try {
+      (void)dep.AggregateLinkStats();
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  dep.RunFor(kSecond);
+  EXPECT_TRUE(threw) << "mid-quantum link counters belong to the shards";
+  EXPECT_NE(status, 0);
+  EXPECT_GT(dep.AggregateLinkStats().packets, 0u);
+}
+
 TEST(DeploymentTest, AddressesStayUniqueAndExhaustionThrows) {
   Deployment dep;
   // Move the hub into the range devices are handed: it must be skipped.

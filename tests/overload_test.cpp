@@ -152,7 +152,9 @@ TEST(OverloadTest, DecisionTraceBitIdenticalAcrossShardCounts) {
 }
 
 TEST(OverloadTest, ShedLaunchQuarantinesThenRetriesWhenPressureDrops) {
-  core::DeploymentOptions opts;  // unsharded: Global() pool is the signal
+  // One shard: the test thread is bound to shard 0's pool, so the
+  // packets held below are the pool signal.
+  core::DeploymentOptions opts;
   opts.controller.fail_closed = true;
   opts.admission.mode = control::AdmissionMode::kEnforce;
   opts.admission.pool_capacity = 200;
@@ -195,6 +197,27 @@ TEST(OverloadTest, ShedLaunchQuarantinesThenRetriesWhenPressureDrops) {
   EXPECT_EQ(dep.admission()->level(), control::BrownoutLevel::kNormal);
   EXPECT_TRUE(dep.controller().UmboxOf(cam->id()).has_value());
   EXPECT_EQ(dep.controller().PostureProfileOf(cam->id()), "acl_guard");
+}
+
+// Admission samples once per sample_period through idle stretches too:
+// RunFor ends a run at every sample instant, so the idle-quantum skip
+// never jumps one, at any shard count.
+TEST(OverloadTest, IdleDeploymentSamplesEveryPeriod) {
+  constexpr SimDuration kElapsed = 500 * kMillisecond;
+  for (const int shards : {1, 2, 8}) {
+    core::DeploymentOptions opts;
+    opts.shards = shards;
+    opts.admission.mode = control::AdmissionMode::kEnforce;
+    opts.admission.sample_period = 10 * kMillisecond;
+    core::Deployment dep(opts);
+    dep.AddCamera("cam");
+    dep.Start();
+    dep.RunFor(kElapsed / 2);
+    dep.RunFor(kElapsed / 2);
+    EXPECT_EQ(dep.admission()->stats().samples,
+              kElapsed / opts.admission.sample_period)
+        << "shards=" << shards;
+  }
 }
 
 }  // namespace

@@ -141,8 +141,9 @@ TEST(FullLoopTest, FuzzGraphSynthesizeEnforce) {
   world.actuates = {{"wemo", "oven_power"}};
   world.senses = {{"protect", "smoke"}};
   std::vector<devices::Device*> fleet = dep.registry().All();
-  learn::InteractionFuzzer fuzzer(dep.sim(), dep.environment(), fleet,
-                                  learn::ModelLibrary::Builtin(), world);
+  learn::InteractionFuzzer fuzzer(
+      dep.sim(), dep.environment(), fleet, learn::ModelLibrary::Builtin(),
+      world, [&dep](SimDuration d) { dep.RunFor(d); });
   learn::FuzzConfig config;
   config.rounds = 20;
   config.settle_seconds = 150;

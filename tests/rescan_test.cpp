@@ -32,7 +32,9 @@ TEST(RescanTest, SynthesizedPolicyMakesFleetScanClean) {
   // ---- 1. Baseline scan: everything is on fire.
   dep.Start();  // devices up; controller holds an empty policy (trust)
   {
-    scan::VulnerabilityScanner scanner(dep.sim(), dep.attacker());
+    scan::VulnerabilityScanner scanner(
+        dep.sim(), dep.attacker(),
+        [&](SimDuration d) { dep.RunFor(d); });
     const auto before = scanner.Sweep(scan::TargetsOf(dep.registry()));
     ASSERT_TRUE(before.Has(weak_cam->id(), Vulnerability::kDefaultPassword));
     ASSERT_TRUE(before.Has(leaky_cam->id(), Vulnerability::kUnprotectedKeys));
@@ -54,7 +56,9 @@ TEST(RescanTest, SynthesizedPolicyMakesFleetScanClean) {
 
   // ---- 3. Rescan from the very same attacker vantage.
   {
-    scan::VulnerabilityScanner scanner(dep.sim(), dep.attacker());
+    scan::VulnerabilityScanner scanner(
+        dep.sim(), dep.attacker(),
+        [&](SimDuration d) { dep.RunFor(d); });
     const auto after = scanner.Sweep(scan::TargetsOf(dep.registry()));
     EXPECT_FALSE(after.Has(wemo->id(), Vulnerability::kOpenDnsResolver))
         << "DnsGuard must silence the resolver (per-sweep attribution)";
@@ -101,7 +105,9 @@ TEST(RescanTest, DnsReflectionGoneAfterEnforcement) {
   dep.Start();
   dep.RunFor(2 * kSecond);
 
-  scan::VulnerabilityScanner scanner(dep.sim(), dep.attacker());
+  scan::VulnerabilityScanner scanner(
+      dep.sim(), dep.attacker(),
+      [&](SimDuration d) { dep.RunFor(d); });
   const auto report = scanner.Sweep(scan::TargetsOf(dep.registry()));
   EXPECT_FALSE(report.Has(wemo->id(), Vulnerability::kOpenDnsResolver))
       << "DnsGuard must keep the resolver from answering the scanner";

@@ -1,6 +1,8 @@
 // Tests for the vulnerability scanner.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/iotsec.h"
 #include "scan/scanner.h"
 
@@ -37,7 +39,9 @@ TEST(ScannerTest, FindsEachFlawClassExactly) {
       stb_spec, world.dep.sim(), &world.dep.environment()));
   world.dep.Start();
 
-  VulnerabilityScanner scanner(world.dep.sim(), world.dep.attacker());
+  VulnerabilityScanner scanner(
+      world.dep.sim(), world.dep.attacker(),
+      [&](SimDuration d) { world.dep.RunFor(d); });
   const auto report = scanner.Sweep(TargetsOf(world.dep.registry()));
 
   EXPECT_EQ(report.targets_probed, 5u);
@@ -67,7 +71,9 @@ TEST(ScannerTest, ExposedAccessSubsumesDefaultPassword) {
       spec, world.dep.sim(), &world.dep.environment()));
   world.dep.Start();
 
-  VulnerabilityScanner scanner(world.dep.sim(), world.dep.attacker());
+  VulnerabilityScanner scanner(
+      world.dep.sim(), world.dep.attacker(),
+      [&](SimDuration d) { world.dep.RunFor(d); });
   const auto report = scanner.Sweep(TargetsOf(world.dep.registry()));
   EXPECT_TRUE(report.Has(fridge->id(), Vulnerability::kExposedAccess));
   EXPECT_FALSE(report.Has(fridge->id(), Vulnerability::kDefaultPassword));
@@ -78,7 +84,9 @@ TEST(ScannerTest, NonDefaultCredentialNotFlagged) {
   ScanWorld world;
   auto* cam = world.dep.AddCamera("cam", {}, "Xk99!long-random");
   world.dep.Start();
-  VulnerabilityScanner scanner(world.dep.sim(), world.dep.attacker());
+  VulnerabilityScanner scanner(
+      world.dep.sim(), world.dep.attacker(),
+      [&](SimDuration d) { world.dep.RunFor(d); });
   const auto report = scanner.Sweep(TargetsOf(world.dep.registry()));
   EXPECT_TRUE(report.For(cam->id()).empty());
 }
@@ -95,7 +103,9 @@ TEST(ScannerTest, FeedsControllerContexts) {
   dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
   dep.Start();
 
-  VulnerabilityScanner scanner(dep.sim(), dep.attacker());
+  VulnerabilityScanner scanner(
+      dep.sim(), dep.attacker(),
+      [&](SimDuration d) { dep.RunFor(d); });
   const auto report = scanner.Sweep(TargetsOf(dep.registry()));
   ASSERT_TRUE(report.Has(wemo->id(), devices::Vulnerability::kBackdoor));
   for (const auto& finding : report.findings) {
@@ -105,6 +115,42 @@ TEST(ScannerTest, FeedsControllerContexts) {
   }
   EXPECT_EQ(dep.controller().view().DeviceContext("wemo").value(),
             "unpatched");
+}
+
+// The sweep advances the deployment through RunFor, so device replies
+// cross the shard barrier like any other traffic: the report is the same
+// at every shard count.
+std::string SweepAt(int shards) {
+  core::DeploymentOptions opts;
+  opts.with_iotsec = false;
+  opts.shards = shards;
+  core::Deployment dep(opts);
+  dep.AddCamera("weak-cam", {Vulnerability::kDefaultPassword}, "admin");
+  dep.AddCamera("leaky-cam", {Vulnerability::kUnprotectedKeys});
+  dep.AddSmartPlug("wemo", "oven_power",
+                   {Vulnerability::kBackdoor, Vulnerability::kOpenDnsResolver});
+  dep.AddWindow("window");
+  dep.AddLightBulb("clean-bulb");
+  dep.Start();
+  VulnerabilityScanner scanner(dep.sim(), dep.attacker(),
+                               [&](SimDuration d) { dep.RunFor(d); });
+  const auto report = scanner.Sweep(TargetsOf(dep.registry()));
+  std::string out = std::to_string(report.targets_probed) + "/" +
+                    std::to_string(report.probes_sent) + "\n";
+  for (const auto& finding : report.findings) {
+    out += finding.target.ip.ToString() + " " +
+           std::to_string(static_cast<int>(finding.vulnerability)) + " " +
+           finding.evidence + "\n";
+  }
+  return out;
+}
+
+TEST(ScannerTest, ReportIdenticalAtAnyShardCount) {
+  const std::string ref = SweepAt(1);
+  EXPECT_NE(ref.find("answered recursive query"), std::string::npos) << ref;
+  for (const int shards : {2, 8}) {
+    EXPECT_EQ(SweepAt(shards), ref) << "shards=" << shards;
+  }
 }
 
 }  // namespace

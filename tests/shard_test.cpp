@@ -108,38 +108,87 @@ TEST(SimulatorPendingTest, HandleOutlivesSimulator) {
 // ---------------------------------------------------------------------------
 // SPSC mailbox.
 
+// Pushes `n` events whose callbacks append their index to `order`.
+void PushNumbered(sim::SpscMailbox& box, int n, std::vector<int>& order) {
+  for (int i = 0; i < n; ++i) {
+    box.Push(/*when=*/static_cast<SimTime>(100 + i),
+             [&order, i] { order.push_back(i); });
+  }
+}
+
+// Runs every drained event's callback, in drain order.
+void DrainAndFire(sim::SpscMailbox& box) {
+  box.Drain([](sim::CrossShardEvent& ev) { ev.fn(); });
+}
+
+std::vector<int> Iota(int n) {
+  std::vector<int> v(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = i;
+  return v;
+}
+
 TEST(MailboxTest, DrainReturnsPushedEvents) {
   sim::SpscMailbox box;
-  for (int i = 0; i < 10; ++i) {
-    box.Push({/*when=*/static_cast<SimTime>(100 + i), /*src=*/0,
-              /*src_seq=*/static_cast<std::uint64_t>(i), [] {}});
-  }
-  std::vector<sim::CrossShardEvent> out;
-  box.Drain(out);
-  ASSERT_EQ(out.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].src_seq,
-              static_cast<std::uint64_t>(i));
-  }
+  std::vector<int> order;
+  PushNumbered(box, 10, order);
+  DrainAndFire(box);
+  EXPECT_EQ(order, Iota(10));
   EXPECT_TRUE(box.Empty());
 }
 
+// The ring starts with no slots: the first quantum's events all take the
+// spill path, the drain grows the ring to their count, and later quanta
+// of that size fit in the ring. Ring-then-spill keeps push order.
 TEST(MailboxTest, OverflowSpillsWithoutLoss) {
-  sim::SpscMailbox box(/*capacity=*/8);
-  constexpr int kEvents = 100;  // far past the ring capacity
-  for (int i = 0; i < kEvents; ++i) {
-    box.Push({/*when=*/1, /*src=*/0, /*src_seq=*/static_cast<std::uint64_t>(i),
-              [] {}});
+  sim::SpscMailbox box;
+  EXPECT_EQ(box.capacity(), 0u);
+  std::vector<int> order;
+  PushNumbered(box, 100, order);
+  EXPECT_EQ(box.OverflowCount(), 100u);
+  EXPECT_EQ(box.capacity(), 0u);  // never resized mid-quantum
+  DrainAndFire(box);
+  EXPECT_EQ(order, Iota(100));
+  EXPECT_EQ(box.capacity(), 128u);
+
+  order.clear();
+  PushNumbered(box, 100, order);
+  EXPECT_EQ(box.OverflowCount(), 100u);  // all in the ring this time
+  DrainAndFire(box);
+  EXPECT_EQ(order, Iota(100));
+
+  order.clear();
+  PushNumbered(box, 300, order);  // ring fills, the rest spills
+  EXPECT_EQ(box.OverflowCount(), 100u + 300u - 128u);
+  DrainAndFire(box);
+  EXPECT_EQ(order, Iota(300));
+  EXPECT_EQ(box.capacity(), 512u);
+  EXPECT_TRUE(box.Empty());
+}
+
+// An idle set (shard-local work only) never allocates a ring slot, and
+// its quanta allocate nothing at all.
+TEST(MailboxTest, IdleShardSetAllocatesNoRingSlots) {
+  sim::ShardSet::Options opt;
+  opt.shards = 8;
+  opt.use_threads = false;
+  sim::ShardSet set(opt);
+  int ticks = 0;
+  for (int s = 0; s < set.shard_count(); ++s) {
+    set.sim(s).Every(opt.quantum, [&ticks] { ++ticks; });
   }
-  EXPECT_GT(box.OverflowCount(), 0u);
-  std::vector<sim::CrossShardEvent> out;
-  box.Drain(out);
-  EXPECT_EQ(out.size(), static_cast<std::size_t>(kEvents));
-  std::vector<bool> seen(kEvents, false);
-  for (const auto& ev : out) seen[static_cast<std::size_t>(ev.src_seq)] = true;
-  for (int i = 0; i < kEvents; ++i) {
-    EXPECT_TRUE(seen[static_cast<std::size_t>(i)]) << i;
-  }
+  set.RunFor(4 * opt.quantum);  // warm the event pools
+  const std::uint64_t before = News();
+  set.RunFor(100 * opt.quantum);
+  EXPECT_EQ(News() - before, 0u);
+  EXPECT_EQ(set.ring_slots(), 0u);
+  EXPECT_EQ(ticks, 8 * 104);
+
+  // The first cross-shard quantum sizes exactly the pair it used.
+  set.sim(3).At(set.Now() + 1, [&set] {
+    set.Post(5, set.sim(3).Now() + set.quantum(), [] {});
+  });
+  set.RunFor(2 * opt.quantum);
+  EXPECT_EQ(set.ring_slots(), sim::SpscMailbox::kMinCapacity);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,6 +204,32 @@ TEST(ShardSetTest, PostBeforeRunSchedulesDirectly) {
   set.RunUntil(100);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(set.cross_shard_events(), 0u);  // direct schedule, no mailbox
+}
+
+// The barrier drains source shard by source shard, each mailbox in push
+// order, so deliveries due at one instant fire in (src shard, push
+// order), threaded or not.
+TEST(ShardSetTest, SameInstantDeliveriesFireInSourceThenPushOrder) {
+  for (const bool threads : {false, true}) {
+    sim::ShardSet::Options opt;
+    opt.shards = 3;
+    opt.quantum = 100;
+    opt.use_threads = threads;
+    sim::ShardSet set(opt);
+    std::string order;
+    auto post = [&set, &order](SimTime when, char tag) {
+      set.Post(0, when, [&order, tag] { order += tag; });
+    };
+    set.sim(2).At(10, [&] {
+      post(300, 'a');
+      post(250, 'b');
+      post(300, 'c');
+    });
+    set.sim(1).At(20, [&] { post(300, 'd'); });
+    set.sim(0).At(30, [&] { post(300, 'e'); });
+    set.RunUntil(400);
+    EXPECT_EQ(order, "bedac") << "threads=" << threads;
+  }
 }
 
 TEST(ShardSetTest, CrossShardPostDeliversThroughMailbox) {
