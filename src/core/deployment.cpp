@@ -15,6 +15,17 @@ DeploymentOptions Checked(DeploymentOptions options) {
   return options;
 }
 
+// Binds the calling thread to `pool` for one call, then restores the
+// caller's binding, so a deployment never draws packets from, or
+// recycles them into, another deployment's pool on the same thread.
+struct PoolScope {
+  explicit PoolScope(net::PacketPool& pool) {
+    net::PacketPool::BindToThisThread(&pool);
+  }
+  ~PoolScope() { net::PacketPool::BindToThisThread(caller); }
+  net::PacketPool* const caller = &net::PacketPool::Current();
+};
+
 }  // namespace
 
 Deployment::Deployment(DeploymentOptions options)
@@ -156,9 +167,12 @@ Deployment::Deployment(DeploymentOptions options)
 }
 
 Deployment::~Deployment() {
-  // The ShardSet constructor bound the caller thread to shard 0's pool;
-  // that pool dies with this deployment, so restore the global binding.
-  net::PacketPool::BindToThisThread(nullptr);
+  // The ShardSet constructor bound the caller thread to shard 0's pool.
+  // That pool dies with this deployment; a later deployment's binding
+  // stays.
+  if (&net::PacketPool::Current() == shard_pools_[0].get()) {
+    net::PacketPool::BindToThisThread(nullptr);
+  }
 }
 
 net::Link* Deployment::NewLink(const net::LinkConfig* config) {
@@ -242,6 +256,7 @@ control::AdmissionSignals Deployment::CollectAdmissionSignals() const {
 }
 
 void Deployment::RunFor(SimDuration d) {
+  const PoolScope driver(*shard_pools_[0]);  // the caller is shard 0
   // Writes made between runs (the caller setting the environment or
   // actuating a device) reach the replicas now, not at the first barrier
   // after the next busy quantum, which an idle skip can put far ahead.
@@ -456,6 +471,7 @@ void Deployment::UsePolicy(policy::StateSpace space,
 void Deployment::Start() {
   if (started_) return;
   started_ = true;
+  const PoolScope driver(*shard_pools_[0]);
   // Federation builds at Start: segment assignment needs the final
   // device set and the active policy, and its tickers (delta sync, push
   // flush) live on shard 0 — the placement-invariant clock.

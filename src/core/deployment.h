@@ -194,7 +194,10 @@ class Deployment {
   /// Boots devices (and the controller when IoTSec is on).
   void Start();
   /// Advances every shard in lockstep quanta, running the barrier phase
-  /// (environment sync, admission sampling) after each one.
+  /// (environment sync, admission sampling) after each one. Start and
+  /// RunFor bind the calling thread to shard 0's packet pool for the
+  /// call, so deployments may share a thread; between calls the thread
+  /// keeps the binding of the last deployment constructed on it.
   void RunFor(SimDuration d);
   [[nodiscard]] SimTime Now() const { return shard_set_->Now(); }
 

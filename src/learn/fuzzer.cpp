@@ -26,7 +26,9 @@ InteractionFuzzer::InteractionFuzzer(sim::Simulator& simulator,
       devices_(std::move(devices)),
       library_(std::move(library)),
       world_(std::move(world)),
-      advance_(advance ? std::move(advance) : sim::RunOf(simulator)) {}
+      advance_(advance ? std::move(advance) : [&simulator](SimDuration d) {
+        simulator.RunFor(d);
+      }) {}
 
 std::set<CouplingEdge> InteractionFuzzer::ComputeGroundTruth() const {
   // Env-level causal closure: var -> set of downstream vars.

@@ -24,15 +24,15 @@ std::set<devices::Vulnerability> ScanReport::For(DeviceId device) const {
 VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
                                            devices::Attacker& probe,
                                            sim::Advance advance)
-    : VulnerabilityScanner(simulator, probe, Config{}, std::move(advance)) {}
+    : VulnerabilityScanner(simulator, probe, std::move(advance), Config{}) {}
 
 VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
                                            devices::Attacker& probe,
-                                           Config config, sim::Advance advance)
+                                           sim::Advance advance, Config config)
     : sim_(simulator),
       probe_(probe),
       config_(std::move(config)),
-      advance_(advance ? std::move(advance) : sim::RunOf(simulator)) {}
+      advance_(std::move(advance)) {}
 
 void VulnerabilityScanner::ProbeTarget(const ScanTarget& target,
                                        ScanReport& report) {

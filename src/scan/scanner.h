@@ -58,12 +58,12 @@ class VulnerabilityScanner {
 
   /// `attacker` provides the network vantage point; the scanner drives it
   /// and schedules its probes on `simulator`, the attacker's. `advance`
-  /// moves time during a sweep: a deployment's RunFor, or (null) the
-  /// simulator's own.
+  /// moves time during a sweep: the deployment's RunFor, which also runs
+  /// the shard barrier.
   VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe,
-                       sim::Advance advance = nullptr);
+                       sim::Advance advance);
   VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe,
-                       Config config, sim::Advance advance = nullptr);
+                       sim::Advance advance, Config config);
 
   /// Sweeps the targets synchronously (advances time). The returned
   /// report is complete when the call returns.

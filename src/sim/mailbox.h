@@ -78,7 +78,9 @@ class SpscMailbox {
     for (auto& ev : overflow_) sink(ev);
     drained_overflow_ += overflow_.size();
     const std::size_t load = in_ring + overflow_.size();
-    overflow_.clear();
+    // Free the spill's storage too: after the ring grows, a burst quantum
+    // leaves only its ring slots resident.
+    std::vector<CrossShardEvent>().swap(overflow_);
     // The ring is empty and the producer parked, so the cursors stay
     // valid under the new mask.
     const std::size_t capacity = std::bit_ceil(std::max(load, kMinCapacity));

@@ -56,9 +56,8 @@ struct SlotTable {
 }  // namespace detail
 
 /// Advances a simulation by a duration. Components that wait on simulated
-/// time (scanner sweeps, fuzzer rounds) take one from their caller: a
-/// deployment passes its RunFor, which also runs the shard barrier; a
-/// bare simulator's is RunOf(simulator).
+/// time (scanner sweeps, fuzzer rounds) take one from their caller; a
+/// deployment passes its RunFor, which also runs the shard barrier.
 using Advance = std::function<void(SimDuration)>;
 
 /// Handle for a scheduled event; lets the owner cancel it before it fires.
@@ -173,10 +172,5 @@ class Simulator {
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
 };
-
-/// The Advance that runs `simulator` alone.
-inline Advance RunOf(Simulator& simulator) {
-  return [&simulator](SimDuration d) { simulator.RunFor(d); };
-}
 
 }  // namespace iotsec::sim

@@ -2,9 +2,11 @@
 // state-space construction.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/iotsec.h"
@@ -85,6 +87,41 @@ TEST(DeploymentTest, LinkTotalsAreReadBetweenRuns) {
   EXPECT_TRUE(threw) << "mid-quantum link counters belong to the shards";
   EXPECT_NE(status, 0);
   EXPECT_GT(dep.AggregateLinkStats().packets, 0u);
+}
+
+// Deployments sharing a thread each draw packets from their own pool,
+// whichever was built last, and either may be destroyed first while the
+// other still has packets in flight.
+TEST(DeploymentTest, DeploymentsOnOneThreadKeepTheirOwnPools) {
+  auto a = std::make_unique<Deployment>();
+  net::PacketPool* const pool_a = &net::PacketPool::Current();
+  auto b = std::make_unique<Deployment>();
+  net::PacketPool* const pool_b = &net::PacketPool::Current();
+  ASSERT_NE(pool_a, pool_b);
+  int answered = 0;
+  for (auto [dep, pool] : {std::pair{a.get(), pool_a}, {b.get(), pool_b}}) {
+    auto* cam = dep->AddCamera("cam");
+    dep->Start();
+    dep->sim().Every(10 * kMillisecond, [dep, cam, pool, &answered] {
+      EXPECT_EQ(&net::PacketPool::Current(), pool);
+      dep->attacker().HttpGet(cam->spec().ip, cam->spec().mac, "/",
+                              std::nullopt,
+                              [&answered](const proto::HttpResponse&) {
+                                ++answered;
+                              });
+    });
+  }
+  // Runs end mid-exchange, so each deployment holds packets between runs.
+  for (int i = 0; i < 5; ++i) {
+    a->RunFor(25 * kMillisecond + 3);
+    b->RunFor(25 * kMillisecond + 3);
+  }
+  EXPECT_GT(answered, 0);
+  b.reset();  // the later deployment first
+  const int before = answered;
+  a->RunFor(50 * kMillisecond);
+  EXPECT_GT(answered, before);
+  a.reset();
 }
 
 TEST(DeploymentTest, AddressesStayUniqueAndExhaustionThrows) {
