@@ -31,8 +31,8 @@
 
 #include "bench_json.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "net/address.h"
+#include "obs/obs.h"
 #include "proto/frame.h"
 #include "proto/transport.h"
 #include "sig/aho_corasick.h"
@@ -250,8 +250,8 @@ struct ReconfigRow {
 ReconfigRow RunReconfigRow(std::size_t n_rules, std::size_t umboxes) {
   Workload w(n_rules, 256);
   sig::CompiledRulesetCache::Instance().Clear();
-  const std::uint64_t compiles_before = GlobalSig().compiles.Value();
-  const std::uint64_t hits_before = GlobalSig().cache_hits.Value();
+  const std::uint64_t compiles_before = obs::M().sig_compiles->Value();
+  const std::uint64_t hits_before = obs::M().sig_cache_hits->Value();
 
   std::vector<sig::RuleSet> fleet(umboxes);
   const auto start = std::chrono::steady_clock::now();
@@ -264,8 +264,8 @@ ReconfigRow RunReconfigRow(std::size_t n_rules, std::size_t umboxes) {
   ReconfigRow row;
   row.n_rules = n_rules;
   row.umboxes = umboxes;
-  row.compiles = GlobalSig().compiles.Value() - compiles_before;
-  row.cache_hits = GlobalSig().cache_hits.Value() - hits_before;
+  row.compiles = obs::M().sig_compiles->Value() - compiles_before;
+  row.cache_hits = obs::M().sig_cache_hits->Value() - hits_before;
   row.total_ms = Seconds(start, stop) * 1e3;
   row.compile_once = row.compiles == 1 && row.cache_hits == umboxes - 1;
   std::printf(

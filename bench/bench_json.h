@@ -10,12 +10,15 @@
 //
 // Not a general-purpose serializer: no nesting-depth validation beyond
 // the comma stack, numbers are printf-formatted, and the output goes to
-// a FILE* the caller owns.
+// a FILE* the caller owns. Keys and strings go through the shared
+// JsonEscape (common/strings.h).
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "common/strings.h"
 
 namespace iotsec::bench {
 
@@ -36,19 +39,14 @@ class JsonWriter {
   void Key(const char* key) {
     Separate();
     Indent();
-    std::fprintf(out_, "\"%s\": ", key);
+    std::fprintf(out_, "\"%s\": ", JsonEscape(key).c_str());
     pending_value_ = true;
   }
 
   // ---- values (either after Key() or as array elements).
   void Value(const std::string& s) {
     Prefix();
-    std::fputc('"', out_);
-    for (const char c : s) {
-      if (c == '"' || c == '\\') std::fputc('\\', out_);
-      std::fputc(c, out_);
-    }
-    std::fputc('"', out_);
+    std::fprintf(out_, "\"%s\"", JsonEscape(s).c_str());
     Finish();
   }
   void Value(const char* s) { Value(std::string(s)); }

@@ -3,16 +3,10 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/hash.h"
+
 namespace iotsec {
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -22,7 +16,7 @@ std::uint64_t Rotl(std::uint64_t x, int k) {
 
 void Rng::Seed(std::uint64_t seed) {
   std::uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(sm);
+  for (auto& s : s_) s = hash::SplitMix64(sm += hash::kGolden);
 }
 
 std::uint64_t Rng::NextU64() {

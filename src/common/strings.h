@@ -46,4 +46,8 @@ bool ParseUint(std::string_view s, std::uint64_t& out);
 /// Joins the parts with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
+/// The contents of a JSON string literal holding `s`: escapes '"', '\\'
+/// and every byte below 0x20. The one escaper behind every JSON writer.
+std::string JsonEscape(std::string_view s);
+
 }  // namespace iotsec

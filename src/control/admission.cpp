@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "obs/obs.h"
 
 namespace iotsec::control {
@@ -13,16 +14,6 @@ constexpr std::uint64_t kFoldTransition = 1;
 constexpr std::uint64_t kFoldShedLaunch = 2;
 constexpr std::uint64_t kFoldDeferRestart = 3;
 constexpr std::uint64_t kFoldIngressDrop = 4;
-
-std::uint64_t Mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 }  // namespace
 
@@ -41,7 +32,7 @@ AdmissionController::AdmissionController(AdmissionConfig config)
 
 void AdmissionController::Fold(std::uint64_t kind, std::uint64_t a,
                                std::uint64_t b) {
-  digest_ = Mix64(digest_, Mix64(kind, Mix64(a, b)));
+  digest_ = hash::MixPair(digest_, hash::MixPair(kind, hash::MixPair(a, b)));
 }
 
 int AdmissionController::PressureOf(const AdmissionSignals& s) {
@@ -108,8 +99,8 @@ void AdmissionController::StepLevel(int pressure, SimTime now) {
   Fold(kFoldTransition,
        (static_cast<std::uint64_t>(from) << 8) |
            static_cast<std::uint64_t>(next),
-       Mix64(static_cast<std::uint64_t>(now),
-             static_cast<std::uint64_t>(pressure)));
+       hash::MixPair(static_cast<std::uint64_t>(now),
+                     static_cast<std::uint64_t>(pressure)));
   if (obs::Enabled()) {
     obs::M().ctl_admission_transitions->Inc();
     obs::M().ctl_admission_level->Set(static_cast<std::int64_t>(next));

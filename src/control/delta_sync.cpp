@@ -2,26 +2,9 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
+
 namespace iotsec::control {
-
-std::uint64_t FedMix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-std::uint64_t FedHash(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 bool SegmentStateView::Set(const std::string& key, const std::string& value) {
   auto it = values_.find(key);
@@ -65,10 +48,11 @@ std::vector<int> GlobalStateStore::Apply(const StateDelta& delta) {
   for (const DeltaEntry& e : delta.entries) {
     values_[e.key] = e.value;
     ++stats_.entries_applied;
-    digest_ = FedMix64(
-        digest_,
-        FedMix64(static_cast<std::uint64_t>(delta.segment) << 32 | delta.epoch,
-                 FedMix64(FedHash(e.key), FedHash(e.value))));
+    const std::uint64_t origin =
+        static_cast<std::uint64_t>(delta.segment) << 32 | delta.epoch;
+    digest_ = hash::MixPair(
+        digest_, hash::MixPair(origin, hash::MixPair(hash::Fnv1a(e.key),
+                                                     hash::Fnv1a(e.value))));
     const auto* readers = readers_.ReadersOf(e.key);
     if (readers == nullptr) continue;
     for (const int seg : *readers) {

@@ -12,8 +12,8 @@
 //
 // Determinism contract: dirty sets drain in lexicographic key order,
 // deltas carry (segment, epoch, version) and every applied entry is
-// folded into an order-sensitive digest (same Mix64 family as the
-// admission controller's DecisionDigest). For a fixed seed the sync
+// folded into an order-sensitive digest (hash::MixPair over FNV-1a of
+// keys and values; common/hash.h). For a fixed seed the sync
 // stream — and therefore the digest — is bit-identical at any dataplane
 // shard count: all control-plane state lives on shard 0 and every input
 // event is placement-invariant (PR 6's guarantee).
@@ -26,14 +26,6 @@
 #include <vector>
 
 namespace iotsec::control {
-
-/// Order-sensitive 64-bit fold used by every federation digest (sync
-/// stream, push stream). Shared so the bench and the deployment path
-/// compute comparable digests.
-[[nodiscard]] std::uint64_t FedMix64(std::uint64_t a, std::uint64_t b);
-
-/// FNV-1a over a string, for folding keys/values into digests.
-[[nodiscard]] std::uint64_t FedHash(const std::string& s);
 
 /// One synced key-value pair. Keys use the policy dimension naming
 /// ("ctx:<device>", "dev:<device>", "env:<var>") so the dependency index

@@ -127,17 +127,18 @@ void RulePushBatcher::Flush(Buffer& buffer) {
   if (mods.empty()) return;
 
   const SwitchId sw_id = buffer.sw->id();
-  digest_ = FedMix64(digest_, FedMix64(static_cast<std::uint64_t>(sw_id),
-                                       static_cast<std::uint64_t>(
-                                           sim_.Now())));
+  digest_ = hash::MixPair(
+      digest_, hash::MixPair(static_cast<std::uint64_t>(sw_id),
+                             static_cast<std::uint64_t>(sim_.Now())));
   for (const sdn::FlowMod& mod : mods) {
     const bool install = mod.op == sdn::FlowMod::Op::kInstall;
     const std::uint64_t detail =
         install ? (static_cast<std::uint64_t>(mod.entry.priority) << 32) |
                       mod.entry.version
                 : 0;
-    digest_ = FedMix64(
-        digest_, FedMix64(install ? 1u : 2u, FedMix64(mod.cookie, detail)));
+    digest_ = hash::MixPair(
+        digest_,
+        hash::MixPair(install ? 1u : 2u, hash::MixPair(mod.cookie, detail)));
   }
   buffer.sw->ApplyFlowMods(mods);
   ++stats_.pushes;
@@ -283,7 +284,7 @@ void FederatedControlPlane::OnDeviceEvent(DeviceId device,
 
 void FederatedControlPlane::OnGlobalEvent(const std::string& dim_key) {
   ++stats_.global_events;
-  event_digest_ = FedMix64(event_digest_, FedHash(dim_key));
+  event_digest_ = hash::MixPair(event_digest_, hash::Fnv1a(dim_key));
   // Global keys fan out directly: one notify message per dependent
   // segment (there is no owning segment to absorb them).
   for (const int seg : global_.DependentsOf(dim_key, /*except=*/-1)) {

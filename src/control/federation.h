@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/types.h"
 #include "control/delta_sync.h"
 #include "sdn/flow_table.h"
@@ -214,14 +215,14 @@ class FederatedControlPlane {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   [[nodiscard]] std::uint64_t SyncDigest() const {
-    return FedMix64(global_.SyncDigest(), event_digest_);
+    return hash::MixPair(global_.SyncDigest(), event_digest_);
   }
   [[nodiscard]] std::uint64_t PushDigest() const {
     return batcher_.PushDigest();
   }
   /// The {1,2,8}-shard invariance gate folds both streams.
   [[nodiscard]] std::uint64_t CombinedDigest() const {
-    return FedMix64(SyncDigest(), PushDigest());
+    return hash::MixPair(SyncDigest(), PushDigest());
   }
 
  private:

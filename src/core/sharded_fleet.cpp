@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "obs/obs.h"
 #include "proto/frame.h"
 #include "sdn/flow_key.h"
@@ -23,25 +24,6 @@ constexpr SimDuration kFirstSendAt = 50 * kMillisecond;
 // sheds depends on same-timestamp arrival order, the one thing the
 // barrier drain does not promise across shard counts.
 constexpr std::size_t kFleetQueueLimit = std::size_t{1} << 20;
-
-std::uint64_t Fnv64(const Bytes& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t Mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 net::Ipv4Address IpOf(DeviceId id) {
   const auto v = static_cast<std::uint32_t>(id);
@@ -81,7 +63,8 @@ struct ShardedFleet::DigestSink final : public net::PacketSink {
   std::uint64_t count = 0;
 
   void Receive(net::PacketPtr pkt, int /*port*/) override {
-    digest += Mix64(Fnv64(pkt->data()), static_cast<std::uint64_t>(sim->Now()));
+    digest += hash::MixPair(hash::Fnv1a(pkt->data()),
+                            static_cast<std::uint64_t>(sim->Now()));
     ++count;
   }
 };
@@ -386,8 +369,8 @@ FleetResult ShardedFleet::Run() {
     result.processed += totals.processed;
     result.per_slice_processed.push_back(totals.processed);
     result.delivered += slice->sink->count;
-    result.digest += Mix64(slice->sink->digest,
-                           static_cast<std::uint64_t>(slice->index) + 1);
+    result.digest += hash::MixPair(
+        slice->sink->digest, static_cast<std::uint64_t>(slice->index) + 1);
   }
   result.cross_shard_events = set_->cross_shard_events();
   result.late_posts = set_->late_posts();

@@ -79,10 +79,10 @@ void PacketPool::PublishOccupancy() const {
 
 PacketPtr PacketPool::Acquire() {
   if (!enabled_ || free_.empty()) {
-    GlobalFastPath().pool_fresh.Inc();
+    obs::M().fastpath_pool_fresh->Inc();
     return Wrap(std::make_unique<Packet>());
   }
-  GlobalFastPath().pool_reused.Inc();
+  obs::M().fastpath_pool_reused->Inc();
   std::unique_ptr<Packet> pkt = std::move(free_.back());
   free_.pop_back();
   PublishOccupancy();

@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/stats.h"
 #include "common/types.h"
+#include "obs/obs.h"
 #include "proto/frame.h"
 #include "proto/tunnel.h"
 
@@ -87,9 +87,9 @@ class Packet {
     if (!parse_cached_) {
       parsed_ = proto::ParseFrame(data_);
       parse_cached_ = true;
-      GlobalFastPath().parse_full.Inc();
+      obs::M().fastpath_parse_full->Inc();
     } else {
-      GlobalFastPath().parse_cached.Inc();
+      obs::M().fastpath_parse_cached->Inc();
     }
     return parsed_ ? &*parsed_ : nullptr;
   }

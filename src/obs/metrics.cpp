@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/strings.h"
+
 namespace iotsec::obs {
 
 void SetEnabled(bool enabled) {
@@ -99,13 +101,6 @@ void MetricsRegistry::ResetAll() {
 
 namespace {
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 void AppendU64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu",
@@ -144,7 +139,7 @@ std::string MetricsRegistry::ToJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    AppendEscaped(out, name);
+    out += JsonEscape(name);
     out += "\": ";
     AppendU64(out, v);
   }
@@ -154,7 +149,7 @@ std::string MetricsRegistry::ToJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    AppendEscaped(out, name);
+    out += JsonEscape(name);
     out += "\": ";
     AppendI64(out, v);
   }
@@ -164,7 +159,7 @@ std::string MetricsRegistry::ToJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    AppendEscaped(out, name);
+    out += JsonEscape(name);
     out += "\": {\"count\": ";
     AppendU64(out, h.count);
     out += ", \"sum\": ";

@@ -25,6 +25,12 @@ struct Metrics {
   Counter* net_pool_exhausted;     // admission samples whose live-packet
                                    // total exceeded the configured budget
 
+  // ---- fastpath: parse-once headers and pooled packets (net/packet.h).
+  Counter* fastpath_parse_full;    // Packet::Parsed() decoded the bytes
+  Counter* fastpath_parse_cached;  // served from the cached view
+  Counter* fastpath_pool_fresh;    // packets heap-allocated
+  Counter* fastpath_pool_reused;   // recycled from a pool's free list
+
   // ---- sdn: classification.
   Counter* sdn_microflow_hits;     // exact-match cache served
   Counter* sdn_microflow_misses;   // fell through to the classifier
@@ -38,8 +44,17 @@ struct Metrics {
   Histogram* dp_chain_ns;          // per-µmbox-chain processing latency
   Gauge* dp_boot_queue;            // packets parked in boot queues
 
-  // ---- sig: detection engine.
+  // ---- sig: detection engine. M µmboxes loading one SKU's ruleset
+  // show one compile and M-1 cache hits.
   Histogram* sig_scan_ns;          // CompiledRuleset::Evaluate latency
+  Counter* sig_compiles;           // rulesets compiled (DFA built)
+  Counter* sig_cache_hits;         // served by the shared compile cache
+  Counter* sig_cache_misses;       // had to compile (incl. expired)
+  Counter* sig_cache_expired;      // found but fully released
+  Counter* sig_evaluations;        // Evaluate calls
+  Counter* sig_scan_bytes;         // payload bytes through the DFA
+  Counter* sig_matches;            // evaluations with >=1 rule hit (the
+                                   // rollout health gate's signal)
 
   // ---- control: the controller's reaction loop.
   Counter* ctl_policy_transitions; // posture changes applied
@@ -90,8 +105,15 @@ struct Metrics {
   Counter* learn_crowd_duplicates; // reports deduplicated at ingest
 };
 
-/// The shared handle bundle (registered on first use).
-Metrics& M();
+/// Registers every handle in MetricsRegistry::Global(); M() calls it once.
+Metrics RegisterMetrics();
+
+/// The shared handle bundle (registered on first use). Inline, so the
+/// per-packet counters in net/packet.h pay the guard load, not a call.
+inline Metrics& M() {
+  static Metrics m = RegisterMetrics();
+  return m;
+}
 
 /// Per-shard dataplane packet counter, registered as
 /// "dp.shard.<i>.packets". Handles are cached so sharded hot paths pay a

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/log.h"
-#include "common/stats.h"
 #include "control/admission.h"
 #include "obs/obs.h"
 
@@ -18,15 +18,6 @@ constexpr std::uint64_t kEvPromote = 4;
 constexpr std::uint64_t kEvRollback = 5;
 constexpr std::uint64_t kEvDefer = 6;
 constexpr std::uint64_t kEvVerify = 7;
-
-std::uint64_t Mix64(std::uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
-}
 
 }  // namespace
 
@@ -51,8 +42,8 @@ bool RolloutCoordinator::InCohort(DeviceId device, std::uint64_t version,
   // same hash serves every stage, so a higher permille strictly widens
   // the cohort (stage N's canaries stay canaries through promotion).
   const std::uint64_t h =
-      Mix64((static_cast<std::uint64_t>(device) * 0x9E3779B97F4A7C15ull) ^
-            Mix64(version));
+      hash::Fmix64((static_cast<std::uint64_t>(device) * hash::kGolden) ^
+                   hash::Fmix64(version));
   return h % 1000 < permille;
 }
 
@@ -160,7 +151,7 @@ void RolloutCoordinator::ApplyStage(const std::string& sku, SkuRollout& r) {
       continue;
     }
     r.cohort.push_back(id);
-    cohort_fold = Mix64(cohort_fold ^ static_cast<std::uint64_t>(id));
+    cohort_fold = hash::Fmix64(cohort_fold ^ static_cast<std::uint64_t>(id));
     ++stats_.devices_applied;
     ++pushed;
     stage_bytes += manifest.WireBytes();
@@ -192,7 +183,7 @@ void RolloutCoordinator::SnapshotGateBaselines(const std::string& sku,
                                                SkuRollout& r) {
   SumSignals(sku, r, &r.cohort_alerts_base, &r.control_alerts_base,
              &r.cohort_crashes_base);
-  r.sig_matches_base = GlobalSig().matches.Value();
+  r.sig_matches_base = obs::M().sig_matches->Value();
 }
 
 void RolloutCoordinator::SumSignals(const std::string& sku,
@@ -237,7 +228,7 @@ void RolloutCoordinator::EvaluateGate(const std::string& sku,
   stats_.last_control_alerts = control_alerts;
   stats_.last_cohort_crashes = cohort_crashes;
   stats_.last_sig_matches_delta =
-      GlobalSig().matches.Value() - r.sig_matches_base;
+      obs::M().sig_matches->Value() - r.sig_matches_base;
 
   const std::uint64_t n_cohort = r.cohort.size();
   std::uint64_t n_sku = 0;
@@ -384,8 +375,9 @@ bool RolloutCoordinator::AdmissionWantsDefer() const {
 
 void RolloutCoordinator::Fold(std::uint64_t kind, std::uint64_t a,
                               std::uint64_t b, std::uint64_t c) {
-  digest_ = Mix64(digest_ ^ Mix64(kind * 0x9E3779B97F4A7C15ull + a));
-  digest_ = Mix64(digest_ ^ Mix64(b * 0xC2B2AE3D27D4EB4Full + c));
+  digest_ = hash::Fmix64(digest_ ^ hash::Fmix64(kind * hash::kGolden + a));
+  digest_ =
+      hash::Fmix64(digest_ ^ hash::Fmix64(b * 0xC2B2AE3D27D4EB4Full + c));
 }
 
 }  // namespace iotsec::rollout

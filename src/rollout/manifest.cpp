@@ -1,66 +1,56 @@
 #include "rollout/manifest.h"
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace iotsec::rollout {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// SipHash's second key word: the signing key is 64 bits, and this
+/// constant keeps manifest MACs apart from any other use of that key.
+constexpr std::uint64_t kManifestMacDomain = 0x696f747365632d6dull;
 
-std::uint64_t FoldBytes(std::uint64_t h, std::string_view bytes) {
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
+void PutU64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (i * 8)) & 0xff);
 }
 
-std::uint64_t FoldU64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
+void PutBytes(std::string& out, std::string_view bytes) {
+  PutU64(out, bytes.size());
+  out += bytes;
 }
 
-/// Finalizing scramble so structurally-close digests (version off by one)
-/// do not produce close signatures.
-std::uint64_t Mix(std::uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
+/// Every field but the signature, fixed-width or length-prefixed, so two
+/// different manifests never encode to the same bytes.
+std::string SignedBytes(const RulesetManifest& m) {
+  std::string out;
+  PutBytes(out, m.sku);
+  PutU64(out, m.version);
+  PutU64(out, m.content_hash);
+  PutU64(out, m.parent_hash);
+  PutU64(out, m.snapshot ? 1 : 0);
+  PutU64(out, m.add.size());
+  for (const auto& text : m.add) PutBytes(out, text);
+  PutU64(out, m.remove.size());
+  for (const std::uint64_t r : m.remove) PutU64(out, r);
+  return out;
+}
+
+std::uint64_t Mac(const RulesetManifest& m, std::uint64_t key) {
+  return hash::SipHash24(key, kManifestMacDomain, SignedBytes(m));
 }
 
 }  // namespace
 
 std::uint64_t HashRuleText(std::string_view text) {
-  return FoldBytes(kFnvOffset, text);
+  return hash::Fnv1a(text, hash::kTruncatedFnvOffset);
 }
 
 std::uint64_t HashRuleList(const std::vector<std::string>& rule_texts) {
   // Commutative: per-rule hashes are scrambled then summed, plus the
   // count, so {A,B} == {B,A} but {A} != {A,A} != {A,B}.
   std::uint64_t h = 0x5CA1AB1Eull + rule_texts.size();
-  for (const auto& text : rule_texts) h += Mix(HashRuleText(text));
-  return Mix(h);
-}
-
-std::uint64_t RulesetManifest::Digest() const {
-  std::uint64_t h = kFnvOffset;
-  h = FoldBytes(h, sku);
-  h = FoldU64(h, version);
-  h = FoldU64(h, content_hash);
-  h = FoldU64(h, parent_hash);
-  h = FoldU64(h, snapshot ? 1 : 0);
-  h = FoldU64(h, add.size());
-  for (const auto& text : add) h = FoldBytes(h, text);
-  h = FoldU64(h, remove.size());
-  for (std::uint64_t r : remove) h = FoldU64(h, r);
-  return Mix(h);
+  for (const auto& text : rule_texts) h += hash::Fmix64(HashRuleText(text));
+  return hash::Fmix64(h);
 }
 
 std::size_t RulesetManifest::WireBytes() const {
@@ -73,11 +63,11 @@ std::size_t RulesetManifest::WireBytes() const {
 }
 
 void Sign(RulesetManifest& manifest, std::uint64_t key) {
-  manifest.signature = Mix(manifest.Digest() ^ key);
+  manifest.signature = Mac(manifest, key);
 }
 
 bool VerifySignature(const RulesetManifest& manifest, std::uint64_t key) {
-  return manifest.signature == Mix(manifest.Digest() ^ key);
+  return manifest.signature == Mac(manifest, key);
 }
 
 bool RolloutPlan::KnowsVersion(std::uint64_t v, bool* is_signed) const {

@@ -8,14 +8,17 @@
 // is a monotonically versioned chain (every version carries a content hash
 // and its parent's content hash), payloads are deltas (rule texts added,
 // content hashes removed) rather than whole rulesets, and the whole
-// manifest is covered by a keyed-hash signature verified at every µmbox
-// load. A tampered byte, a replayed stale version or an out-of-chain
-// delta is rejected at the receiver, counted and flight-recorded.
+// manifest is covered by a MAC verified at every µmbox load. A tampered
+// byte, a replayed stale version or an out-of-chain delta is rejected at
+// the receiver, counted and flight-recorded.
 //
-// The signature is a keyed FNV fold, not a real MAC — the property the
-// simulation exercises is that every receiver *verifies before applying*
-// and that verification failure is contained + observable, not the
-// cryptographic strength of the primitive (see DESIGN.md).
+// The signature is SipHash-2-4 keyed by the 64-bit signing key, over a
+// length-prefixed encoding of every other field: holding signed
+// manifests does not reveal the key, so it does not let anyone sign a
+// new one. Content and rule hashes are still FNV-1a, which is not
+// collision resistant: the MAC authenticates the rule texts and hash
+// values a manifest carries, not that no other ruleset shares those
+// hashes (see DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -56,19 +59,17 @@ struct RulesetManifest {
   std::vector<std::string> add;
   /// HashRuleText() of each rule removed relative to the parent.
   std::vector<std::uint64_t> remove;
-  /// Keyed hash over Digest(); see Sign()/VerifySignature().
+  /// MAC over every other field; see Sign()/VerifySignature().
   std::uint64_t signature = 0;
 
-  /// Deterministic fold over every field except the signature.
-  [[nodiscard]] std::uint64_t Digest() const;
   /// Serialized size estimate (bytes on the distribution channel) — what
   /// bench_rollout charges the delta arm per receiver.
   [[nodiscard]] std::size_t WireBytes() const;
 };
 
-/// Stamps manifest.signature with the keyed digest.
+/// Stamps manifest.signature with the MAC under `key`.
 void Sign(RulesetManifest& manifest, std::uint64_t key);
-/// True iff manifest.signature matches the keyed digest — any flipped
+/// True iff manifest.signature is the MAC under `key` — any flipped
 /// payload byte or wrong key fails.
 [[nodiscard]] bool VerifySignature(const RulesetManifest& manifest,
                                    std::uint64_t key);

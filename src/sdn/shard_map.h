@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/hash.h"
 #include "common/types.h"
 
 namespace iotsec::sdn {
@@ -16,10 +17,7 @@ namespace iotsec::sdn {
 /// Stateless 32->64 bit mix (splitmix64 finalizer). Adjacent device ids
 /// spread across shards instead of clustering modulo K.
 [[nodiscard]] inline std::uint64_t MixDeviceId(DeviceId id) {
-  std::uint64_t x = static_cast<std::uint64_t>(id) + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return hash::SplitMix64(static_cast<std::uint64_t>(id) + hash::kGolden);
 }
 
 /// Home shard for a device in a K-shard deployment.

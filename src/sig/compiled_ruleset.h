@@ -11,8 +11,8 @@
 //
 // CompiledRulesetCache keys compiles by a content hash of the canonical
 // rule text, so a crowd-repository push to M same-SKU µmboxes performs
-// exactly one compile and M-1 pointer grabs (counted in
-// iotsec::GlobalSig()).
+// exactly one compile and M-1 pointer grabs (counted in obs::M()'s
+// sig_compiles and sig_cache_hits).
 #pragma once
 
 #include <atomic>

@@ -5,6 +5,7 @@
 #include <deque>
 #include <optional>
 
+#include "common/hash.h"
 #include "dataplane/graph.h"
 #include "sig/corpus.h"
 #include "sig/rule.h"
@@ -495,29 +496,17 @@ ModelCheckResult ModelCheck(const ModelCheckInput& in) {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
 void FnvMix(std::uint64_t& h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  h ^= 0xff;  // field separator so "ab"+"c" != "a"+"bc"
-  h *= kFnvPrime;
+  // A 0xff field separator so "ab"+"c" != "a"+"bc".
+  h = hash::Fnv1a("\xff", hash::Fnv1a(s, h));
 }
 
-void FnvMix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
+void FnvMix(std::uint64_t& h, std::uint64_t v) { h = hash::Fnv1aU64(v, h); }
 
 }  // namespace
 
 std::uint64_t ModelCheckKey(const ModelCheckInput& in) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = hash::kFnvOffset;
   if (in.space != nullptr) {
     for (const auto& dim : in.space->Dims()) {
       FnvMix(h, dim.name);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "common/strings.h"
+
 namespace iotsec::verify {
 
 std::string Finding::ToString() const {
@@ -102,34 +104,6 @@ std::string Report::ToText() const {
          std::to_string(findings_.size() - errors - warns) + " info(s)\n";
   return out;
 }
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Report::ToJson() const {
   std::string out = "{\"findings\":[";

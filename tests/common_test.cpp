@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
 #include "common/types.h"
+#include "learn/crowd.h"
+#include "rollout/manifest.h"
+#include "sdn/shard_map.h"
 #include "sim/simulator.h"
+#include "verify/model_check.h"
 
 namespace iotsec {
 namespace {
@@ -181,6 +186,66 @@ TEST(StatsTest, PercentilesAndMean) {
   EXPECT_NEAR(stats.Percentile(50), 50, 1);
   EXPECT_NEAR(stats.Percentile(99), 99, 1);
   EXPECT_EQ(stats.Count(), 100u);
+}
+
+// Golden values for common/hash.h, computed by the private copies each
+// primitive replaced. Every pinned digest, cache key and pseudonym is
+// built from these, so a change here moves them all.
+TEST(HashTest, FnvFoldsMatchGoldenValues) {
+  EXPECT_EQ(hash::Fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(hash::Fnv1a("hello"), 0xa430d84680aabd0bull);
+  EXPECT_EQ(hash::Fnv1a("ctx:7"), 0xd8a59fcf62d5cb81ull);
+  EXPECT_EQ(hash::Fnv1a(Bytes{1, 2, 3}), 0xd0aa6218672cf5abull);
+  EXPECT_EQ(hash::Fnv1a("lo", hash::Fnv1a("hel")), hash::Fnv1a("hello"));
+  EXPECT_EQ(hash::Fnv1aU64(0x0123456789abcdefull), 0x37eb3f3347761c55ull);
+}
+
+// rollout::HashRuleText and the crowd pseudonyms fold from FNV's offset
+// basis with its last digit missing; rollout digests pin that seed.
+TEST(HashTest, TruncatedSeedKeepsRuleHashesAndPseudonyms) {
+  EXPECT_EQ(hash::kTruncatedFnvOffset * 10 + 7, hash::kFnvOffset);
+  EXPECT_EQ(rollout::HashRuleText("alert tcp any any -> any any (sid:1; )"),
+            0x31ff14e413be4cdaull);
+  EXPECT_EQ(rollout::HashRuleList({"a", "b"}), 0x89e3f607d408e78cull);
+  learn::SignatureReport report;
+  report.observables["user"] = "alice";
+  learn::AnonymizeReport(report);
+  EXPECT_EQ(report.observables["user"], "anon-c3cca816cda5");
+}
+
+TEST(HashTest, MixersMatchGoldenValues) {
+  EXPECT_EQ(hash::Fmix64(0), 0u);
+  EXPECT_EQ(hash::Fmix64(1), 0xb456bcfc34c2cb2cull);
+  EXPECT_EQ(hash::Fmix64(0xdeadbeef), 0xd24bd59f862a1dacull);
+  EXPECT_EQ(hash::MixPair(0, 0), 0u);
+  EXPECT_EQ(hash::MixPair(1, 2), 0xbeeb8da1658eec67ull);
+  EXPECT_EQ(hash::MixPair(3, 4), 0x12a764fb66abc9cfull);
+  // splitmix64's first two outputs from state 0.
+  EXPECT_EQ(hash::SplitMix64(hash::kGolden), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(hash::SplitMix64(2 * hash::kGolden), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(sdn::MixDeviceId(7), 0x63cbe1e459320dd7ull);
+  EXPECT_EQ(Rng(42).NextU64(), 0x15780b2e0c2ec716ull);
+}
+
+// --mc-cache files are keyed by ModelCheckKey: a moved key turns every
+// cached result into a miss.
+TEST(HashTest, ModelCheckKeyMatchesGoldenValue) {
+  verify::ModelCheckInput in;
+  in.devices = {1, 2};
+  in.device_names = {{1, "cam"}, {2, "lock"}};
+  in.goals = {"root:cam"};
+  in.extra_rule_texts = {"alert tcp any any -> any any (sid:1; )"};
+  EXPECT_EQ(verify::ModelCheckKey(in), 0x1ea9cbad196303a9ull);
+}
+
+// SipHash-2-4 reference vectors: key 00..0f, message 00..(n-1).
+TEST(HashTest, SipHash24KnownAnswers) {
+  constexpr std::uint64_t k0 = 0x0706050403020100ull;
+  constexpr std::uint64_t k1 = 0x0f0e0d0c0b0a0908ull;
+  std::string msg;
+  EXPECT_EQ(hash::SipHash24(k0, k1, msg), 0x726fdb47dd0e0e31ull);
+  for (char c = 0; c < 15; ++c) msg += c;
+  EXPECT_EQ(hash::SipHash24(k0, k1, msg), 0xa129ca6149be45e5ull);
 }
 
 TEST(TypesTest, FormatDuration) {

@@ -4,12 +4,16 @@
 // ordered breadcrumb trail plus recovery metrics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/stats.h"
+#include "../bench/bench_json.h"
 #include "core/iotsec.h"
 #include "net/packet.h"
 #include "obs/obs.h"
@@ -265,16 +269,166 @@ TEST(ObsRegistryTest, SwitchClassifySpanExportsUnderStableName) {
             std::string::npos);
 }
 
-TEST(ObsRegistryTest, StatsCompatAdapterPublishesIntoRegistry) {
-  // The legacy common/stats.h counters are now views onto the registry:
-  // bumping GlobalFastPath() must be visible under its registry name.
+// Pin the fast-path and DPI counters: e2ebench and bench_dpi read them
+// by registry name.
+TEST(ObsRegistryTest, FastPathAndDpiCountersExportUnderStableNames) {
+  const auto& m = obs::M();
+  const std::pair<obs::Counter*, const char*> pins[] = {
+      {m.fastpath_parse_full, "fastpath.parse_full"},
+      {m.fastpath_parse_cached, "fastpath.parse_cached"},
+      {m.fastpath_pool_fresh, "fastpath.pool_fresh"},
+      {m.fastpath_pool_reused, "fastpath.pool_reused"},
+      {m.sig_compiles, "sig.compiles"},
+      {m.sig_cache_hits, "sig.cache_hits"},
+      {m.sig_cache_misses, "sig.cache_misses"},
+      {m.sig_cache_expired, "sig.cache_expired"},
+      {m.sig_evaluations, "sig.evaluations"},
+      {m.sig_scan_bytes, "sig.scan_bytes"},
+      {m.sig_matches, "sig.matches"},
+  };
   auto& reg = obs::MetricsRegistry::Global();
-  GlobalFastPath();  // construct the adapter so the names are registered
-  const std::uint64_t before =
-      reg.Snapshot().counters.at("fastpath.parse_full");
-  GlobalFastPath().parse_full.Inc(4);
-  EXPECT_EQ(reg.Snapshot().counters.at("fastpath.parse_full"), before + 4);
-  EXPECT_EQ(GlobalFastPath().parse_full.Value(), before + 4);
+  const std::string json = reg.ToJson();
+  const std::string prom = reg.ToPrometheusText();
+  for (const auto& [handle, name] : pins) {
+    EXPECT_EQ(handle, reg.GetCounter(name)) << name;
+    EXPECT_NE(json.find("\"" + std::string(name) + "\""), std::string::npos)
+        << name;
+    std::string prom_name = name;
+    prom_name.replace(prom_name.find('.'), 1, "_");
+    EXPECT_NE(prom.find("# TYPE " + prom_name + " counter"),
+              std::string::npos)
+        << name;
+  }
+}
+
+// A minimal JSON reader: true iff `text` is one valid JSON value, with
+// every string (keys included) decoded into `strings`. It accepts the
+// escapes the writers emit.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string text) : s_(std::move(text)) {}
+
+  bool Parse(std::vector<std::string>* strings) {
+    strings_ = strings;
+    if (!Value()) return false;
+    Space();
+    return pos_ == s_.size();
+  }
+
+ private:
+  // Advances past characters in `set`; true if it moved.
+  bool Skip(std::string_view set) {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && set.find(s_[pos_]) != set.npos) ++pos_;
+    return pos_ > start;
+  }
+  void Space() { Skip(" \t\r\n"); }
+  bool Eat(char c) {
+    Space();
+    if (pos_ >= s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  bool Value() {
+    Space();
+    if (pos_ >= s_.size()) return false;
+    const char c = s_[pos_];
+    if (c == '{') return Members('}', true);
+    if (c == '[') return Members(']', false);
+    if (c == '"') return String();
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (s_.compare(pos_, word.size(), word) == 0) {
+        pos_ += word.size();
+        return true;
+      }
+    }
+    return Skip("+-.0123456789eE");
+  }
+  bool Members(char close, bool keyed) {
+    ++pos_;
+    if (Eat(close)) return true;
+    do {
+      Space();
+      if (keyed && !(String() && Eat(':'))) return false;
+      if (!Value()) return false;
+    } while (Eat(','));
+    return Eat(close);
+  }
+  bool String() {
+    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
+    std::string out;
+    for (++pos_; pos_ < s_.size(); ++pos_) {
+      const char c = s_[pos_];
+      if (c == '"') {
+        ++pos_;
+        strings_->push_back(out);
+        return true;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (++pos_ >= s_.size()) return false;
+      switch (s_[pos_]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          if (pos_ + 4 >= s_.size()) return false;
+          const unsigned long cp = std::stoul(s_.substr(pos_ + 1, 4), nullptr,
+                                              16);
+          if (cp >= 0x80) return false;  // the writers only escape ASCII
+          out += static_cast<char>(cp);
+          pos_ += 4;
+          break;
+        }
+        default: return false;
+      }
+    }
+    return false;
+  }
+
+  const std::string s_;
+  std::size_t pos_ = 0;
+  std::vector<std::string>* strings_ = nullptr;
+};
+
+const std::string kHostile = std::string("test.q\"b\\n\nc\x01") + "end";
+
+TEST(ObsJsonTest, RegistryExportEscapesHostileNames) {
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter(kHostile)->Inc();
+  reg.GetGauge(kHostile)->Set(1);
+  reg.GetHistogram(kHostile)->Record(1);
+  std::vector<std::string> strings;
+  ASSERT_TRUE(JsonReader(reg.ToJson()).Parse(&strings)) << reg.ToJson();
+  EXPECT_EQ(std::count(strings.begin(), strings.end(), kHostile), 3);
+}
+
+TEST(ObsJsonTest, BenchWriterEscapesKeysAndValues) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  {
+    bench::JsonWriter w(f);
+    w.BeginObject();
+    w.Field(kHostile.c_str(), kHostile);
+    w.Key("list");
+    w.BeginArray();
+    w.Value(kHostile);
+    w.EndArray();
+    w.EndObject();
+  }
+  std::string text(static_cast<std::size_t>(std::ftell(f)), '\0');
+  std::rewind(f);
+  ASSERT_EQ(std::fread(text.data(), 1, text.size(), f), text.size());
+  std::fclose(f);
+  std::vector<std::string> strings;
+  ASSERT_TRUE(JsonReader(text).Parse(&strings)) << text;
+  EXPECT_EQ(strings, (std::vector<std::string>{kHostile, kHostile, "list",
+                                               kHostile}));
 }
 
 // ---------------------------------------------------------------------

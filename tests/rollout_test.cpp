@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "control/admission.h"
 #include "core/iotsec.h"
 #include "rollout/coordinator.h"
@@ -59,6 +60,70 @@ TEST(ManifestTest, SignVerifyAndTamperDetection) {
   tampered = m;
   tampered.remove.push_back(HashRuleText(m.add[0]));  // dropped rule
   EXPECT_FALSE(VerifySignature(tampered, 0xFEED));
+}
+
+// The signature scheme this MAC replaced: fmix64(Digest() ^ key), where
+// Digest() was fmix64 over an FNV-1a fold of the fields. fmix64 is a
+// public bijection, so one signed manifest gave away the key.
+std::uint64_t OldDigest(const RulesetManifest& m) {
+  std::uint64_t h = hash::Fnv1a(m.sku, hash::kTruncatedFnvOffset);
+  for (const std::uint64_t v : {m.version, m.content_hash, m.parent_hash,
+                                std::uint64_t{m.snapshot}, m.add.size()}) {
+    h = hash::Fnv1aU64(v, h);
+  }
+  for (const auto& text : m.add) h = hash::Fnv1a(text, h);
+  h = hash::Fnv1aU64(m.remove.size(), h);
+  for (const std::uint64_t r : m.remove) h = hash::Fnv1aU64(r, h);
+  return hash::Fmix64(h);
+}
+
+constexpr std::uint64_t InverseMod64(std::uint64_t odd) {
+  std::uint64_t x = odd;  // Newton's iteration doubles the correct bits
+  for (int i = 0; i < 5; ++i) x *= 2 - odd * x;
+  return x;
+}
+
+std::uint64_t UnFmix64(std::uint64_t h) {
+  h ^= h >> 33;  // a shift of 33 or more is its own inverse
+  h *= InverseMod64(0xc4ceb9fe1a85ec53ull);
+  h ^= h >> 33;
+  h *= InverseMod64(0xff51afd7ed558ccdull);
+  return h ^ (h >> 33);
+}
+
+TEST(ManifestTest, SignatureDoesNotLeakKey) {
+  constexpr std::uint64_t kKey = 0x5EC2E7C0FFEEull;
+  RulesetManifest m;
+  m.sku = "Wemo-Insight";
+  m.version = 2;
+  m.add = Rules(100, 2);
+  m.content_hash = HashRuleList(m.add);
+  Sign(m, kKey);
+  ASSERT_EQ(UnFmix64(hash::Fmix64(m.signature)), m.signature);
+
+  // The attack: invert the scramble, strip the public digest, and sign a
+  // manifest carrying an injected blocking rule with the recovered key.
+  const std::uint64_t recovered = UnFmix64(m.signature) ^ OldDigest(m);
+  auto forged = m;
+  forged.add.push_back(RuleWithSid(666));
+  forged.content_hash = HashRuleList(forged.add);
+  Sign(forged, recovered);
+  EXPECT_FALSE(VerifySignature(forged, kKey));
+  forged.signature = hash::Fmix64(OldDigest(forged) ^ recovered);
+  EXPECT_FALSE(VerifySignature(forged, kKey));
+}
+
+// Rule texts are length-prefixed: moving a boundary between two adds
+// changes the signed bytes.
+TEST(ManifestTest, SignatureSeparatesRuleBoundaries) {
+  RulesetManifest m;
+  m.sku = "Wemo-Insight";
+  m.version = 2;
+  m.add = {"ab", "c"};
+  Sign(m, 0xFEED);
+  auto shifted = m;
+  shifted.add = {"a", "bc"};
+  EXPECT_FALSE(VerifySignature(shifted, 0xFEED));
 }
 
 TEST(ManifestTest, RuleListHashIsOrderInvariant) {

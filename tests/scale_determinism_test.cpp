@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/iotsec.h"
 #include "core/postures.h"
 #include "core/sharded_fleet.h"
@@ -19,25 +20,6 @@
 namespace iotsec {
 namespace {
 
-std::uint64_t Mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b * 0x9E3779B97F4A7C15ull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-std::uint64_t HashString(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// Order-independent fold of the global flight-recorder timeline:
 /// (sim_time, type, a, b) per event, seq and thread id excluded — those
 /// encode which worker recorded first, which legitimately varies with
@@ -45,8 +27,9 @@ std::uint64_t HashString(const std::string& s) {
 std::uint64_t RecorderDigest() {
   std::uint64_t digest = 0;
   for (const auto& ev : obs::FlightRecorder::Global().Dump()) {
-    std::uint64_t h = Mix64(ev.sim_time, static_cast<std::uint64_t>(ev.type));
-    h = Mix64(h, (static_cast<std::uint64_t>(ev.a) << 32) ^ ev.b);
+    std::uint64_t h =
+        hash::MixPair(ev.sim_time, static_cast<std::uint64_t>(ev.type));
+    h = hash::MixPair(h, (static_cast<std::uint64_t>(ev.a) << 32) ^ ev.b);
     digest += h;
   }
   return digest;
@@ -122,15 +105,16 @@ ScenarioResult RunScenario(int shards, bool threads) {
   // Digest: recorder timeline + environment end-state + link totals.
   std::uint64_t digest = RecorderDigest();
   for (const auto& [name, level] : dep.environment().SnapshotLevels()) {
-    digest = Mix64(digest, Mix64(HashString(name),
-                                 static_cast<std::uint64_t>(level)));
+    digest = hash::MixPair(
+        digest, hash::MixPair(hash::Fnv1a(name),
+                              static_cast<std::uint64_t>(level)));
   }
   const auto net = dep.AggregateLinkStats();
-  digest = Mix64(digest, net.packets);
-  digest = Mix64(digest, net.bytes);
-  digest = Mix64(digest, net.queue_drops);
-  digest = Mix64(digest, net.lost);
-  digest = Mix64(digest, static_cast<std::uint64_t>(result.violations));
+  digest = hash::MixPair(digest, net.packets);
+  digest = hash::MixPair(digest, net.bytes);
+  digest = hash::MixPair(digest, net.queue_drops);
+  digest = hash::MixPair(digest, net.lost);
+  digest = hash::MixPair(digest, static_cast<std::uint64_t>(result.violations));
   result.digest = digest;
   return result;
 }
@@ -203,23 +187,23 @@ GuardedRun RunGuardedHttp(int shards) {
     dep.attacker().HttpGet(spec.ip, spec.mac, path, std::nullopt,
                            [&](const proto::HttpResponse& r) {
                              ++replies;
-                             digest += Mix64(static_cast<std::uint64_t>(
-                                                 r.status),
-                                             HashString(r.body));
+                             digest += hash::MixPair(
+                                 static_cast<std::uint64_t>(r.status),
+                                 hash::Fnv1a(r.body));
                            });
   });
   dep.RunFor(4 * kSecond);
   ticker.Cancel();
   dep.RunFor(1 * kSecond);
 
-  digest = Mix64(digest, RecorderDigest());
+  digest = hash::MixPair(digest, RecorderDigest());
   const auto net = dep.AggregateLinkStats();
-  digest = Mix64(digest, net.packets);
-  digest = Mix64(digest, net.bytes);
-  digest = Mix64(digest, net.queue_drops);
-  digest = Mix64(digest, net.lost);
-  digest = Mix64(digest, replies);
-  digest = Mix64(digest, sent);
+  digest = hash::MixPair(digest, net.packets);
+  digest = hash::MixPair(digest, net.bytes);
+  digest = hash::MixPair(digest, net.queue_drops);
+  digest = hash::MixPair(digest, net.lost);
+  digest = hash::MixPair(digest, replies);
+  digest = hash::MixPair(digest, sent);
   GuardedRun run;
   run.digest = digest;
   run.answered = replies;
