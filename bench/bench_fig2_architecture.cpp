@@ -50,8 +50,8 @@ SimDuration MeasureRemoteEdgeRtt() {
   auto* ctrl_link = new_link();
   const int ctrl_port = core.AttachLink(ctrl_link, 0);
   ctrl_link->Attach(1, &controller, 0);
-  core.SetMacPort(controller.hub_mac(), ctrl_port);
-  edge.SetMacPort(controller.hub_mac(), trunk_on_edge);
+  controller.RegisterEndpoint(controller.hub_mac(), &core, ctrl_port);
+  controller.RegisterEndpoint(controller.hub_mac(), &edge, trunk_on_edge);
   controller.ManageSwitch(&core, host_port);
   controller.ManageSwitch(&edge, trunk_on_edge);
   controller.SetCluster(&cluster);
@@ -67,7 +67,7 @@ SimDuration MeasureRemoteEdgeRtt() {
   cam.ConnectUplink(cam_link, 0);
   const int cam_port = edge.AttachLink(cam_link, 1);
   controller.RegisterDevice(&cam, &edge, cam_port);
-  core.SetMacPort(spec.mac, trunk_on_core);
+  controller.RegisterEndpoint(spec.mac, &core, trunk_on_core);
 
   devices::Attacker probe(net::MacAddress::FromId(999),
                           net::Ipv4Address(10, 0, 0, 200), sim);
@@ -75,7 +75,7 @@ SimDuration MeasureRemoteEdgeRtt() {
   probe.ConnectUplink(probe_link, 0);
   const int probe_port = edge.AttachLink(probe_link, 1);
   controller.RegisterEndpoint(probe.mac(), &edge, probe_port);
-  core.SetMacPort(probe.mac(), trunk_on_core);
+  controller.RegisterEndpoint(probe.mac(), &core, trunk_on_core);
 
   policy::StateSpace space;
   space.AddDimension({"ctx:cam", policy::DimensionKind::kDeviceContext, 10,

@@ -1,6 +1,7 @@
 #include "control/controller.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "common/strings.h"
@@ -40,16 +41,27 @@ IoTSecController::IoTSecController(sim::Simulator& simulator,
       control_fault_rng_(config.recovery_seed ^ 0xC7A11u) {}
 
 void IoTSecController::ManageSwitch(sdn::Switch* sw, int port_to_cluster) {
+  if (!switch_index_.emplace(sw->id(), switches_.size()).second) {
+    throw std::invalid_argument("ManageSwitch: switch " +
+                                std::to_string(sw->id()) +
+                                " is already managed");
+  }
   sw->SetPacketInHandler(this);
   sw->SetMissBehavior(sdn::Switch::MissBehavior::kToController);
-  switches_.push_back(ManagedSwitch{sw, port_to_cluster, {}});
+  switches_.push_back(ManagedSwitch{sw, port_to_cluster, {}, {}});
+}
+
+IoTSecController::ManagedSwitch* IoTSecController::FindSwitch(
+    const sdn::Switch* sw) {
+  const auto it = switch_index_.find(sw->id());
+  if (it == switch_index_.end()) return nullptr;
+  ManagedSwitch& ms = switches_[it->second];
+  return ms.sw == sw ? &ms : nullptr;
 }
 
 void IoTSecController::MapHostPort(sdn::Switch* sw, ServerId host,
                                    int port) {
-  for (auto& ms : switches_) {
-    if (ms.sw == sw) ms.host_ports[host] = port;
-  }
+  if (ManagedSwitch* ms = FindSwitch(sw)) ms->host_ports[host] = port;
 }
 
 void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
@@ -73,9 +85,34 @@ void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
   }
 }
 
+void IoTSecController::BindMac(const net::MacAddress& mac, sdn::Switch* sw,
+                               int port) {
+  // Two priority-1 entries for one eth_dst would forward to whichever
+  // was installed first, so an alias must fail here, not route silently.
+  const int bound = sw->PortOfMac(mac);
+  if (bound >= 0 && bound != port) {
+    throw std::invalid_argument(
+        "MAC " + mac.ToString() + " is already bound to port " +
+        std::to_string(bound) + " of switch " + std::to_string(sw->id()) +
+        ", not port " + std::to_string(port));
+  }
+  sw->SetMacPort(mac, port);
+}
+
+void IoTSecController::InstallL2(sdn::Switch* sw, const net::MacAddress& mac,
+                                 int port) {
+  sdn::FlowEntry entry;
+  entry.priority = 1;
+  entry.match.eth_dst = mac;
+  entry.actions = {sdn::FlowAction::Output(port)};
+  entry.version = flow_version_;
+  EmitInstall(sw, entry, /*urgent=*/false);
+}
+
 void IoTSecController::RegisterDevice(devices::Device* device,
                                       sdn::Switch* sw, int port) {
   const DeviceId id = device->id();
+  BindMac(device->spec().mac, sw, port);
   ManagedDevice md;
   md.device = device;
   md.sw = sw;
@@ -95,12 +132,14 @@ void IoTSecController::RegisterDevice(devices::Device* device,
     rollout_->RegisterDevice(id, device->spec().sku);
   }
 
-  sw->SetMacPort(device->spec().mac, port);
   const std::string& name = device->spec().name;
   view_.SetDeviceState(name, device->State());
   view_.SetDeviceContext(
       name, device->spec().vulns.empty() ? "normal" : "unpatched");
-  if (started_) InvalidateAll();
+  if (started_) {
+    if (FindSwitch(sw) != nullptr) InstallL2(sw, device->spec().mac, port);
+    InvalidateAll();
+  }
 }
 
 void IoTSecController::IndexReader(DeviceId device) {
@@ -115,7 +154,12 @@ void IoTSecController::InvalidateAll() {
 
 void IoTSecController::RegisterEndpoint(const net::MacAddress& mac,
                                         sdn::Switch* sw, int port) {
-  sw->SetMacPort(mac, port);
+  BindMac(mac, sw, port);
+  for (const Endpoint& ep : endpoints_) {
+    if (ep.sw == sw && ep.mac == mac) return;  // same binding again
+  }
+  endpoints_.push_back(Endpoint{mac, sw, port});
+  if (started_ && FindSwitch(sw) != nullptr) InstallL2(sw, mac, port);
 }
 
 void IoTSecController::BindEnvironment(env::Environment* environment) {
@@ -288,16 +332,15 @@ void IoTSecController::Start() {
     sim_.Every(config_.heartbeat_period, [this] { CheckHealth(); });
   }
   for (auto& ms : switches_) {
-    // Base L2 forwarding: one low-priority entry per known MAC on each
-    // switch, so normal traffic flows without controller involvement.
+    // Base L2 forwarding: one priority-1 entry per known MAC, device or
+    // endpoint, on each switch, so traffic between known endpoints never
+    // reaches the controller. Posture entries (100) and tunnel transit
+    // (50) outrank these.
     for (const auto& [id, md] : devices_) {
-      if (md.sw != ms.sw) continue;
-      sdn::FlowEntry entry;
-      entry.priority = 1;
-      entry.match.eth_dst = md.device->spec().mac;
-      entry.actions = {sdn::FlowAction::Output(md.port)};
-      entry.version = flow_version_;
-      EmitInstall(ms.sw, entry, /*urgent=*/false);
+      if (md.sw == ms.sw) InstallL2(ms.sw, md.device->spec().mac, md.port);
+    }
+    for (const Endpoint& ep : endpoints_) {
+      if (ep.sw == ms.sw) InstallL2(ms.sw, ep.mac, ep.port);
     }
     // Tunnel transit: in multi-switch topologies, diverted (kToUmbox)
     // frames from remote edges arrive as regular frames and must be
@@ -318,24 +361,34 @@ void IoTSecController::Start() {
 
 void IoTSecController::OnPacketIn(SwitchId sw, int in_port,
                                   net::PacketPtr pkt) {
-  (void)in_port;
   ++stats_.packet_ins;
-  // Unknown destinations: deliver by MAC table if known, else drop. (A
-  // production controller would learn/flood; IoTSec deployments know
-  // their endpoints.)
-  const auto* frame = pkt->Parsed();
-  if (!frame) return;
-  for (auto& ms : switches_) {
-    if (ms.sw->id() != sw) continue;
-    const int out = ms.sw->PortOfMac(frame->eth.dst);
-    if (out >= 0) {
-      sim_.After(config_.flowmod_latency,
-                 [s = ms.sw, pkt = std::move(pkt), out]() mutable {
-                   s->Output(std::move(pkt), out);
-                 });
-    }
+  const auto it = switch_index_.find(sw);
+  if (it == switch_index_.end()) return;
+  ManagedSwitch& ms = switches_[it->second];
+  // Every registered endpoint has a forwarding entry, so only unknown
+  // destinations get here, and a device can spray those at will: meter
+  // the upcalls per ingress port before doing any work for them.
+  TokenBucket& bucket =
+      ms.packet_in_buckets
+          .try_emplace(in_port, config_.packet_in_rate_pps,
+                       config_.packet_in_burst)
+          .first->second;
+  if (!bucket.Take(sim_.Now())) {
+    ++stats_.packet_in_drops;
+    if (obs::Enabled()) obs::M().ctl_packet_in_drops->Inc();
     return;
   }
+  // Deliver by MAC table if known (bound outside the controller), else
+  // drop. (A production controller would learn/flood; IoTSec deployments
+  // know their endpoints.)
+  const auto* frame = pkt->Parsed();
+  if (!frame) return;
+  const int out = ms.sw->PortOfMac(frame->eth.dst);
+  if (out < 0) return;
+  sim_.After(config_.flowmod_latency,
+             [s = ms.sw, pkt = std::move(pkt), out]() mutable {
+               s->Output(std::move(pkt), out);
+             });
 }
 
 void IoTSecController::Receive(net::PacketPtr pkt, int port) {
@@ -582,30 +635,29 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
 
 void IoTSecController::InstallDiversion(ManagedDevice& md, UmboxId umbox) {
   RemoveDiversion(md);
-  for (auto& ms : switches_) {
-    if (ms.sw != md.sw) continue;
-    // Tunnel out the port of the host actually serving this µmbox —
-    // after a failover the instance lives somewhere else than the
-    // default first-host port.
-    int tunnel_port = ms.cluster_port;
-    if (cluster_ != nullptr) {
-      if (dataplane::UmboxHost* host = cluster_->HostOf(umbox)) {
-        const auto it = ms.host_ports.find(host->id());
-        if (it != ms.host_ports.end()) tunnel_port = it->second;
-      }
+  const ManagedSwitch* ms = FindSwitch(md.sw);
+  if (ms == nullptr) return;
+  // Tunnel out the port of the host actually serving this µmbox — after
+  // a failover the instance lives somewhere else than the default
+  // first-host port.
+  int tunnel_port = ms->cluster_port;
+  if (cluster_ != nullptr) {
+    if (dataplane::UmboxHost* host = cluster_->HostOf(umbox)) {
+      const auto it = ms->host_ports.find(host->id());
+      if (it != ms->host_ports.end()) tunnel_port = it->second;
     }
-    ++flow_version_;
-    const auto ip = md.device->spec().ip;
-    for (const auto& match :
-         {sdn::FlowMatch::FromIp(ip), sdn::FlowMatch::ToIp(ip)}) {
-      sdn::FlowEntry entry;
-      entry.priority = 100;
-      entry.match = match;
-      entry.actions = {sdn::FlowAction::Tunnel(umbox, tunnel_port)};
-      entry.cookie = 0x1000000ull + md.device->id();
-      entry.version = flow_version_;
-      EmitInstall(ms.sw, entry, /*urgent=*/false);
-    }
+  }
+  ++flow_version_;
+  const auto ip = md.device->spec().ip;
+  for (const auto& match :
+       {sdn::FlowMatch::FromIp(ip), sdn::FlowMatch::ToIp(ip)}) {
+    sdn::FlowEntry entry;
+    entry.priority = 100;
+    entry.match = match;
+    entry.actions = {sdn::FlowAction::Tunnel(umbox, tunnel_port)};
+    entry.cookie = 0x1000000ull + md.device->id();
+    entry.version = flow_version_;
+    EmitInstall(md.sw, entry, /*urgent=*/false);
   }
 }
 
@@ -619,31 +671,27 @@ void IoTSecController::InstallIsolation(ManagedDevice& md) {
 
 void IoTSecController::InstallQuarantine(ManagedDevice& md) {
   RemoveDiversion(md);
-  for (auto& ms : switches_) {
-    if (ms.sw != md.sw) continue;
-    ++flow_version_;
-    const auto ip = md.device->spec().ip;
-    for (const auto& match :
-         {sdn::FlowMatch::FromIp(ip), sdn::FlowMatch::ToIp(ip)}) {
-      sdn::FlowEntry entry;
-      entry.priority = 100;
-      entry.match = match;
-      entry.actions = {sdn::FlowAction::Drop()};
-      entry.cookie = 0x1000000ull + md.device->id();
-      entry.version = flow_version_;
-      // Quarantine drops are the fail-closed invariant: they must not
-      // wait out a batching quantum.
-      EmitInstall(ms.sw, entry, /*urgent=*/true);
-    }
+  if (FindSwitch(md.sw) == nullptr) return;
+  ++flow_version_;
+  const auto ip = md.device->spec().ip;
+  for (const auto& match :
+       {sdn::FlowMatch::FromIp(ip), sdn::FlowMatch::ToIp(ip)}) {
+    sdn::FlowEntry entry;
+    entry.priority = 100;
+    entry.match = match;
+    entry.actions = {sdn::FlowAction::Drop()};
+    entry.cookie = 0x1000000ull + md.device->id();
+    entry.version = flow_version_;
+    // Quarantine drops are the fail-closed invariant: they must not wait
+    // out a batching quantum.
+    EmitInstall(md.sw, entry, /*urgent=*/true);
   }
 }
 
 void IoTSecController::RemoveDiversion(ManagedDevice& md) {
-  for (auto& ms : switches_) {
-    if (ms.sw != md.sw) continue;
-    EmitRemoveByCookie(ms.sw, 0x1000000ull + md.device->id(),
-                       /*urgent=*/false);
-  }
+  if (FindSwitch(md.sw) == nullptr) return;
+  EmitRemoveByCookie(md.sw, 0x1000000ull + md.device->id(),
+                     /*urgent=*/false);
 }
 
 void IoTSecController::EmitInstall(sdn::Switch* sw,

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/token_bucket.h"
 #include "control/admission.h"
 #include "control/audit.h"
 #include "control/delta_sync.h"
@@ -81,6 +82,16 @@ struct ControllerConfig {
   /// counted). Zero with queue_while_booting on is a guaranteed
   /// boot-window blackhole — iotsec-verify flags it (G007).
   std::size_t boot_queue_limit = 256;
+
+  // ---- PacketIn gate. Every known endpoint has a proactive forwarding
+  // entry, so a table miss means an unknown destination, which any
+  // device can make up at will. Each (switch, ingress port) pair gets a
+  // token bucket; upcalls beyond it are dropped and counted
+  // (Stats::packet_in_drops, ctl.packet_in_drops).
+  /// Sustained upcalls per second per ingress port.
+  double packet_in_rate_pps = 1000.0;
+  /// Upcalls one ingress port may make back to back.
+  double packet_in_burst = 100.0;
 };
 
 class IoTSecController final : public sdn::PacketInHandler,
@@ -97,9 +108,14 @@ class IoTSecController final : public sdn::PacketInHandler,
   void SetCluster(dataplane::Cluster* cluster);
   /// Registers a device attached to `sw` at `port`; installs its L2 entry
   /// and starts its context as "unpatched" (has flaws) or "normal".
-  /// Registering after Start() re-evaluates every device at the next sweep.
+  /// Registering after Start() installs the entry at once and re-evaluates
+  /// every device at the next sweep. Throws std::invalid_argument when the
+  /// MAC is already bound to another port of `sw`.
   void RegisterDevice(devices::Device* device, sdn::Switch* sw, int port);
-  /// Registers a non-device endpoint (controller uplink, WAN gateway).
+  /// Registers a non-device endpoint (controller hub, attacker or WAN
+  /// gateway, the trunk toward another switch's MACs). Start() installs a
+  /// priority-1 dst-MAC -> `port` entry for it, like a device's L2 entry,
+  /// so replies to it never miss the table. Same throw as RegisterDevice.
   void RegisterEndpoint(const net::MacAddress& mac, sdn::Switch* sw,
                         int port);
   /// Environment sensor feed: level changes reach the view after the
@@ -212,7 +228,8 @@ class IoTSecController final : public sdn::PacketInHandler,
     std::uint64_t telemetry_events = 0;
     std::uint64_t env_events = 0;
     std::uint64_t alerts = 0;
-    std::uint64_t packet_ins = 0;
+    std::uint64_t packet_ins = 0;         // table misses handed up
+    std::uint64_t packet_in_drops = 0;    // refused by the PacketIn gate
     std::uint64_t policy_evals = 0;       // sweeps
     std::uint64_t devices_evaluated = 0;  // per-device evaluations
     std::uint64_t umbox_launches = 0;
@@ -270,8 +287,21 @@ class IoTSecController final : public sdn::PacketInHandler,
     /// Tunnel port per cluster host, so diversions follow a µmbox to
     /// whichever host it lands on (failover re-placement included).
     std::map<ServerId, int> host_ports;
+    /// PacketIn gate, one bucket per ingress port (made on first miss).
+    std::unordered_map<int, TokenBucket> packet_in_buckets;
+  };
+  struct Endpoint {
+    net::MacAddress mac;
+    sdn::Switch* sw = nullptr;
+    int port = -1;
   };
 
+  [[nodiscard]] ManagedSwitch* FindSwitch(const sdn::Switch* sw);
+  /// Binds `mac` to `port` in `sw`'s MAC table; throws
+  /// std::invalid_argument when it is bound to another port there.
+  static void BindMac(const net::MacAddress& mac, sdn::Switch* sw, int port);
+  /// The priority-1 dst-MAC -> port entry shared by devices and endpoints.
+  void InstallL2(sdn::Switch* sw, const net::MacAddress& mac, int port);
   void ScheduleReevaluate();
   /// Indexes the keys `device`'s rules read.
   void IndexReader(DeviceId device);
@@ -334,6 +364,8 @@ class IoTSecController final : public sdn::PacketInHandler,
   GlobalView view_;
   dataplane::Cluster* cluster_ = nullptr;
   std::vector<ManagedSwitch> switches_;
+  std::unordered_map<SwitchId, std::size_t> switch_index_;  // into switches_
+  std::vector<Endpoint> endpoints_;
   std::map<DeviceId, ManagedDevice> devices_;
   std::vector<DeviceId> ids_;  // ascending: the flat sweep's scope
   std::unordered_map<std::string, DeviceId> id_by_name_;

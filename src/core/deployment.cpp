@@ -62,11 +62,13 @@ Deployment::Deployment(DeploymentOptions options)
   controller_ =
       std::make_unique<control::IoTSecController>(sim_, options_.controller);
 
-  // Controller uplink (telemetry + PacketIn path share the hub port).
+  // Controller uplink: the hub is an endpoint like any other, so device
+  // telemetry is forwarded by its entry, not by PacketIn.
   net::Link* ctrl_link = NewLink();
   const int ctrl_port = switch_->AttachLink(ctrl_link, 0);
   ctrl_link->Attach(1, controller_.get(), 0);
-  switch_->SetMacPort(controller_->hub_mac(), ctrl_port);
+  controller_->RegisterEndpoint(controller_->hub_mac(), switch_.get(),
+                                ctrl_port);
 
   // µmbox cluster: one uplink per host; every host reachable from the
   // switch through its cluster port (first host's port doubles as the
@@ -110,18 +112,12 @@ Deployment::Deployment(DeploymentOptions options)
     gateway_->ConnectWan(wan_link, 1);
     gateway_->ConnectLan(lan_link, 0);
     const int gw_port = switch_->AttachLink(lan_link, 1);
-    switch_->SetMacPort(attacker_mac, gw_port);
-    if (options_.with_iotsec) {
-      controller_->RegisterEndpoint(attacker_mac, switch_.get(), gw_port);
-    }
+    controller_->RegisterEndpoint(attacker_mac, switch_.get(), gw_port);
   } else {
     net::Link* link = NewLink();
     attacker_->ConnectUplink(link, 0);
     const int port = switch_->AttachLink(link, 1);
-    switch_->SetMacPort(attacker_mac, port);
-    if (options_.with_iotsec) {
-      controller_->RegisterEndpoint(attacker_mac, switch_.get(), port);
-    }
+    controller_->RegisterEndpoint(attacker_mac, switch_.get(), port);
   }
 
   if (options_.with_iotsec &&
@@ -347,7 +343,6 @@ devices::Device* Deployment::Attach(std::unique_ptr<devices::Device> device) {
   link->BindShards(shard_set_.get(),
                    sdn::ShardOfDevice(ptr->id(), options_.shards),
                    /*end1_shard=*/0);
-  switch_->SetMacPort(ptr->spec().mac, port);
   controller_->RegisterDevice(ptr, switch_.get(), port);
   return ptr;
 }

@@ -43,6 +43,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "common/token_bucket.h"
 #include "dataplane/element.h"
 #include "net/address.h"
 #include "proto/conn_track.h"
@@ -96,10 +97,7 @@ class RateLimiter final : public Element {
   void Push(net::PacketPtr pkt, int in_port) override;
 
  private:
-  double rate_pps_ = 100.0;
-  double burst_ = 20.0;
-  double tokens_ = 20.0;
-  SimTime last_refill_ = 0;
+  TokenBucket bucket_{100.0, 20.0};
 };
 
 class IpFilter final : public Element {

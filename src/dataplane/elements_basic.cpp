@@ -57,9 +57,11 @@ void Logger::Push(net::PacketPtr pkt, int in_port) {
 }
 
 bool RateLimiter::Configure(const ConfigMap& config, std::string* error) {
+  double rate_pps = 100.0;
+  double burst = 20.0;
   if (const auto it = config.find("rate_pps"); it != config.end()) {
     try {
-      rate_pps_ = std::stod(it->second);
+      rate_pps = std::stod(it->second);
     } catch (const std::exception&) {
       if (error) *error = "RateLimiter: bad rate_pps";
       return false;
@@ -67,29 +69,23 @@ bool RateLimiter::Configure(const ConfigMap& config, std::string* error) {
   }
   if (const auto it = config.find("burst"); it != config.end()) {
     try {
-      burst_ = std::stod(it->second);
+      burst = std::stod(it->second);
     } catch (const std::exception&) {
       if (error) *error = "RateLimiter: bad burst";
       return false;
     }
   }
-  if (rate_pps_ <= 0 || burst_ <= 0) {
+  if (rate_pps <= 0 || burst <= 0) {
     if (error) *error = "RateLimiter: rate_pps and burst must be positive";
     return false;
   }
-  tokens_ = burst_;
+  bucket_ = TokenBucket(rate_pps, burst);
   return true;
 }
 
 void RateLimiter::Push(net::PacketPtr pkt, int in_port) {
   (void)in_port;
-  const SimTime now = ctx_.sim != nullptr ? ctx_.sim->Now() : 0;
-  const double elapsed_s =
-      static_cast<double>(now - last_refill_) / static_cast<double>(kSecond);
-  last_refill_ = now;
-  tokens_ = std::min(burst_, tokens_ + elapsed_s * rate_pps_);
-  if (tokens_ >= 1.0) {
-    tokens_ -= 1.0;
+  if (bucket_.Take(ctx_.sim != nullptr ? ctx_.sim->Now() : 0)) {
     Output(std::move(pkt));
   } else {
     Drop(pkt);

@@ -120,11 +120,20 @@ void AppendF64(std::string& out, double v) {
   out += buf;
 }
 
-/// "a.b.c" -> "a_b_c" (Prometheus metric names cannot contain dots).
+/// A valid Prometheus metric name, [a-zA-Z_:][a-zA-Z0-9_:]*: every other
+/// byte becomes '_' ("a.b.c" -> "a_b_c"), and a leading digit (or an
+/// empty name) gets a '_' prefix. A quote or line feed in a registered
+/// name would otherwise break the exposition format.
 std::string PromName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == '.' || c == '-') c = '_';
+  std::string out;
+  out.reserve(name.size() + 1);
+  if (name.empty() || (name.front() >= '0' && name.front() <= '9')) {
+    out += '_';
+  }
+  for (const char c : name) {
+    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '_' || c == ':';
+    out += keep ? c : '_';
   }
   return out;
 }

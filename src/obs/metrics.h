@@ -206,8 +206,9 @@ class MetricsRegistry {
   /// from the JSON export; use Snapshot() for raw buckets.
   [[nodiscard]] std::string ToJson() const;
 
-  /// Prometheus text exposition format. Dots in metric names become
-  /// underscores; histograms export _count/_sum plus quantile gauges
+  /// Prometheus text exposition format. Every byte of a metric name
+  /// outside [a-zA-Z0-9_:] becomes an underscore, and a leading digit
+  /// gets one prepended; histograms export _count/_sum plus quantile gauges
   /// (pre-aggregated, not cumulative le-buckets — this is a snapshot
   /// exporter, not a scrape target with staleness semantics).
   [[nodiscard]] std::string ToPrometheusText() const;

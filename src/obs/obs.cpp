@@ -37,6 +37,7 @@ Metrics RegisterMetrics() {
   out.ctl_recoveries = r.GetCounter("ctl.recoveries");
   out.ctl_mttr_ns = r.GetHistogram("ctl.mttr_ns");
   out.ctl_view_unknown_values = r.GetCounter("ctl.view_unknown_values");
+  out.ctl_packet_in_drops = r.GetCounter("ctl.packet_in_drops");
   out.ctl_admission_level = r.GetGauge("ctl.admission.level");
   out.ctl_admission_transitions = r.GetCounter("ctl.admission.transitions");
   out.ctl_admission_shed_launches = r.GetCounter("ctl.admission.shed_launches");

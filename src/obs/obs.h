@@ -66,6 +66,8 @@ struct Metrics {
                                    // wall-clock spans above)
   Counter* ctl_view_unknown_values; // view writes outside the dimension's
                                     // domain (read as value 0)
+  Counter* ctl_packet_in_drops;    // table misses refused by the
+                                   // per-ingress-port PacketIn gate
 
   // ---- control: admission / brownout (see control/admission.h).
   Gauge* ctl_admission_level;      // current BrownoutLevel (0..3)

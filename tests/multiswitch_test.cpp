@@ -54,8 +54,8 @@ struct Campus {
     auto* ctrl_link = NewLink();
     const int ctrl_port = core.AttachLink(ctrl_link, 0);
     ctrl_link->Attach(1, &controller, 0);
-    core.SetMacPort(controller.hub_mac(), ctrl_port);
-    edge.SetMacPort(controller.hub_mac(), trunk_on_edge);
+    controller.RegisterEndpoint(controller.hub_mac(), &core, ctrl_port);
+    controller.RegisterEndpoint(controller.hub_mac(), &edge, trunk_on_edge);
 
     controller.ManageSwitch(&core, host_port);
     controller.ManageSwitch(&edge, trunk_on_edge);
@@ -72,9 +72,10 @@ struct Campus {
 
     // Cross-switch L2 + inter-switch routing: each switch knows which
     // port leads to the other's MACs and to the other switch itself
-    // (the deployment's wiring step).
-    core.SetMacPort(wemo->spec().mac, trunk_on_core);
-    edge.SetMacPort(cam->spec().mac, trunk_on_edge);
+    // (the deployment's wiring step). A remote device is an endpoint
+    // behind the trunk, so it gets a forwarding entry there too.
+    controller.RegisterEndpoint(wemo->spec().mac, &core, trunk_on_core);
+    controller.RegisterEndpoint(cam->spec().mac, &edge, trunk_on_edge);
     core.SetSwitchPort(edge.id(), trunk_on_core);
     edge.SetSwitchPort(core.id(), trunk_on_edge);
 
@@ -84,8 +85,6 @@ struct Campus {
     auto* alink = NewLink();
     attacker->ConnectUplink(alink, 0);
     const int aport = edge.AttachLink(alink, 1);
-    edge.SetMacPort(attacker->mac(), aport);
-    core.SetMacPort(attacker->mac(), trunk_on_core);
     controller.RegisterEndpoint(attacker->mac(), &edge, aport);
     controller.RegisterEndpoint(attacker->mac(), &core, trunk_on_core);
   }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <regex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -171,6 +172,37 @@ TEST(ObsRegistryTest, JsonAndPrometheusExportContainMetrics) {
   EXPECT_NE(prom.find("test_export_ns_sum 300"), std::string::npos);
 }
 
+// A metric name is caller-supplied text: a quote or line feed in it must
+// not break the exposition format, which has one metric per line and no
+// quoting for names.
+TEST(ObsRegistryTest, PrometheusExportSanitizesHostileNames) {
+  obs::MetricsRegistry reg;
+  reg.GetCounter("a.b\"c\nd")->Inc(7);
+  reg.GetGauge("9lives")->Set(3);
+  const std::string prom = reg.ToPrometheusText();
+
+  const std::regex name("[a-zA-Z_:][a-zA-Z0-9_:]*");
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  while (start < prom.size()) {
+    const std::size_t end = prom.find('\n', start);
+    ASSERT_NE(end, std::string::npos) << "export must end with a newline";
+    lines.push_back(prom.substr(start, end - start));
+    start = end + 1;
+  }
+  ASSERT_EQ(lines.size(), 4u) << prom;
+  EXPECT_EQ(lines[0], "# TYPE a_b_c_d counter");
+  EXPECT_EQ(lines[1], "a_b_c_d 7");
+  EXPECT_EQ(lines[2], "# TYPE _9lives gauge");
+  EXPECT_EQ(lines[3], "_9lives 3");
+  for (const std::string& line : lines) {
+    const bool type_line = line.rfind("# TYPE ", 0) == 0;
+    const std::string rest = type_line ? line.substr(7) : line;
+    EXPECT_TRUE(std::regex_match(rest.substr(0, rest.find(' ')), name))
+        << line;
+  }
+}
+
 // Pin the admission-control surface: dashboards key on these names, so
 // renaming them is a breaking change this test makes deliberate.
 TEST(ObsRegistryTest, AdmissionMetricsExportUnderStableNames) {
@@ -206,11 +238,12 @@ TEST(ObsRegistryTest, AdmissionMetricsExportUnderStableNames) {
 }
 
 // Pin the control-fabric message-volume surface (flat vs federated
-// comparisons key on these), the federation counters and the view's
-// out-of-domain write counter.
+// comparisons key on these), the federation counters, the view's
+// out-of-domain write counter and the PacketIn gate's drop counter.
 TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
   auto& m = obs::M();
   m.ctl_view_unknown_values->Inc(1);
+  m.ctl_packet_in_drops->Inc(6);
   m.ctl_reevals_coalesced->Inc(2);
   m.ctl_msg_rule_pushes->Inc(7);
   m.ctl_msg_context_syncs->Inc(3);
@@ -223,7 +256,8 @@ TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
   auto& reg = obs::MetricsRegistry::Global();
   const std::string json = reg.ToJson();
   for (const char* name :
-       {"\"ctl.view_unknown_values\"", "\"ctl.reevals_coalesced\"",
+       {"\"ctl.view_unknown_values\"", "\"ctl.packet_in_drops\"",
+        "\"ctl.reevals_coalesced\"",
         "\"ctl.msg.rule_pushes\"", "\"ctl.msg.context_syncs\"",
         "\"ctl.msg.heartbeat_forwards\"",
         "\"ctl.fed.sync_keys\"", "\"ctl.fed.push_ops\"",
@@ -233,7 +267,8 @@ TEST(ObsRegistryTest, ControlMessageMetricsExportUnderStableNames) {
 
   const std::string prom = reg.ToPrometheusText();
   for (const char* name :
-       {"ctl_view_unknown_values", "ctl_reevals_coalesced",
+       {"ctl_view_unknown_values", "ctl_packet_in_drops",
+        "ctl_reevals_coalesced",
         "ctl_msg_rule_pushes", "ctl_msg_context_syncs",
         "ctl_msg_heartbeat_forwards",
         "ctl_fed_sync_keys", "ctl_fed_push_ops", "ctl_fed_local_reevals",
