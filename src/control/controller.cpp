@@ -41,27 +41,21 @@ IoTSecController::IoTSecController(sim::Simulator& simulator,
       control_fault_rng_(config.recovery_seed ^ 0xC7A11u) {}
 
 void IoTSecController::ManageSwitch(sdn::Switch* sw, int port_to_cluster) {
-  if (!switch_index_.emplace(sw->id(), switches_.size()).second) {
-    throw std::invalid_argument("ManageSwitch: switch " +
-                                std::to_string(sw->id()) +
-                                " is already managed");
-  }
   sw->SetPacketInHandler(this);
   sw->SetMissBehavior(sdn::Switch::MissBehavior::kToController);
   switches_.push_back(ManagedSwitch{sw, port_to_cluster, {}, {}});
 }
 
-IoTSecController::ManagedSwitch* IoTSecController::FindSwitch(
-    const sdn::Switch* sw) {
-  const auto it = switch_index_.find(sw->id());
-  if (it == switch_index_.end()) return nullptr;
-  ManagedSwitch& ms = switches_[it->second];
-  return ms.sw == sw ? &ms : nullptr;
+IoTSecController::ManagedSwitch* IoTSecController::FindSwitch(SwitchId id) {
+  for (ManagedSwitch& ms : switches_) {
+    if (ms.sw->id() == id) return &ms;
+  }
+  return nullptr;
 }
 
 void IoTSecController::MapHostPort(sdn::Switch* sw, ServerId host,
                                    int port) {
-  if (ManagedSwitch* ms = FindSwitch(sw)) ms->host_ports[host] = port;
+  if (ManagedSwitch* ms = FindSwitch(sw->id())) ms->host_ports[host] = port;
 }
 
 void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
@@ -85,7 +79,7 @@ void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
   }
 }
 
-void IoTSecController::BindMac(const net::MacAddress& mac, sdn::Switch* sw,
+bool IoTSecController::BindMac(const net::MacAddress& mac, sdn::Switch* sw,
                                int port) {
   // Two priority-1 entries for one eth_dst would forward to whichever
   // was installed first, so an alias must fail here, not route silently.
@@ -96,7 +90,9 @@ void IoTSecController::BindMac(const net::MacAddress& mac, sdn::Switch* sw,
         std::to_string(bound) + " of switch " + std::to_string(sw->id()) +
         ", not port " + std::to_string(port));
   }
+  if (bound == port) return false;
   sw->SetMacPort(mac, port);
+  return true;
 }
 
 void IoTSecController::InstallL2(sdn::Switch* sw, const net::MacAddress& mac,
@@ -112,7 +108,14 @@ void IoTSecController::InstallL2(sdn::Switch* sw, const net::MacAddress& mac,
 void IoTSecController::RegisterDevice(devices::Device* device,
                                       sdn::Switch* sw, int port) {
   const DeviceId id = device->id();
-  BindMac(device->spec().mac, sw, port);
+  const bool fresh = BindMac(device->spec().mac, sw, port);
+  if (!fresh) {
+    // The device's own entry serves this binding; an endpoint
+    // registered for the same MAC must not install a second one.
+    std::erase_if(endpoints_, [&](const Endpoint& ep) {
+      return ep.sw == sw && ep.mac == device->spec().mac;
+    });
+  }
   ManagedDevice md;
   md.device = device;
   md.sw = sw;
@@ -137,7 +140,9 @@ void IoTSecController::RegisterDevice(devices::Device* device,
   view_.SetDeviceContext(
       name, device->spec().vulns.empty() ? "normal" : "unpatched");
   if (started_) {
-    if (FindSwitch(sw) != nullptr) InstallL2(sw, device->spec().mac, port);
+    if (fresh && FindSwitch(sw->id()) != nullptr) {
+      InstallL2(sw, device->spec().mac, port);
+    }
     InvalidateAll();
   }
 }
@@ -154,12 +159,11 @@ void IoTSecController::InvalidateAll() {
 
 void IoTSecController::RegisterEndpoint(const net::MacAddress& mac,
                                         sdn::Switch* sw, int port) {
-  BindMac(mac, sw, port);
-  for (const Endpoint& ep : endpoints_) {
-    if (ep.sw == sw && ep.mac == mac) return;  // same binding again
-  }
+  // Bound already (the same endpoint again, or a device): that binding
+  // has its entry.
+  if (!BindMac(mac, sw, port)) return;
   endpoints_.push_back(Endpoint{mac, sw, port});
-  if (started_ && FindSwitch(sw) != nullptr) InstallL2(sw, mac, port);
+  if (started_ && FindSwitch(sw->id()) != nullptr) InstallL2(sw, mac, port);
 }
 
 void IoTSecController::BindEnvironment(env::Environment* environment) {
@@ -359,19 +363,26 @@ void IoTSecController::Start() {
   ReevaluateDevices(ids_);
 }
 
+namespace {
+// The PacketIn gate, per (switch, ingress port): sustained upcalls per
+// second and upcalls one port may make back to back. Every known
+// endpoint has a forwarding entry, so only unknown destinations come
+// here, and no measured workload makes any.
+constexpr double kPacketInRatePps = 1000.0;
+constexpr double kPacketInBurst = 100.0;
+}  // namespace
+
 void IoTSecController::OnPacketIn(SwitchId sw, int in_port,
                                   net::PacketPtr pkt) {
   ++stats_.packet_ins;
-  const auto it = switch_index_.find(sw);
-  if (it == switch_index_.end()) return;
-  ManagedSwitch& ms = switches_[it->second];
+  ManagedSwitch* ms = FindSwitch(sw);
+  if (ms == nullptr) return;
   // Every registered endpoint has a forwarding entry, so only unknown
   // destinations get here, and a device can spray those at will: meter
   // the upcalls per ingress port before doing any work for them.
   TokenBucket& bucket =
-      ms.packet_in_buckets
-          .try_emplace(in_port, config_.packet_in_rate_pps,
-                       config_.packet_in_burst)
+      ms->packet_in_buckets
+          .try_emplace(in_port, kPacketInRatePps, kPacketInBurst)
           .first->second;
   if (!bucket.Take(sim_.Now())) {
     ++stats_.packet_in_drops;
@@ -383,10 +394,10 @@ void IoTSecController::OnPacketIn(SwitchId sw, int in_port,
   // know their endpoints.)
   const auto* frame = pkt->Parsed();
   if (!frame) return;
-  const int out = ms.sw->PortOfMac(frame->eth.dst);
+  const int out = ms->sw->PortOfMac(frame->eth.dst);
   if (out < 0) return;
   sim_.After(config_.flowmod_latency,
-             [s = ms.sw, pkt = std::move(pkt), out]() mutable {
+             [s = ms->sw, pkt = std::move(pkt), out]() mutable {
                s->Output(std::move(pkt), out);
              });
 }
@@ -635,7 +646,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
 
 void IoTSecController::InstallDiversion(ManagedDevice& md, UmboxId umbox) {
   RemoveDiversion(md);
-  const ManagedSwitch* ms = FindSwitch(md.sw);
+  const ManagedSwitch* ms = FindSwitch(md.sw->id());
   if (ms == nullptr) return;
   // Tunnel out the port of the host actually serving this µmbox — after
   // a failover the instance lives somewhere else than the default
@@ -671,7 +682,7 @@ void IoTSecController::InstallIsolation(ManagedDevice& md) {
 
 void IoTSecController::InstallQuarantine(ManagedDevice& md) {
   RemoveDiversion(md);
-  if (FindSwitch(md.sw) == nullptr) return;
+  if (FindSwitch(md.sw->id()) == nullptr) return;
   ++flow_version_;
   const auto ip = md.device->spec().ip;
   for (const auto& match :
@@ -689,7 +700,7 @@ void IoTSecController::InstallQuarantine(ManagedDevice& md) {
 }
 
 void IoTSecController::RemoveDiversion(ManagedDevice& md) {
-  if (FindSwitch(md.sw) == nullptr) return;
+  if (FindSwitch(md.sw->id()) == nullptr) return;
   EmitRemoveByCookie(md.sw, 0x1000000ull + md.device->id(),
                      /*urgent=*/false);
 }

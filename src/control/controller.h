@@ -82,16 +82,6 @@ struct ControllerConfig {
   /// counted). Zero with queue_while_booting on is a guaranteed
   /// boot-window blackhole — iotsec-verify flags it (G007).
   std::size_t boot_queue_limit = 256;
-
-  // ---- PacketIn gate. Every known endpoint has a proactive forwarding
-  // entry, so a table miss means an unknown destination, which any
-  // device can make up at will. Each (switch, ingress port) pair gets a
-  // token bucket; upcalls beyond it are dropped and counted
-  // (Stats::packet_in_drops, ctl.packet_in_drops).
-  /// Sustained upcalls per second per ingress port.
-  double packet_in_rate_pps = 1000.0;
-  /// Upcalls one ingress port may make back to back.
-  double packet_in_burst = 100.0;
 };
 
 class IoTSecController final : public sdn::PacketInHandler,
@@ -296,10 +286,11 @@ class IoTSecController final : public sdn::PacketInHandler,
     int port = -1;
   };
 
-  [[nodiscard]] ManagedSwitch* FindSwitch(const sdn::Switch* sw);
-  /// Binds `mac` to `port` in `sw`'s MAC table; throws
-  /// std::invalid_argument when it is bound to another port there.
-  static void BindMac(const net::MacAddress& mac, sdn::Switch* sw, int port);
+  [[nodiscard]] ManagedSwitch* FindSwitch(SwitchId id);
+  /// Binds `mac` to `port` in `sw`'s MAC table and returns whether the
+  /// binding is new; throws std::invalid_argument when `mac` is bound to
+  /// another port there.
+  static bool BindMac(const net::MacAddress& mac, sdn::Switch* sw, int port);
   /// The priority-1 dst-MAC -> port entry shared by devices and endpoints.
   void InstallL2(sdn::Switch* sw, const net::MacAddress& mac, int port);
   void ScheduleReevaluate();
@@ -364,7 +355,6 @@ class IoTSecController final : public sdn::PacketInHandler,
   GlobalView view_;
   dataplane::Cluster* cluster_ = nullptr;
   std::vector<ManagedSwitch> switches_;
-  std::unordered_map<SwitchId, std::size_t> switch_index_;  // into switches_
   std::vector<Endpoint> endpoints_;
   std::map<DeviceId, ManagedDevice> devices_;
   std::vector<DeviceId> ids_;  // ascending: the flat sweep's scope

@@ -29,6 +29,15 @@ std::int64_t EndpointPackets(const sdn::Switch& sw,
   return -1;
 }
 
+/// Entries on `sw` whose destination match is `mac`.
+int EntriesFor(const sdn::Switch& sw, const net::MacAddress& mac) {
+  int n = 0;
+  for (const sdn::FlowEntry& e : sw.flow_table().Entries()) {
+    if (e.match.eth_dst == mac) ++n;
+  }
+  return n;
+}
+
 /// Packets counted by the device's priority-100 posture entries.
 std::uint64_t PosturePackets(const sdn::Switch& sw, DeviceId device) {
   std::uint64_t n = 0;
@@ -79,22 +88,36 @@ TEST(MacAliasTest, RebindingToTheSamePortIsAllowed) {
   const int hub_port = dep.edge().PortOfMac(ctl.hub_mac());
   EXPECT_NO_THROW(ctl.RegisterEndpoint(ctl.hub_mac(), &dep.edge(), hub_port));
   dep.Start();
-  // One hub entry however often the hub was registered.
-  int hub_entries = 0;
-  for (const sdn::FlowEntry& e : dep.edge().flow_table().Entries()) {
-    if (e.match.eth_dst == ctl.hub_mac()) ++hub_entries;
-  }
-  EXPECT_EQ(hub_entries, 1);
+  // One entry per bound MAC however often, and as what, it was
+  // registered.
+  EXPECT_EQ(EntriesFor(dep.edge(), ctl.hub_mac()), 1);
+  EXPECT_EQ(EntriesFor(dep.edge(), bulb->spec().mac), 1);
+  // Re-registering after Start installs nothing more.
+  EXPECT_NO_THROW(ctl.RegisterDevice(bulb, &dep.edge(), port));
+  EXPECT_NO_THROW(ctl.RegisterEndpoint(ctl.hub_mac(), &dep.edge(), hub_port));
+  dep.RunFor(10 * kMillisecond);
+  EXPECT_EQ(EntriesFor(dep.edge(), ctl.hub_mac()), 1);
+  EXPECT_EQ(EntriesFor(dep.edge(), bulb->spec().mac), 1);
 }
 
-TEST(RegistrationTest, ManagingTwoSwitchesWithOneIdThrows) {
-  // PacketIn finds its switch by id, so the id must name one switch.
+TEST(MacAliasTest, EndpointThenDeviceOnOnePortGetsOneEntry) {
   sim::Simulator sim;
   control::IoTSecController controller(sim);
-  sdn::Switch a(7, sim);
-  sdn::Switch b(7, sim);
-  controller.ManageSwitch(&a, -1);
-  EXPECT_THROW(controller.ManageSwitch(&b, -1), std::invalid_argument);
+  sdn::Switch sw(1, sim);
+  controller.ManageSwitch(&sw, -1);
+  devices::DeviceSpec spec;
+  spec.id = 1;
+  spec.name = "bulb";
+  spec.cls = devices::DeviceClass::kLightBulb;
+  spec.mac = net::MacAddress::FromId(1);
+  spec.ip = net::Ipv4Address(10, 0, 0, 1);
+  devices::LightBulb bulb(spec, sim, nullptr);
+  controller.RegisterEndpoint(spec.mac, &sw, 3);
+  controller.RegisterDevice(&bulb, &sw, 3);
+  controller.Start();
+  sim.RunFor(10 * kMillisecond);
+  EXPECT_EQ(EntriesFor(sw, spec.mac), 1);
+  EXPECT_EQ(EndpointPackets(sw, spec.mac), 0);
 }
 
 TEST(RegistrationTest, LateRegistrationInstallsItsEntryAtOnce) {
@@ -125,6 +148,9 @@ struct PrecedenceObservation {
   std::int64_t dropped_endpoint_packets = 0;
   std::string quarantined_hub_state;
   std::string isolated_hub_state;
+  // What the view held for them at registration.
+  std::string quarantined_registered_state;
+  std::string isolated_registered_state;
   std::uint64_t quarantine_chain_packets = 0;
   std::uint64_t isolation_drop_packets = 0;
   // Monitor device.
@@ -152,6 +178,15 @@ PrecedenceObservation RunPrecedence(int shards) {
   devices::LightBulb* isolated = dep.AddLightBulb("isolated");
   devices::LightBulb* monitored = dep.AddLightBulb("monitored");
   devices::LightBulb* trusted = dep.AddLightBulb("trusted");
+  const auto hub_state = [&](devices::Device* device) {
+    return dep.controller()
+        .view()
+        .DeviceState(device->spec().name)
+        .value_or("?");
+  };
+  PrecedenceObservation obs;
+  obs.quarantined_registered_state = hub_state(quarantined);
+  obs.isolated_registered_state = hub_state(isolated);
 
   policy::FsmPolicy policy;
   policy.SetDefault(core::TrustPosture());
@@ -187,11 +222,6 @@ PrecedenceObservation RunPrecedence(int shards) {
       bulb->Actuate(proto::IotCommand::kTurnOn);
     });
   };
-  const auto hub_state = [&](devices::Device* device) {
-    return ctl.view().DeviceState(device->spec().name).value_or("?");
-  };
-
-  PrecedenceObservation obs;
   // Quarantined (µmbox discard) and isolated (drop entries) devices.
   {
     const std::uint64_t bytes0 = attacker.BytesReceived();
@@ -255,10 +285,12 @@ PrecedenceObservation RunPrecedence(int shards) {
 void ExpectPrecedence(const PrecedenceObservation& obs) {
   EXPECT_EQ(obs.dropped_attacker_bytes, 0u);
   EXPECT_EQ(obs.dropped_endpoint_packets, 0);
-  // Not even the boot-time "off" reached the hub: the view still holds
-  // the state the device was registered with.
-  EXPECT_EQ(obs.quarantined_hub_state, "idle");
-  EXPECT_EQ(obs.isolated_hub_state, "idle");
+  // No telemetry from either reached the hub: the view still holds what
+  // it held at registration, and never the "on" they reported.
+  EXPECT_EQ(obs.quarantined_hub_state, obs.quarantined_registered_state);
+  EXPECT_EQ(obs.isolated_hub_state, obs.isolated_registered_state);
+  EXPECT_NE(obs.quarantined_hub_state, "on");
+  EXPECT_NE(obs.isolated_hub_state, "on");
   EXPECT_GT(obs.quarantine_chain_packets, 0u) << "discarded in its µmbox";
   EXPECT_GT(obs.isolation_drop_packets, 0u) << "dropped by its entries";
 
@@ -298,6 +330,11 @@ struct SprayResult {
   std::vector<SimDuration> rtts;
 };
 
+// The controller's PacketIn gate (kPacketInRatePps, kPacketInBurst in
+// controller.cpp). The spray's lower bound on admissions below fails if
+// these drift from it.
+constexpr double kGateRatePps = 1000.0;
+constexpr double kGateBurst = 100.0;
 constexpr int kSprayFrames = 4000;
 constexpr SimDuration kSprayGap = 50 * kMicrosecond;
 constexpr int kProbeFrames = 20;
@@ -307,7 +344,7 @@ constexpr int kProbeFrames = 20;
 /// only the switch's MAC table knows (so they, too, take PacketIn) while
 /// the attacker runs HTTP exchanges with a third device.
 SprayResult RunSpray(int spray) {
-  core::Deployment dep;  // default PacketIn gate
+  core::Deployment dep;
   devices::LightBulb* sprayer = dep.AddLightBulb("sprayer");
   devices::LightBulb* probe = dep.AddLightBulb("probe");
   devices::LightBulb* peer = dep.AddLightBulb("peer");
@@ -387,11 +424,9 @@ TEST(PacketInGateTest, MacSprayIsBoundedByTheBucket) {
 
   // Controller work on the sprayer's port: at most burst + rate·t over
   // the spray's span t, and not much less (the gate does not over-drop).
-  const control::ControllerConfig gate;
   const double span_s = static_cast<double>((kSprayFrames - 1) * kSprayGap) /
                         static_cast<double>(kSecond);
-  const double bound =
-      gate.packet_in_burst + gate.packet_in_rate_pps * span_s;
+  const double bound = kGateBurst + kGateRatePps * span_s;
   ASSERT_LT(bound, kSprayFrames / 4) << "the spray must overrun the gate";
   // Every upcall is admitted or dropped, and the probe's all pass (below),
   // so the drops are exactly the sprayer's upcalls the bucket refused.
