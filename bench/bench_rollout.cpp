@@ -3,8 +3,8 @@
 // Part A — distribution cost at fleet scale. 10k receivers already at
 // version N-1 upgrade to N two ways:
 //
-//   full fan-out   every receiver gets the whole ruleset (what the flat
-//                  CrowdRepo notify path ships), one message each
+//   full fan-out   every receiver gets the whole ruleset as a snapshot,
+//                  one message each (the cost of pushing without deltas)
 //   delta          every receiver gets the one-rule signed delta, batched
 //                  push_batch manifests per control-plane message
 //
@@ -176,7 +176,6 @@ ContainResult RunContainment() {
   sim::Simulator sim;
   rollout::VersionStore store;
   rollout::RolloutConfig config;
-  config.enabled = true;
   config.stages = {10, 100, 1000};
   config.stage_hold = 100 * kMillisecond;
   config.push_batch = kPushBatch;
@@ -245,7 +244,6 @@ ShardResult RunDeployment(int shards) {
 
   core::DeploymentOptions opts;
   opts.shards = shards;
-  opts.rollout.enabled = true;
   opts.rollout.stages = {500, 1000};
   opts.rollout.stage_hold = 200 * kMillisecond;
   core::Deployment dep(opts);

@@ -10,7 +10,6 @@
 #include "obs/obs.h"
 #include "proto/frame.h"
 #include "proto/iotctl.h"
-#include "rollout/coordinator.h"
 
 namespace iotsec::control {
 namespace {
@@ -32,13 +31,21 @@ std::string FirstElementName(const std::string& config) {
 }  // namespace
 
 IoTSecController::IoTSecController(sim::Simulator& simulator,
-                                   ControllerConfig config)
+                                   ControllerConfig config,
+                                   rollout::RolloutConfig rollout)
     : sim_(simulator),
       config_(config),
       health_(HealthConfig{config.heartbeat_period,
                            config.heartbeat_miss_threshold}),
       recovery_rng_(config.recovery_seed),
-      control_fault_rng_(config.recovery_seed ^ 0xC7A11u) {}
+      control_fault_rng_(config.recovery_seed ^ 0xC7A11u),
+      rollout_(simulator, &versions_, std::move(rollout)) {
+  rollout_.SetApplier(
+      [this](DeviceId device,
+             const std::shared_ptr<const sig::CompiledRuleset>& compiled) {
+        ApplyRolloutCompile(device, compiled);
+      });
+}
 
 void IoTSecController::ManageSwitch(sdn::Switch* sw, int port_to_cluster) {
   sw->SetPacketInHandler(this);
@@ -131,9 +138,8 @@ void IoTSecController::RegisterDevice(devices::Device* device,
   keep_lowest(id_by_name_, device->spec().name);
   keep_lowest(id_by_ip_, device->spec().ip);
   IndexReader(id);
-  if (rollout_ != nullptr) {
-    rollout_->RegisterDevice(id, device->spec().sku);
-  }
+  rollout_.RegisterDevice(id, device->spec().sku);
+  if (crowd_repo_ != nullptr) SubscribeCrowdSku(device->spec().sku);
 
   const std::string& name = device->spec().name;
   view_.SetDeviceState(name, device->State());
@@ -195,52 +201,31 @@ void IoTSecController::SetPolicy(policy::StateSpace space,
 
 void IoTSecController::AttachCrowdRepo(learn::CrowdRepo* repo) {
   crowd_repo_ = repo;
-  // Rollout mode: acceptances must flow through the version store (the
-  // signing authority) before any device sees them.
-  if (rollout_ != nullptr) repo->AttachVersionStore(rollout_->store());
-  std::set<std::string> skus;
-  for (const auto& [id, md] : devices_) skus.insert(md.device->spec().sku);
-  for (const auto& sku : skus) {
-    // Pick up signatures accepted before we subscribed. In rollout mode
-    // the version store already carries them; nudge the coordinator (a
-    // no-op when no version exists for the SKU).
-    if (rollout_ != nullptr) {
-      rollout_->OnVersionCut(sku);
-    } else {
-      for (const auto& sig : repo->AcceptedFor(sku)) {
-        crowd_rules_[sku].push_back(sig.rule.ToText());
-      }
-    }
-    repo->Subscribe(sku, "iotsec-controller",
-                    [this, sku](const learn::SharedSignature& sig) {
-                      // Distribution is not instantaneous: the rule lands
-                      // one control latency later.
-                      sim_.After(config_.control_latency,
-                                 [this, sku, text = sig.rule.ToText()] {
-                                   if (rollout_ != nullptr) {
-                                     // Staged path: the acceptance already
-                                     // cut a version; canary it instead of
-                                     // blasting the whole fleet.
-                                     rollout_->OnVersionCut(sku);
-                                     return;
-                                   }
-                                   crowd_rules_[sku].push_back(text);
-                                   OnCrowdSignature(sku);
-                                 });
-                    });
+  for (const auto& [id, md] : devices_) {
+    SubscribeCrowdSku(md.device->spec().sku);
   }
 }
 
-void IoTSecController::SetRollout(rollout::RolloutCoordinator* rollout) {
-  rollout_ = rollout;
-  if (rollout_ == nullptr) return;
-  for (const auto& [id, md] : devices_) {
-    rollout_->RegisterDevice(id, md.device->spec().sku);
-  }
-  rollout_->SetApplier(
-      [this](DeviceId device,
-             const std::shared_ptr<const sig::CompiledRuleset>& compiled) {
-        ApplyRolloutCompile(device, compiled);
+void IoTSecController::SubscribeCrowdSku(const std::string& sku) {
+  if (!crowd_skus_.insert(sku).second) return;
+  const auto accepted_texts = [this, sku] {
+    std::vector<std::string> texts;
+    for (const auto& sig : crowd_repo_->AcceptedFor(sku)) {
+      texts.push_back(sig.rule.ToText());
+    }
+    return texts;
+  };
+  rollout_.AdoptBaseline(sku, accepted_texts());
+  crowd_repo_->Subscribe(
+      sku, "iotsec-controller",
+      [this, sku, accepted_texts](const learn::SharedSignature&) {
+        // This controller's store (the signing authority for its
+        // devices) cuts the SKU's full accepted ruleset as a new
+        // version. Distribution is not instantaneous: its canary starts
+        // one control latency later.
+        versions_.Cut(sku, accepted_texts());
+        sim_.After(config_.control_latency,
+                   [this, sku] { rollout_.OnVersionCut(sku); });
       });
 }
 
@@ -250,6 +235,11 @@ void IoTSecController::ApplyRolloutCompile(
   auto it = devices_.find(device);
   if (it == devices_.end()) return;
   ManagedDevice& md = it->second;
+  if (md.rejected_posture) {
+    // The crowd rules are part of the rejected config: retry the posture.
+    pending_.insert(device);
+    ScheduleReevaluate();
+  }
   if (!md.umbox || cluster_ == nullptr) return;
   dataplane::Umbox* box = cluster_->Find(*md.umbox);
   if (box == nullptr || box->graph() == nullptr) return;
@@ -282,51 +272,19 @@ void IoTSecController::ApplyRolloutCompile(
 
 std::string IoTSecController::EffectiveConfig(
     const ManagedDevice& md, const std::string& config) const {
-  // Rollout mode: the device's receiver holds exactly the verified
-  // ruleset version its cohort is on (canaries ahead of the control
-  // group). Flat mode: every device of the SKU gets the same list.
-  const std::vector<std::string>* rule_texts = nullptr;
-  if (rollout_ != nullptr) {
-    rule_texts = &rollout_->RuleTextsFor(md.device->id());
-  } else {
-    const auto it = crowd_rules_.find(md.device->spec().sku);
-    if (it != crowd_rules_.end()) rule_texts = &it->second;
-  }
-  if (rule_texts == nullptr || rule_texts->empty() || config.empty()) {
-    return config;
-  }
+  // The device's receiver holds exactly the verified ruleset version its
+  // cohort is on (canaries ahead of the control group).
+  const std::vector<std::string>& rule_texts =
+      rollout_.RuleTextsFor(md.device->id());
+  if (rule_texts.empty() || config.empty()) return config;
   const std::string entry = FirstElementName(config);
   if (entry.empty()) return config;
   // The rule text goes inside a quoted config value, so its own quotes
   // must go; the rule parser accepts unquoted option values.
-  std::string rules = Join(*rule_texts, "\n");
+  std::string rules = Join(rule_texts, "\n");
   std::erase(rules, '"');
   return "crowd :: SignatureMatcher(rules=\"" + rules + "\")\n" + config +
          "crowd -> " + entry + "\n";
-}
-
-void IoTSecController::OnCrowdSignature(const std::string& sku) {
-  IOTSEC_LOG_INFO("crowd signature accepted for SKU %s; repatching umboxes",
-                  sku.c_str());
-  for (auto& [id, md] : devices_) {
-    if (md.device->spec().sku != sku) continue;
-    if (!md.umbox || cluster_ == nullptr) continue;
-    if (md.posture.umbox_config.empty()) continue;
-    dataplane::Umbox* box = cluster_->Find(*md.umbox);
-    if (box == nullptr) continue;
-    std::string error;
-    if (box->Reconfigure(EffectiveConfig(md, md.posture.umbox_config),
-                         &error)) {
-      ++stats_.crowd_rules_applied;
-      ++stats_.umbox_reconfigs;
-      audit_.Record(sim_.Now(), AuditCategory::kCrowd,
-                    md.device->spec().name,
-                    "crowd signature applied for SKU " + sku);
-    } else {
-      IOTSEC_LOG_ERROR("crowd repatch failed for %s: %s",
-                       md.device->spec().name.c_str(), error.c_str());
-    }
-  }
 }
 
 void IoTSecController::Start() {
@@ -441,7 +399,7 @@ void IoTSecController::OnUmboxAlert(UmboxId umbox,
   ++md->alert_count;
   // Rollout health gate input: per-device alert attribution, already on
   // the single-threaded post-control-latency path.
-  if (rollout_ != nullptr) rollout_->OnDeviceAlert(md->device->id());
+  rollout_.OnDeviceAlert(md->device->id());
   EscalateContext(md->device->spec().name, *md);
 }
 
@@ -526,6 +484,10 @@ void IoTSecController::ReevaluateDevices(const std::vector<DeviceId>& scope) {
     ++stats_.devices_evaluated;
     const policy::Posture& posture = policy_.Evaluate(space_, state, id);
     if (posture == md.posture) continue;
+    if (md.rejected_posture && *md.rejected_posture == posture &&
+        md.rejected_crowd_version == rollout_.VersionOf(id)) {
+      continue;
+    }
     ++stats_.posture_changes;
     if (obs::Enabled()) {
       obs::M().ctl_policy_transitions->Inc();
@@ -537,15 +499,19 @@ void IoTSecController::ReevaluateDevices(const std::vector<DeviceId>& scope) {
                   md.device->spec().name,
                   md.posture.profile + " -> " + posture.profile);
     ApplyPosture(md, posture);
-    // Unsettled (shed launch, failed reconfig, no cluster or host): a
-    // full sweep would retry it every time, so it stays pending.
-    if (!(md.posture == posture)) pending_.insert(id);
+    // Unsettled (shed launch, no cluster or host): a full sweep would
+    // retry it every time, so it stays pending. A rejected config is
+    // settled: only a new posture or crowd ruleset retries it.
+    if (!(md.posture == posture) && !md.rejected_posture) {
+      pending_.insert(id);
+    }
   }
 }
 
 void IoTSecController::ApplyPosture(ManagedDevice& md,
                                     const policy::Posture& posture) {
   md.launch_shed = false;
+  md.rejected_posture.reset();
   const bool needs_umbox = posture.tunnel && !posture.umbox_config.empty();
   if (!needs_umbox) {
     RemoveDiversion(md);
@@ -573,6 +539,8 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
       if (!ok) {
         IOTSEC_LOG_ERROR("reconfig failed for %s: %s",
                          md.device->spec().name.c_str(), error.c_str());
+        md.rejected_posture = posture;
+        md.rejected_crowd_version = rollout_.VersionOf(md.device->id());
         return;
       }
       ++stats_.umbox_reconfigs;
@@ -624,8 +592,12 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   std::string error;
   dataplane::Umbox* box = host->Launch(spec, ctx, &error);
   if (box == nullptr) {
+    // PickHost vouched for the host's liveness and capacity, so the
+    // config itself was refused.
     IOTSEC_LOG_ERROR("umbox launch failed for %s: %s",
                      md.device->spec().name.c_str(), error.c_str());
+    md.rejected_posture = posture;
+    md.rejected_crowd_version = rollout_.VersionOf(md.device->id());
     if (config_.fail_closed) InstallIsolation(md);
     return;
   }
@@ -806,7 +778,7 @@ void IoTSecController::HandleUmboxFailure(UmboxId umbox, const char* cause) {
   ++md->recovery_epoch;
   // Rollout health gate input: a cohort device crashing during the hold
   // window fails the canary immediately (max_cohort_crashes default 0).
-  if (rollout_ != nullptr) rollout_->OnDeviceCrash(md->device->id());
+  rollout_.OnDeviceCrash(md->device->id());
   audit_.Record(sim_.Now(), AuditCategory::kRecovery, md->device->spec().name,
                 "umbox " + std::to_string(umbox) + " " + cause + "; " +
                     (config_.fail_closed ? "fail-closed quarantine"

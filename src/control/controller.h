@@ -32,11 +32,8 @@
 #include "env/environment.h"
 #include "learn/crowd.h"
 #include "policy/fsm_policy.h"
+#include "rollout/coordinator.h"
 #include "sdn/switch.h"
-
-namespace iotsec::rollout {
-class RolloutCoordinator;
-}  // namespace iotsec::rollout
 
 namespace iotsec::control {
 
@@ -87,7 +84,10 @@ struct ControllerConfig {
 class IoTSecController final : public sdn::PacketInHandler,
                                public net::PacketSink {
  public:
-  IoTSecController(sim::Simulator& simulator, ControllerConfig config = {});
+  /// `rollout` configures the staged pipeline that carries crowd
+  /// rulesets to the µmboxes (see AttachCrowdRepo).
+  IoTSecController(sim::Simulator& simulator, ControllerConfig config = {},
+                   rollout::RolloutConfig rollout = {});
 
   // ---- Wiring (called once while building the deployment).
   void ManageSwitch(sdn::Switch* sw, int port_to_cluster);
@@ -116,18 +116,15 @@ class IoTSecController final : public sdn::PacketInHandler,
   void SetPolicy(policy::StateSpace space, policy::FsmPolicy policy);
 
   /// Crowd-to-enforcement pipeline (§4.1 -> §5): subscribes to the
-  /// repository for every registered device's SKU. When a signature is
-  /// accepted, the µmboxes of matching devices are hot-reconfigured with
-  /// the new rule prepended to their chains — the herd gets immunity
-  /// without anyone touching policy. Call after all devices registered.
+  /// repository for every registered device's SKU, and for each new SKU
+  /// registered later. Each acceptance cuts a signed version in this
+  /// controller's store, and the coordinator stages it through canary
+  /// cohorts into the matching devices' µmbox chains — the herd gets
+  /// immunity without anyone touching policy. Rules the repository
+  /// accepted before a SKU's subscription become its stable baseline at
+  /// once. Any number of controllers may share one repository; attach
+  /// at most one repository per controller.
   void AttachCrowdRepo(learn::CrowdRepo* repo);
-
-  /// Switches the crowd path from flat whole-fleet fan-out to the staged
-  /// OTA pipeline: registers every managed device with the coordinator,
-  /// installs the controller as its compile applier, and routes accepted
-  /// signatures to OnVersionCut instead of the immediate repatch. Call
-  /// after all devices registered and before AttachCrowdRepo.
-  void SetRollout(rollout::RolloutCoordinator* rollout);
 
   /// Installs base forwarding + initial postures. Call after wiring.
   void Start();
@@ -171,6 +168,7 @@ class IoTSecController final : public sdn::PacketInHandler,
   /// restarts can be deferred while the cluster is saturated.
   void SetAdmission(AdmissionController* admission) {
     admission_ = admission;
+    rollout_.SetAdmission(admission);
   }
   /// Called when the brownout level drops: re-evaluates devices whose
   /// launches were shed so enforcement is restored.
@@ -179,6 +177,9 @@ class IoTSecController final : public sdn::PacketInHandler,
   [[nodiscard]] int RecoveringCount() const;
 
   [[nodiscard]] const HealthMonitor& health() const { return health_; }
+  /// The crowd ruleset pipeline: every registered device has a receiver
+  /// there, caught up to its SKU's stable version.
+  [[nodiscard]] rollout::RolloutCoordinator& rollout() { return rollout_; }
 
   // ---- Federation tier API (see control/federation.h). When a
   // federation is attached, view-change events route to segment-local
@@ -262,6 +263,13 @@ class IoTSecController final : public sdn::PacketInHandler,
     /// Last launch attempt was refused by admission control; cleared (and
     /// the device re-evaluated) when the brownout level drops.
     bool launch_shed = false;
+    /// Posture whose µmbox config the dataplane refused (launch or
+    /// reconfigure failed on it), and the crowd ruleset version it was
+    /// built with. A retry fails the same way, so the device stays
+    /// settled in its fallback until its posture or crowd ruleset
+    /// changes.
+    std::optional<policy::Posture> rejected_posture;
+    std::uint64_t rejected_crowd_version = 0;
     // ---- recovery state machine
     bool recovering = false;
     int recovery_attempts = 0;
@@ -308,10 +316,13 @@ class IoTSecController final : public sdn::PacketInHandler,
   void EmitRemoveByCookie(sdn::Switch* sw, std::uint64_t cookie,
                           bool urgent);
   void ApplyPosture(ManagedDevice& md, const policy::Posture& posture);
-  /// Adds the crowd rules for the device's SKU in front of its chain.
+  /// Subscribes to the attached crowd repo for `sku` (once) and adopts
+  /// the rules it already accepted as the SKU's baseline.
+  void SubscribeCrowdSku(const std::string& sku);
+  /// Adds the crowd rules the device's receiver holds in front of its
+  /// chain.
   [[nodiscard]] std::string EffectiveConfig(const ManagedDevice& md,
                                             const std::string& config) const;
-  void OnCrowdSignature(const std::string& sku);
   /// Rollout applier: epoch-swaps a verified compile into the device's
   /// running "crowd" SignatureMatcher (full reconfigure when the chain
   /// has none yet; null compile = rolled back to no crowd rules).
@@ -381,9 +392,9 @@ class IoTSecController final : public sdn::PacketInHandler,
   AdmissionController* admission_ = nullptr;
   FederatedControlPlane* federation_ = nullptr;
   learn::CrowdRepo* crowd_repo_ = nullptr;
-  rollout::RolloutCoordinator* rollout_ = nullptr;
-  /// Accepted crowd rule texts per SKU, ready to splice into chains.
-  std::map<std::string, std::vector<std::string>> crowd_rules_;
+  std::set<std::string> crowd_skus_;  // subscribed at crowd_repo_
+  rollout::VersionStore versions_;
+  rollout::RolloutCoordinator rollout_;
   Stats stats_;
 };
 

@@ -59,8 +59,10 @@ Deployment::Deployment(DeploymentOptions options)
       options_.with_iotsec ? sdn::Switch::MissBehavior::kToController
                            : sdn::Switch::MissBehavior::kFlood);
 
-  controller_ =
-      std::make_unique<control::IoTSecController>(sim_, options_.controller);
+  // The controller owns the ruleset OTA pipeline (version store and
+  // rollout coordinator) on shard 0's simulator, the control-plane clock.
+  controller_ = std::make_unique<control::IoTSecController>(
+      sim_, options_.controller, options_.rollout);
 
   // Controller uplink: the hub is an endpoint like any other, so device
   // telemetry is forwarded by its entry, not by PacketIn.
@@ -148,17 +150,6 @@ Deployment::Deployment(DeploymentOptions options)
           }
           return admission_->AdmitIngress(sim_.Now());
         });
-  }
-
-  // Ruleset OTA pipeline: the store and coordinator live on shard 0's
-  // simulator (the control-plane clock), like the controller they feed.
-  // Devices registered later forward into the coordinator automatically.
-  if (options_.with_iotsec && options_.rollout.enabled) {
-    version_store_ = std::make_unique<rollout::VersionStore>();
-    rollout_ = std::make_unique<rollout::RolloutCoordinator>(
-        sim_, version_store_.get(), options_.rollout);
-    if (admission_ != nullptr) rollout_->SetAdmission(admission_.get());
-    controller_->SetRollout(rollout_.get());
   }
 }
 

@@ -61,12 +61,11 @@ struct DeploymentOptions {
   /// the policy's interaction graph get local reevaluation, cross-segment
   /// state rides delta syncs, and rule pushes are batched per switch.
   control::FederationConfig federation;
-  /// Signed delta-ruleset OTA pipeline (see rollout/coordinator.h).
-  /// Disabled (default) keeps the CrowdRepo's flat whole-fleet fan-out
-  /// byte-identical to every release before the pipeline existed.
-  /// Enabled: acceptances cut signed versions in a VersionStore and a
-  /// RolloutCoordinator stages them through canary cohorts with
-  /// health-gated promotion and instant rollback.
+  /// Signed delta-ruleset OTA pipeline (see rollout/coordinator.h), the
+  /// one path from an attached CrowdRepo to the µmboxes: acceptances cut
+  /// signed versions in a VersionStore and a RolloutCoordinator stages
+  /// them through canary cohorts with health-gated promotion and instant
+  /// rollback. Idle until a crowd repo is attached.
   rollout::RolloutConfig rollout;
   int cluster_hosts = 1;
   int host_capacity = 64;
@@ -138,12 +137,12 @@ class Deployment {
   [[nodiscard]] control::FederatedControlPlane* federation() {
     return federation_.get();
   }
-  /// Non-null iff options().rollout.enabled (and IoTSec is on).
+  /// The controller's ruleset pipeline; non-null iff IoTSec is on.
   [[nodiscard]] rollout::RolloutCoordinator* rollout() {
-    return rollout_.get();
+    return options_.with_iotsec ? &controller_->rollout() : nullptr;
   }
   [[nodiscard]] rollout::VersionStore* version_store() {
-    return version_store_.get();
+    return options_.with_iotsec ? controller_->rollout().store() : nullptr;
   }
   [[nodiscard]] const DeploymentOptions& options() const { return options_; }
   /// The LAN every device address is allocated from.
@@ -276,8 +275,6 @@ class Deployment {
   std::unique_ptr<control::IoTSecController> controller_;
   std::unique_ptr<control::AdmissionController> admission_;
   std::unique_ptr<control::FederatedControlPlane> federation_;
-  std::unique_ptr<rollout::VersionStore> version_store_;
-  std::unique_ptr<rollout::RolloutCoordinator> rollout_;
   SimTime next_admission_sample_ = 0;
   std::vector<std::unique_ptr<dataplane::UmboxHost>> hosts_;
   dataplane::Cluster cluster_;

@@ -58,6 +58,31 @@ std::optional<ConfigMap> ParseConfigArgs(std::string_view args,
   return out;
 }
 
+std::vector<std::string> SplitConfigStatements(std::string_view text) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  bool quoted = false;
+  bool comment = false;
+  bool blank = true;  // nothing but whitespace yet in this statement
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '\n' && !quoted) {
+      out.emplace_back(text.substr(start, i - start));
+      start = i + 1;
+      comment = false;
+      blank = true;
+      continue;
+    }
+    if (blank && !IsAsciiSpace(c)) {
+      blank = false;
+      comment = c == '#';
+    }
+    if (c == '"' && !comment) quoted = !quoted;
+  }
+  out.emplace_back(text.substr(start));
+  return out;
+}
+
 void Element::ConnectOutput(int out_port, Element* next, int next_in_port) {
   if (out_port >= static_cast<int>(outputs_.size())) {
     outputs_.resize(static_cast<std::size_t>(out_port) + 1);

@@ -51,6 +51,11 @@ using ConfigMap = std::map<std::string, std::string>;
 std::optional<ConfigMap> ParseConfigArgs(std::string_view args,
                                          std::string* error);
 
+/// Splits config text into its newline-separated statements. A newline
+/// inside a double-quoted value belongs to the value (one rule per line
+/// in a SignatureMatcher's rules); quotes in '#' comment lines are text.
+std::vector<std::string> SplitConfigStatements(std::string_view text);
+
 struct ElementContext {
   sim::Simulator* sim = nullptr;
   const ContextView* context = nullptr;

@@ -1,5 +1,6 @@
 #include "dataplane/graph.h"
 
+#include <algorithm>
 #include <map>
 
 #include "common/strings.h"
@@ -127,8 +128,11 @@ std::unique_ptr<MboxGraph> MboxGraph::Build(std::string_view config_text,
   int entry_line = 0;
   int entry_col = 0;
 
-  for (const auto& raw : Split(config_text, '\n')) {
-    ++line_no;
+  int next_line = 1;
+  for (const auto& raw : SplitConfigStatements(config_text)) {
+    line_no = next_line;
+    next_line +=
+        1 + static_cast<int>(std::count(raw.begin(), raw.end(), '\n'));
     raw_line = raw;
     auto line = Trim(raw_line);
     if (line.empty() || line.front() == '#') continue;

@@ -38,8 +38,11 @@ std::string_view VulnerabilityName(Vulnerability v) {
 }
 
 Device::Device(DeviceSpec spec, sim::Simulator& simulator,
-               env::Environment* env)
-    : sim_(simulator), env_(env), spec_(std::move(spec)) {}
+               env::Environment* env, std::string initial_state)
+    : sim_(simulator),
+      env_(env),
+      spec_(std::move(spec)),
+      state_(std::move(initial_state)) {}
 
 Device::~Device() = default;
 

@@ -81,7 +81,11 @@ struct DeviceSpec {
 
 class Device : public net::PacketSink {
  public:
-  Device(DeviceSpec spec, sim::Simulator& simulator, env::Environment* env);
+  /// `initial_state` is the FSM state the device boots into (the first
+  /// state of its model), so State() is in the model's domain before
+  /// Start() too.
+  Device(DeviceSpec spec, sim::Simulator& simulator, env::Environment* env,
+         std::string initial_state);
   ~Device() override;
 
   Device(const Device&) = delete;
@@ -139,6 +143,10 @@ class Device : public net::PacketSink {
  protected:
   /// Transitions the FSM and emits a telemetry event to the hub.
   void SetState(std::string new_state);
+  /// Emits the current state to the hub. Every model whose boot state is
+  /// not "idle" sends it from Start(), as it always has; camera,
+  /// thermostat and set-top box boot silently.
+  void ReportState() { SendEvent("state", state_); }
 
   /// Checks an IoTCtl credential against the vulnerability profile:
   /// - kNoCredentials accepts everything;
@@ -184,7 +192,7 @@ class Device : public net::PacketSink {
   void RespondToCommand(const proto::ParsedFrame& frame,
                         const proto::IotCtlMessage& msg);
 
-  std::string state_ = "idle";
+  std::string state_;
   net::Link* uplink_ = nullptr;
   int uplink_end_ = 0;
   std::uint16_t next_seq_ = 1;

@@ -3,9 +3,9 @@
 namespace iotsec::devices {
 
 Hub::Hub(DeviceSpec spec, sim::Simulator& simulator, env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "online") {}
 
-void Hub::Start() { SetState("online"); }
+void Hub::Start() { ReportState(); }
 
 void Hub::Enroll(const Device& member) {
   members_[member.spec().name] = Member{member.spec().ip, member.spec().mac,

@@ -41,10 +41,9 @@ proto::HttpResponse Forbidden() {
 
 Camera::Camera(DeviceSpec spec, sim::Simulator& simulator,
                env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "idle") {}
 
 void Camera::Start() {
-  SetState("idle");
   if (env_ != nullptr && env_->Has("occupancy")) {
     env_subscription_ = env_->Subscribe([this](const env::LevelChange& c) {
       if (c.variable != "occupancy") return;
@@ -114,10 +113,10 @@ std::string Camera::Execute(const proto::IotCtlMessage& msg) {
 
 SmartPlug::SmartPlug(DeviceSpec spec, sim::Simulator& simulator,
                      env::Environment* env, std::string attached_env_var)
-    : Device(std::move(spec), simulator, env),
+    : Device(std::move(spec), simulator, env, "off"),
       attached_env_var_(std::move(attached_env_var)) {}
 
-void SmartPlug::Start() { SetState("off"); }
+void SmartPlug::Start() { ReportState(); }
 
 std::string SmartPlug::Execute(const proto::IotCtlMessage& msg) {
   switch (msg.command) {
@@ -168,10 +167,9 @@ void SmartPlug::HandleDns(const proto::ParsedFrame& frame,
 
 Thermostat::Thermostat(DeviceSpec spec, sim::Simulator& simulator,
                        env::Environment* env, double setpoint_c)
-    : Device(std::move(spec), simulator, env), setpoint_(setpoint_c) {}
+    : Device(std::move(spec), simulator, env, "idle"), setpoint_(setpoint_c) {}
 
 void Thermostat::Start() {
-  SetState("idle");
   sim_.Every(5 * kSecond, [this] { Poll(); });
 }
 
@@ -205,10 +203,10 @@ std::string Thermostat::Execute(const proto::IotCtlMessage& msg) {
 
 FireAlarm::FireAlarm(DeviceSpec spec, sim::Simulator& simulator,
                      env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "ok") {}
 
 void FireAlarm::Start() {
-  SetState("ok");
+  ReportState();
   if (env_ != nullptr && env_->Has("smoke")) {
     env_->Subscribe([this](const env::LevelChange& c) {
       if (c.variable != "smoke") return;
@@ -232,9 +230,9 @@ std::string FireAlarm::Execute(const proto::IotCtlMessage& msg) {
 
 WindowActuator::WindowActuator(DeviceSpec spec, sim::Simulator& simulator,
                                env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "closed") {}
 
-void WindowActuator::Start() { SetState("closed"); }
+void WindowActuator::Start() { ReportState(); }
 
 std::string WindowActuator::Execute(const proto::IotCtlMessage& msg) {
   switch (msg.command) {
@@ -258,9 +256,9 @@ std::string WindowActuator::Execute(const proto::IotCtlMessage& msg) {
 
 SmartLock::SmartLock(DeviceSpec spec, sim::Simulator& simulator,
                      env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "locked") {}
 
-void SmartLock::Start() { SetState("locked"); }
+void SmartLock::Start() { ReportState(); }
 
 std::string SmartLock::Execute(const proto::IotCtlMessage& msg) {
   switch (msg.command) {
@@ -281,9 +279,9 @@ std::string SmartLock::Execute(const proto::IotCtlMessage& msg) {
 
 LightBulb::LightBulb(DeviceSpec spec, sim::Simulator& simulator,
                      env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "off") {}
 
-void LightBulb::Start() { SetState("off"); }
+void LightBulb::Start() { ReportState(); }
 
 std::string LightBulb::Execute(const proto::IotCtlMessage& msg) {
   switch (msg.command) {
@@ -307,10 +305,10 @@ std::string LightBulb::Execute(const proto::IotCtlMessage& msg) {
 
 LightSensor::LightSensor(DeviceSpec spec, sim::Simulator& simulator,
                          env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "dark") {}
 
 void LightSensor::Start() {
-  SetState("dark");
+  ReportState();
   if (env_ != nullptr && env_->Has("illuminance")) {
     env_->Subscribe([this](const env::LevelChange& c) {
       if (c.variable != "illuminance") return;
@@ -327,9 +325,9 @@ std::string LightSensor::Execute(const proto::IotCtlMessage& msg) {
 
 SmartOven::SmartOven(DeviceSpec spec, sim::Simulator& simulator,
                      env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "off") {}
 
-void SmartOven::Start() { SetState("off"); }
+void SmartOven::Start() { ReportState(); }
 
 std::string SmartOven::Execute(const proto::IotCtlMessage& msg) {
   switch (msg.command) {
@@ -353,9 +351,9 @@ std::string SmartOven::Execute(const proto::IotCtlMessage& msg) {
 
 TrafficLight::TrafficLight(DeviceSpec spec, sim::Simulator& simulator,
                            env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "red") {}
 
-void TrafficLight::Start() { SetState("red"); }
+void TrafficLight::Start() { ReportState(); }
 
 std::string TrafficLight::Execute(const proto::IotCtlMessage& msg) {
   if (msg.command == proto::IotCommand::kSet) {
@@ -373,9 +371,7 @@ std::string TrafficLight::Execute(const proto::IotCtlMessage& msg) {
 
 SetTopBox::SetTopBox(DeviceSpec spec, sim::Simulator& simulator,
                      env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
-
-void SetTopBox::Start() { SetState("idle"); }
+    : Device(std::move(spec), simulator, env, "idle") {}
 
 void SetTopBox::HandleHttp(const proto::ParsedFrame& frame,
                            const proto::HttpRequestView& req) {
@@ -405,9 +401,9 @@ std::string SetTopBox::Execute(const proto::IotCtlMessage& msg) {
 
 Refrigerator::Refrigerator(DeviceSpec spec, sim::Simulator& simulator,
                            env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "cooling") {}
 
-void Refrigerator::Start() { SetState("cooling"); }
+void Refrigerator::Start() { ReportState(); }
 
 void Refrigerator::HandleHttp(const proto::ParsedFrame& frame,
                               const proto::HttpRequestView& req) {
@@ -454,10 +450,10 @@ std::string Refrigerator::Execute(const proto::IotCtlMessage& msg) {
 
 MotionSensor::MotionSensor(DeviceSpec spec, sim::Simulator& simulator,
                            env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "clear") {}
 
 void MotionSensor::Start() {
-  SetState("clear");
+  ReportState();
   if (env_ != nullptr && env_->Has("occupancy")) {
     env_->Subscribe([this](const env::LevelChange& c) {
       if (c.variable != "occupancy") return;
@@ -474,9 +470,9 @@ std::string MotionSensor::Execute(const proto::IotCtlMessage& msg) {
 
 HandheldScanner::HandheldScanner(DeviceSpec spec, sim::Simulator& simulator,
                                  env::Environment* env)
-    : Device(std::move(spec), simulator, env) {}
+    : Device(std::move(spec), simulator, env, "scanning_barcodes") {}
 
-void HandheldScanner::Start() { SetState("scanning_barcodes"); }
+void HandheldScanner::Start() { ReportState(); }
 
 void HandheldScanner::BeginLateralScan(net::Ipv4Prefix prefix,
                                        net::MacAddress gw_mac, int probes,

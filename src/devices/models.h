@@ -149,7 +149,6 @@ class SetTopBox final : public Device {
  public:
   SetTopBox(DeviceSpec spec, sim::Simulator& simulator,
             env::Environment* env);
-  void Start() override;
 
  protected:
   void HandleHttp(const proto::ParsedFrame& frame,

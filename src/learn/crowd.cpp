@@ -7,7 +7,7 @@
 #include "common/strings.h"
 #include "net/address.h"
 #include "obs/obs.h"
-#include "rollout/version_store.h"
+#include "sig/compiled_ruleset.h"
 
 namespace iotsec::learn {
 namespace {
@@ -161,37 +161,7 @@ void CrowdRepo::ReportOutcome(std::uint64_t signature_id, bool was_correct) {
   }
 }
 
-std::shared_ptr<const sig::CompiledRuleset> CrowdRepo::CompiledFor(
-    const std::string& sku) const {
-  std::vector<sig::Rule> rules;
-  for (const auto& [id, sig] : signatures_) {
-    if (sig.sku == sku && sig.status == SignatureStatus::kAccepted) {
-      rules.push_back(sig.rule);
-    }
-  }
-  return sig::CompiledRulesetCache::Instance().GetOrCompile(rules);
-}
-
 void CrowdRepo::NotifyAccepted(const SharedSignature& signature) {
-  // Repository-side compile-once: warm the shared cache before fan-out so
-  // a push to N deployments pays one automaton build total. The handle is
-  // kept until the next acceptance, holding the cache entry alive through
-  // the push window so every µmbox load of this ruleset is a hit.
-  warm_compile_ = CompiledFor(signature.sku);
-  // OTA pipeline hook: every acceptance cuts a new signed version of the
-  // SKU's full accepted ruleset. The store derives the delta vs the
-  // previous version; the rollout coordinator (subscribed downstream)
-  // stages it through the canary cohorts.
-  if (version_store_ != nullptr) {
-    std::vector<std::string> texts;
-    for (const auto& [id, sig] : signatures_) {
-      if (sig.sku == signature.sku &&
-          sig.status == SignatureStatus::kAccepted) {
-        texts.push_back(sig.rule.ToText());
-      }
-    }
-    version_store_->Cut(signature.sku, texts);
-  }
   auto it = subscribers_.find(signature.sku);
   if (it == subscribers_.end()) return;
   // Incentive mechanism: order delivery by contribution count, highest

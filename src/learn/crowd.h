@@ -21,12 +21,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "sig/compiled_ruleset.h"
 #include "sig/rule.h"
-
-namespace iotsec::rollout {
-class VersionStore;
-}  // namespace iotsec::rollout
 
 namespace iotsec::learn {
 
@@ -93,14 +88,6 @@ class CrowdRepo {
   /// republishing the crowd's rule is not a contribution.
   PublishResult Publish(SignatureReport report);
 
-  /// Routes accepted rulesets into the OTA pipeline: every acceptance
-  /// cuts a new signed version of the SKU's full accepted ruleset in
-  /// `store` (which owns delta/snapshot manifest construction). The repo
-  /// does not own the store. nullptr detaches.
-  void AttachVersionStore(rollout::VersionStore* store) {
-    version_store_ = store;
-  }
-
   /// Weighted vote from `voter` on a pending signature. Voter reputation
   /// scales the vote; crossing the quorum flips the status and (on
   /// accept) notifies subscribers.
@@ -112,14 +99,6 @@ class CrowdRepo {
   void ReportOutcome(std::uint64_t signature_id, bool was_correct);
 
   [[nodiscard]] std::vector<SharedSignature> AcceptedFor(
-      const std::string& sku) const;
-
-  /// The accepted ruleset for a SKU, compiled through the process-wide
-  /// CompiledRulesetCache. Called on every acceptance before subscribers
-  /// are notified, so by the time the controller repatches M same-SKU
-  /// µmboxes the compile already exists and every µmbox load is a cache
-  /// hit ("compile once, deploy everywhere").
-  [[nodiscard]] std::shared_ptr<const sig::CompiledRuleset> CompiledFor(
       const std::string& sku) const;
 
   [[nodiscard]] const SharedSignature* Find(std::uint64_t id) const;
@@ -162,10 +141,6 @@ class CrowdRepo {
   std::map<std::string, std::uint64_t> contributions_;  // by subscriber name
   /// Ingest dedupe index: hash of (sku, canonical rule text) -> first id.
   std::map<std::uint64_t, std::uint64_t> content_index_;
-  /// Latest accepted SKU's compile, pinned so the cache entry survives
-  /// the push window (see NotifyAccepted).
-  std::shared_ptr<const sig::CompiledRuleset> warm_compile_;
-  rollout::VersionStore* version_store_ = nullptr;
   std::uint64_t next_id_ = 1;
   Stats stats_;
 };

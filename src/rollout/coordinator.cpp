@@ -18,6 +18,7 @@ constexpr std::uint64_t kEvPromote = 4;
 constexpr std::uint64_t kEvRollback = 5;
 constexpr std::uint64_t kEvDefer = 6;
 constexpr std::uint64_t kEvVerify = 7;
+constexpr std::uint64_t kEvCatchUp = 8;
 
 }  // namespace
 
@@ -34,6 +35,50 @@ void RolloutCoordinator::RegisterDevice(DeviceId device,
   if (!inserted) return;
   it->second.sku = sku;
   it->second.receiver = RulesetReceiver(store_->config().signing_key);
+  CatchUp(device, it->second);
+}
+
+void RolloutCoordinator::AdoptBaseline(const std::string& sku,
+                                       std::vector<std::string> rule_texts) {
+  if (rule_texts.empty() || store_->Latest(sku) != 0) return;
+  rollouts_[sku].stable = store_->Cut(sku, std::move(rule_texts));
+  for (auto& [id, ds] : devices_) {
+    if (ds.sku == sku) CatchUp(id, ds);
+  }
+}
+
+bool RolloutCoordinator::PushTo(DeviceId device, DeviceState& ds,
+                                std::uint64_t target, std::uint64_t* bytes) {
+  RulesetManifest manifest;
+  if (!store_->ManifestFor(ds.sku, ds.receiver.version(), target,
+                           &manifest)) {
+    return false;
+  }
+  const ApplyResult result = ds.receiver.Apply(
+      manifest, static_cast<std::uint32_t>(device), sim_.Now());
+  if (result != ApplyResult::kApplied) {
+    IOTSEC_LOG_WARN("rollout: device %llu rejected v%llu manifest (%s)",
+                    static_cast<unsigned long long>(device),
+                    static_cast<unsigned long long>(target),
+                    std::string(ApplyResultName(result)).c_str());
+    return false;
+  }
+  ++stats_.devices_applied;
+  *bytes += manifest.WireBytes();
+  if (applier_) applier_(device, ds.receiver.compiled());
+  return true;
+}
+
+void RolloutCoordinator::CatchUp(DeviceId device, DeviceState& ds) {
+  const std::uint64_t stable = StableOf(ds.sku);
+  if (ds.receiver.version() >= stable) return;
+  std::uint64_t bytes = 0;
+  if (!PushTo(device, ds, stable, &bytes)) return;
+  ++stats_.push_msgs;
+  stats_.push_bytes += bytes;
+  obs::M().ctl_rollout_push_msgs->Inc();
+  obs::M().ctl_rollout_push_bytes->Inc(bytes);
+  Fold(kEvCatchUp, device, stable, 0);
 }
 
 bool RolloutCoordinator::InCohort(DeviceId device, std::uint64_t version,
@@ -64,22 +109,12 @@ void RolloutCoordinator::Begin(const std::string& sku, SkuRollout& r) {
   // A blocked candidate is quarantined (it would weaken the deployment
   // on every device it reaches) and the next viable version is tried —
   // the same never-offer-again memory a failed health gate leaves.
-  while (verifier_ && config_.verify_gate != VerifyGateMode::kOff &&
-         target != 0 && target > r.stable) {
+  while (verifier_ && target != 0 && target > r.stable) {
     std::string detail;
     ++stats_.verify_checks;
     const bool ok = verifier_(sku, r.stable, target, &detail);
     Fold(kEvVerify, HashRuleText(sku), target, ok ? 1 : 0);
     if (ok) break;
-    if (config_.verify_gate == VerifyGateMode::kWarn) {
-      ++stats_.verify_warns;
-      IOTSEC_LOG_WARN(
-          "rollout: %s v%llu fails pre-canary verification (%s) — staging "
-          "anyway (warn mode)",
-          sku.c_str(), static_cast<unsigned long long>(target),
-          detail.c_str());
-      break;
-    }
     ++stats_.verify_blocks;
     IOTSEC_LOG_WARN(
         "rollout: %s v%llu BLOCKED by pre-canary verification (%s) — "
@@ -136,26 +171,10 @@ void RolloutCoordinator::ApplyStage(const std::string& sku, SkuRollout& r) {
     if (ds.sku != sku) continue;
     if (!InCohort(id, r.target, permille)) continue;
     if (ds.receiver.version() == r.target) continue;
-    RulesetManifest manifest;
-    if (!store_->ManifestFor(sku, ds.receiver.version(), r.target,
-                             &manifest)) {
-      continue;
-    }
-    const ApplyResult result = ds.receiver.Apply(
-        manifest, static_cast<std::uint32_t>(id), sim_.Now());
-    if (result != ApplyResult::kApplied) {
-      IOTSEC_LOG_WARN("rollout: device %llu rejected v%llu manifest (%s)",
-                      static_cast<unsigned long long>(id),
-                      static_cast<unsigned long long>(r.target),
-                      std::string(ApplyResultName(result)).c_str());
-      continue;
-    }
+    if (!PushTo(id, ds, r.target, &stage_bytes)) continue;
     r.cohort.push_back(id);
     cohort_fold = hash::Fmix64(cohort_fold ^ static_cast<std::uint64_t>(id));
-    ++stats_.devices_applied;
     ++pushed;
-    stage_bytes += manifest.WireBytes();
-    if (applier_) applier_(id, ds.receiver.compiled());
   }
   // Later stages append their newly-included devices after the earlier
   // cohort; SumSignals binary-searches, so keep the list sorted.
@@ -309,6 +328,11 @@ void RolloutCoordinator::FinishRollout(const std::string& sku, SkuRollout& r,
     IOTSEC_LOG_INFO("rollout: %s v%llu promoted to fleet (%zu devices)",
                     sku.c_str(), static_cast<unsigned long long>(r.target),
                     r.cohort.size());
+    // Devices that registered while the version was in flight caught up
+    // to the old stable one and missed the cohorts; bring them along.
+    for (auto& [id, ds] : devices_) {
+      if (ds.sku == sku) CatchUp(id, ds);
+    }
   }
   r.target = 0;
   r.stage = -1;

@@ -42,14 +42,6 @@ class AdmissionController;
 
 namespace iotsec::rollout {
 
-/// What the pre-canary differential-verification gate does with a
-/// candidate version the verifier rejects (see verify/diff_verify.h).
-enum class VerifyGateMode : std::uint8_t {
-  kOff,   // no verification (no verifier installed behaves the same)
-  kWarn,  // log + count the regression, stage anyway
-  kBlock, // quarantine the candidate and fall back to the next viable one
-};
-
 /// Pre-canary verification hook: called with (sku, stable base version,
 /// candidate target version) before the candidate starts staging. False
 /// means the candidate regresses enforcement relative to the base;
@@ -59,10 +51,6 @@ using PreRolloutVerifier = std::function<bool(
     std::uint64_t target_version, std::string* detail)>;
 
 struct RolloutConfig {
-  /// Master switch (DeploymentOptions::rollout.enabled). Off: CrowdRepo's
-  /// flat whole-ruleset fan-out path is byte-identical to every release
-  /// before the OTA pipeline existed.
-  bool enabled = false;
   /// Stage ladder, permille of the fleet per stage; the last entry should
   /// be 1000 (fleet). Empty behaves as {1000}.
   std::vector<std::uint32_t> stages{50, 1000};
@@ -84,10 +72,6 @@ struct RolloutConfig {
   std::uint32_t max_cohort_crashes = 0;
   std::uint32_t quiet_alert_allowance = 1;
   std::uint32_t alert_ratio_limit_permille = 3000;  // 3x control group
-
-  /// Pre-canary diff-verify gate mode. Takes effect only when a verifier
-  /// is installed via SetVerifier.
-  VerifyGateMode verify_gate = VerifyGateMode::kOff;
 };
 
 class RolloutCoordinator {
@@ -110,17 +94,26 @@ class RolloutCoordinator {
   void SetApplier(Applier applier) { applier_ = std::move(applier); }
 
   /// Installs the pre-canary differential verifier (typically
-  /// verify::MakePreRolloutVerifier). With config.verify_gate at kBlock,
-  /// a candidate the verifier rejects is quarantined before any device
-  /// sees it and the next viable version is tried; at kWarn it stages
-  /// with a logged warning.
+  /// verify::MakePreRolloutVerifier). A candidate the verifier rejects is
+  /// quarantined before any device sees it and the next viable version is
+  /// tried. No verifier, no gate.
   void SetVerifier(PreRolloutVerifier verifier) {
     verifier_ = std::move(verifier);
   }
 
-  /// Registers a managed device (idempotent). Devices register before
-  /// rollouts start; late registrants join at the next version.
+  /// Registers a managed device (idempotent) and catches it up to its
+  /// SKU's stable version, so a device that joins after a promotion
+  /// runs the fleet's ruleset from its first launch.
   void RegisterDevice(DeviceId device, const std::string& sku);
+
+  /// Rules accepted before the crowd repo attached: cuts `rule_texts` as
+  /// `sku`'s first version, adopts it as stable without a canary (the
+  /// rules predate the deployment, so they are its baseline, not a
+  /// candidate) and catches every registered device of the SKU up to
+  /// it. No-op when the store already holds a version of `sku` or
+  /// `rule_texts` is empty.
+  void AdoptBaseline(const std::string& sku,
+                     std::vector<std::string> rule_texts);
 
   /// Entry point from the crowd pipeline: a new version exists for `sku`
   /// in the store. Begins a staged rollout (or queues it behind one in
@@ -171,8 +164,7 @@ class RolloutCoordinator {
     std::uint64_t devices_rolled_back = 0;
     /// Pre-canary verification gate outcomes.
     std::uint64_t verify_checks = 0;
-    std::uint64_t verify_blocks = 0;  // candidates quarantined (kBlock)
-    std::uint64_t verify_warns = 0;   // regressions staged anyway (kWarn)
+    std::uint64_t verify_blocks = 0;  // candidates quarantined
     std::uint64_t push_msgs = 0;
     std::uint64_t push_bytes = 0;
     /// Gate inputs from the most recent evaluation (bench introspection).
@@ -185,8 +177,9 @@ class RolloutCoordinator {
 
   /// Order-sensitive fold of every rollout decision (begin, per-stage
   /// apply with cohort membership, gate verdict with its inputs,
-  /// promote/rollback/defer). Bit-identical across shard counts for the
-  /// same scenario — bench_rollout's hard determinism gate.
+  /// promote/rollback/defer, catch-up installs). Bit-identical across
+  /// shard counts for the same scenario — bench_rollout's hard
+  /// determinism gate.
   [[nodiscard]] std::uint64_t DecisionDigest() const { return digest_; }
 
  private:
@@ -210,6 +203,15 @@ class RolloutCoordinator {
     RulesetReceiver receiver;
   };
 
+  /// Delivers the manifest that moves one receiver to `target` through
+  /// the signed path (Apply's MAC, chain and payload checks), adds its
+  /// wire size to *bytes and hands the compile to the applier. False
+  /// when no manifest exists or the receiver refuses it.
+  bool PushTo(DeviceId device, DeviceState& ds, std::uint64_t target,
+              std::uint64_t* bytes);
+  /// Brings one receiver to its SKU's stable version (one push message).
+  /// Folds into the digest only when it installs something.
+  void CatchUp(DeviceId device, DeviceState& ds);
   void Begin(const std::string& sku, SkuRollout& r);
   /// Scheduled stage entry: epoch-guarded, defers under brownout.
   void TryApplyStage(const std::string& sku, std::uint64_t epoch);

@@ -1,5 +1,6 @@
 #include "verify/graph_lint.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
@@ -43,9 +44,11 @@ int ColumnOf(const std::string& line, std::string_view needle,
 /// syntax, so this stays permissive: lines it cannot parse are skipped.
 std::map<std::string, Decl> ScanDecls(std::string_view config_text) {
   std::map<std::string, Decl> decls;
-  int line_no = 0;
-  for (const auto& raw : Split(config_text, '\n')) {
-    ++line_no;
+  int next_line = 1;
+  for (const auto& raw : dataplane::SplitConfigStatements(config_text)) {
+    const int line_no = next_line;
+    next_line +=
+        1 + static_cast<int>(std::count(raw.begin(), raw.end(), '\n'));
     const std::string_view line = Trim(raw);
     if (line.empty() || line.front() == '#') continue;
     const auto sep = line.find("::");

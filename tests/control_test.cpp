@@ -250,5 +250,131 @@ TEST(ControllerTest, EnvironmentChangesReachTheView) {
   EXPECT_EQ(dep.controller().view().DeviceState("protect").value(), "alarm");
 }
 
+TEST(ControllerTest, RegisteredDeviceStatesStayInTheirDomains) {
+  core::Deployment dep;
+  dep.AddCamera("cam");
+  dep.AddSmartPlug("plug", "oven_power");
+  dep.AddThermostat("thermo");
+  dep.AddFireAlarm("alarm");
+  dep.AddWindow("window");
+  dep.AddSmartLock("lock");
+  dep.AddLightBulb("bulb");
+  dep.AddLightSensor("sensor");
+  dep.AddSmartOven("oven");
+  dep.AddMotionSensor("motion");
+  const policy::StateSpace space = dep.BuildStateSpace();
+  const auto expect_in_domain = [&](const char* when) {
+    for (const auto& [id, name] : dep.controller().DeviceNames()) {
+      const auto value = dep.controller().view().DeviceState(name);
+      ASSERT_TRUE(value.has_value()) << name << " " << when;
+      const auto dim = space.IndexOf(policy::StateSpace::StateDim(name));
+      ASSERT_TRUE(dim.has_value()) << name;
+      EXPECT_TRUE(space.Dim(*dim).IndexOf(*value).has_value())
+          << name << " reads '" << *value << "' " << when;
+    }
+  };
+  expect_in_domain("at registration");
+  // Quarantined from boot: the view keeps what it was seeded with.
+  policy::FsmPolicy policy;
+  policy.SetDefault(core::QuarantinePosture());
+  dep.UsePolicy(space, std::move(policy));
+  dep.Start();
+  dep.RunFor(kSecond);
+  expect_in_domain("after a quarantined run");
+}
+
+TEST(ControllerTest, RejectedUmboxConfigSettlesInIsolation) {
+  core::DeploymentOptions opts;
+  opts.rollout.stages = {1000};
+  opts.rollout.stage_hold = 100 * kMillisecond;
+  core::Deployment dep(opts);
+  auto* bulb = dep.AddLightBulb("bulb");
+  dep.AddLightBulb("other");
+  policy::Posture unlaunchable;
+  unlaunchable.profile = "unlaunchable";
+  unlaunchable.umbox_config = "x :: NoSuchElement()\n";
+  policy::PolicyRule rule;
+  rule.name = "unlaunchable";
+  // Reads the bulb's own context, so every write to it re-evaluates the
+  // bulb.
+  rule.when.AndIn("ctx:bulb", {"normal", "suspicious"});
+  rule.device = bulb->id();
+  rule.posture = unlaunchable;
+  rule.priority = 1;
+  // Same config text, but nothing to divert: needs no µmbox.
+  policy::PolicyRule untunneled = rule;
+  untunneled.name = "untunneled";
+  untunneled.when = {};
+  untunneled.when.AndIn("ctx:bulb", {"unpatched"});
+  untunneled.posture.profile = "untunneled";
+  untunneled.posture.tunnel = false;
+  policy::FsmPolicy policy;
+  policy.SetDefault(core::TrustPosture());
+  policy.Add(rule);
+  policy.Add(untunneled);
+  dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
+  learn::CrowdRepo repo;
+  dep.controller().AttachCrowdRepo(&repo);
+  dep.Start();
+  dep.RunFor(100 * kMillisecond);
+
+  auto& ctl = dep.controller();
+  const auto& stats = ctl.stats();
+  ASSERT_EQ(stats.enforcement_failures, 1u);
+  EXPECT_FALSE(ctl.UmboxOf(bulb->id()).has_value());
+  const auto flow_ops = stats.flow_ops;
+  const auto posture_changes = stats.posture_changes;
+  const auto sweeps = stats.policy_evals;
+  // Sweeps with the bulb dirty (its own context) and with it clean (the
+  // other bulb's context): nothing changes its config, so nothing retries.
+  for (int i = 0; i < 10; ++i) {
+    const char* context = i % 2 == 0 ? "suspicious" : "normal";
+    ctl.SetDeviceContext("bulb", context);
+    ctl.SetDeviceContext("other", context);
+    dep.RunFor(50 * kMillisecond);
+  }
+  EXPECT_GE(stats.policy_evals, sweeps + 10);
+  EXPECT_EQ(stats.enforcement_failures, 1u);
+  EXPECT_EQ(stats.flow_ops, flow_ops) << "quarantine entries reinstalled";
+  EXPECT_EQ(stats.posture_changes, posture_changes);
+
+  // A new posture applies at once and lifts the isolation; coming back
+  // fails (and settles) once more.
+  ctl.SetDeviceContext("bulb", "compromised");
+  dep.RunFor(50 * kMillisecond);
+  EXPECT_EQ(ctl.PostureProfileOf(bulb->id()), "trust");
+  EXPECT_GT(stats.flow_ops, flow_ops);
+  ctl.SetDeviceContext("bulb", "normal");
+  dep.RunFor(50 * kMillisecond);
+  EXPECT_EQ(stats.enforcement_failures, 2u);
+
+  // A new crowd ruleset for the bulb's SKU changes its config: one more
+  // try, then settled again.
+  learn::SignatureReport report;
+  report.sku = bulb->spec().sku;
+  report.rule_text =
+      "block udp any any -> any 5009 (msg:\"reboot\"; sid:9400; "
+      "iotcmd:reboot; )";
+  const auto id = repo.Publish(report).id;
+  for (const auto* voter : {"v1", "v2", "v3", "v4", "v5", "v6"}) {
+    repo.Vote(id, voter, true);
+  }
+  dep.RunFor(500 * kMillisecond);
+  ASSERT_EQ(dep.rollout()->VersionOf(bulb->id()), 1u);
+  EXPECT_EQ(stats.enforcement_failures, 3u);
+  ctl.SetDeviceContext("bulb", "suspicious");
+  dep.RunFor(50 * kMillisecond);
+  EXPECT_EQ(stats.enforcement_failures, 3u);
+
+  // An untunneled posture with the same config text is a new posture
+  // too: it applies and lifts the isolation.
+  const auto settled_ops = stats.flow_ops;
+  ctl.SetDeviceContext("bulb", "unpatched");
+  dep.RunFor(50 * kMillisecond);
+  EXPECT_EQ(ctl.PostureProfileOf(bulb->id()), "untunneled");
+  EXPECT_GT(stats.flow_ops, settled_ops);
+  EXPECT_EQ(stats.enforcement_failures, 3u);
+}
+
 }  // namespace
 }  // namespace iotsec::control

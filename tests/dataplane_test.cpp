@@ -227,6 +227,35 @@ TEST(ElementTest, SignatureMatcherInlineRules) {
   EXPECT_EQ(h.egress.size(), 1u);
 }
 
+TEST(ElementTest, SignatureMatcherQuotedRulesSpanLines) {
+  // One rule per line inside the quoted value (how crowd rulesets are
+  // spliced into a chain): the newline belongs to the value.
+  constexpr char kTwoRules[] =
+      "sig :: SignatureMatcher(rules=\"block udp any any -> any 9999 "
+      "(msg:bad; sid:7; content:EVIL; )\n"
+      "block udp any any -> any 9999 (msg:worse; sid:8; content:VILE; )\")\n";
+  Harness h;
+  auto graph = h.BuildGraph(std::string("# a stray \" in a comment\n") +
+                            kTwoRules + "c :: Counter()\nsig -> c\n");
+  ASSERT_NE(graph, nullptr);
+  for (const char* payload : {"xxEVILxx", "xxVILExx"}) {
+    graph->Inject(UdpPacket(Ipv4Address(1, 1, 1, 1),
+                            Ipv4Address(2, 2, 2, 2), 9999,
+                            ToBytes(payload)));
+  }
+  EXPECT_TRUE(h.egress.empty()) << "both rules must load";
+  graph->Inject(UdpPacket(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2),
+                          9999, ToBytes("benign")));
+  EXPECT_EQ(h.egress.size(), 1u);
+
+  // Diagnostics keep counting source lines across the value's newline.
+  std::string error;
+  EXPECT_EQ(MboxGraph::Build(std::string(kTwoRules) + "x :: NoSuchElement()",
+                             h.Ctx(), &error),
+            nullptr);
+  EXPECT_EQ(error.rfind("line 3:", 0), 0u) << error;
+}
+
 TEST(ElementTest, DnsGuardBlocksAmplificationAndSpoofedClients) {
   Harness h;
   auto graph = h.BuildGraph(

@@ -341,7 +341,6 @@ struct CoordinatorWorld {
 
   static RolloutConfig MakeConfig() {
     RolloutConfig cfg;
-    cfg.enabled = true;
     cfg.stages = {100, 1000};
     cfg.stage_hold = 100 * kMillisecond;
     cfg.defer_retry = 20 * kMillisecond;
@@ -529,6 +528,72 @@ TEST(CoordinatorTest, DecisionDigestIsReproducible) {
       << "the digest must actually encode the gate verdicts";
 }
 
+TEST(CoordinatorTest, LateRegistrantCatchesUpToStable) {
+  CoordinatorWorld w(50);
+  const auto v1 = w.CutAndRoll(100, 3);
+  w.sim.RunFor(kSecond);
+  ASSERT_EQ(w.coord->StableOf("SKU"), v1);
+  const auto digest = w.coord->DecisionDigest();
+  const auto applied = w.coord->stats().devices_applied;
+
+  w.coord->RegisterDevice(51, "SKU");
+  EXPECT_EQ(w.coord->VersionOf(51), v1);
+  EXPECT_EQ(w.coord->RuleTextsFor(51), w.store.RulesAt("SKU", v1));
+  EXPECT_EQ(w.applies[51], 1) << "the compile reaches the applier";
+  EXPECT_EQ(w.coord->stats().devices_applied, applied + 1);
+  EXPECT_NE(w.coord->DecisionDigest(), digest) << "an install folds";
+
+  // Nothing to install, nothing folded.
+  const auto after = w.coord->DecisionDigest();
+  w.coord->RegisterDevice(52, "OTHER-SKU");
+  w.coord->RegisterDevice(51, "SKU");  // idempotent
+  EXPECT_EQ(w.coord->VersionOf(52), 0u);
+  EXPECT_EQ(w.applies[51], 1);
+  EXPECT_EQ(w.coord->DecisionDigest(), after);
+}
+
+TEST(CoordinatorTest, RegistrantDuringFinalStageHoldJoinsAtPromotion) {
+  CoordinatorWorld w(50);
+  const auto v1 = w.CutAndRoll(100, 3);
+  w.sim.RunFor(kSecond);
+  ASSERT_EQ(w.coord->StableOf("SKU"), v1);
+  const auto v2 = w.CutAndRoll(200, 2);
+  // Stage 0 applies at once and the last stage 100 ms later; 150 ms is
+  // inside the last stage's hold.
+  w.sim.RunFor(150 * kMillisecond);
+  ASSERT_EQ(w.coord->StateOf("SKU"), RolloutCoordinator::SkuState::kStaging);
+  w.coord->RegisterDevice(51, "SKU");
+  EXPECT_EQ(w.coord->VersionOf(51), v1) << "caught up to the old stable";
+
+  w.sim.RunFor(kSecond);
+  ASSERT_EQ(w.coord->StableOf("SKU"), v2);
+  EXPECT_EQ(w.coord->VersionOf(51), v2)
+      << "promotion must reach a device that missed the cohorts";
+  EXPECT_EQ(w.coord->RuleTextsFor(51), w.store.RulesAt("SKU", v2));
+  EXPECT_EQ(w.applies[51], 2);
+  for (DeviceId d = 1; d <= 50; ++d) {
+    EXPECT_EQ(w.applies[d], 2) << "device " << d << ": one install each";
+  }
+}
+
+TEST(CoordinatorTest, AdoptBaselineSkipsTheCanary) {
+  CoordinatorWorld w(50);
+  w.coord->AdoptBaseline("SKU", Rules(100, 2));
+  EXPECT_EQ(w.coord->StableOf("SKU"), 1u);
+  EXPECT_EQ(w.coord->stats().rollouts_started, 0u);
+  for (DeviceId d = 1; d <= 50; ++d) {
+    EXPECT_EQ(w.coord->VersionOf(d), 1u) << "device " << d;
+  }
+  // A SKU the store already versions keeps its history.
+  w.coord->AdoptBaseline("SKU", Rules(200, 1));
+  EXPECT_EQ(w.store.Latest("SKU"), 1u);
+  // Later versions stage on top of the baseline as usual.
+  const auto v2 = w.CutAndRoll(100, 3);
+  w.sim.RunFor(kSecond);
+  EXPECT_EQ(w.coord->StableOf("SKU"), v2);
+  EXPECT_EQ(w.coord->stats().promotions, 1u);
+}
+
 // ------------------------------------------- pre-canary diff-verify gate
 
 /// A one-device deployment model whose only blocking enforcement is the
@@ -580,9 +645,7 @@ constexpr char kAlertBackdoor[] =
     "iot_backdoor; )";
 
 TEST(CoordinatorTest, VerifyGateBlocksWeakenedDeltaAndPassesBenign) {
-  auto cfg = CoordinatorWorld::MakeConfig();
-  cfg.verify_gate = VerifyGateMode::kBlock;
-  CoordinatorWorld w(50, cfg);
+  CoordinatorWorld w(50);
   GateModelFixture fixture;
   verify::ModelCheckCache cache;
   w.coord->SetVerifier(
@@ -619,142 +682,6 @@ TEST(CoordinatorTest, VerifyGateBlocksWeakenedDeltaAndPassesBenign) {
   EXPECT_EQ(w.coord->stats().verify_blocks, 1u);
   EXPECT_GT(cache.hits(), 0u)
       << "diff runs against the same stable version share the cached check";
-}
-
-TEST(CoordinatorTest, VerifyGateWarnModeStagesAnyway) {
-  auto cfg = CoordinatorWorld::MakeConfig();
-  cfg.verify_gate = VerifyGateMode::kWarn;
-  CoordinatorWorld w(50, cfg);
-  GateModelFixture fixture;
-  w.coord->SetVerifier(
-      verify::MakePreRolloutVerifier(fixture.Model(), &w.store, nullptr));
-
-  const auto v1 = w.store.Cut("SKU", {kBlockBackdoor});
-  w.coord->OnVersionCut("SKU");
-  w.sim.RunFor(kSecond);
-  ASSERT_EQ(w.coord->StableOf("SKU"), v1);
-
-  const auto v2 = w.store.Cut("SKU", {kAlertBackdoor});
-  w.coord->OnVersionCut("SKU");
-  w.sim.RunFor(kSecond);
-  EXPECT_EQ(w.coord->StableOf("SKU"), v2)
-      << "warn mode logs the regression but stages the version";
-  EXPECT_EQ(w.coord->stats().verify_warns, 1u);
-  EXPECT_EQ(w.coord->stats().verify_blocks, 0u);
-  EXPECT_FALSE(w.store.IsQuarantined("SKU", v2));
-}
-
-TEST(CoordinatorTest, VerifyGateOffIgnoresInstalledVerifier) {
-  auto cfg = CoordinatorWorld::MakeConfig();
-  cfg.verify_gate = VerifyGateMode::kOff;
-  CoordinatorWorld w(50, cfg);
-  GateModelFixture fixture;
-  w.coord->SetVerifier(
-      verify::MakePreRolloutVerifier(fixture.Model(), &w.store, nullptr));
-  w.store.Cut("SKU", {kBlockBackdoor});
-  w.coord->OnVersionCut("SKU");
-  const auto v2 = w.store.Cut("SKU", {kAlertBackdoor});
-  w.coord->OnVersionCut("SKU");
-  w.sim.RunFor(2 * kSecond);
-  EXPECT_EQ(w.coord->StableOf("SKU"), v2);
-  EXPECT_EQ(w.coord->stats().verify_checks, 0u);
-}
-
-// ----------------------------------------------------- deployment end-to-end
-
-constexpr char kCrowdRule[] =
-    "block udp any any -> any 5009 (msg:\"leaked-cred reboot abuse\"; "
-    "sid:9400; iotcmd:reboot; )";
-
-struct RolloutPipelineWorld {
-  core::Deployment dep;
-  devices::SmartPlug* wemo;
-  learn::CrowdRepo repo;
-
-  static core::DeploymentOptions Options() {
-    core::DeploymentOptions options;
-    options.rollout.enabled = true;
-    options.rollout.stages = {500, 1000};
-    options.rollout.stage_hold = 200 * kMillisecond;
-    return options;
-  }
-
-  RolloutPipelineWorld() : dep(Options()) {
-    wemo = dep.AddSmartPlug("wemo", "oven_power");  // SKU Wemo-Insight
-    dep.AddSmartPlug("wemo2", "tv_power");
-    dep.AddSmartPlug("wemo3", "lamp_power");
-    policy::FsmPolicy policy;
-    policy.SetDefault(core::MonitorPosture());
-    dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
-    dep.controller().AttachCrowdRepo(&repo);
-    dep.Start();
-    dep.RunFor(kSecond);
-  }
-
-  void PublishAndAccept() {
-    learn::SignatureReport report;
-    report.sku = "Wemo-Insight";
-    report.rule_text = kCrowdRule;
-    report.contributor = "some-other-home";
-    const auto id = repo.Publish(report).id;
-    for (const auto* voter : {"v1", "v2", "v3", "v4", "v5", "v6"}) {
-      repo.Vote(id, voter, true);
-    }
-    // Control latency + canary hold (x2 stages) + slack.
-    dep.RunFor(2 * kSecond);
-  }
-
-  std::string SendRebootAbuse() {
-    std::string result;
-    dep.attacker().SendIotCommand(
-        wemo->spec().ip, wemo->spec().mac, proto::IotCommand::kReboot,
-        wemo->spec().credential, false,
-        [&](const proto::IotCtlMessage& resp) {
-          result = resp.Find(proto::IotTag::kResultCode).value_or("");
-        });
-    dep.RunFor(2 * kSecond);
-    return result;
-  }
-};
-
-TEST(RolloutPipelineTest, AcceptedSignatureStagesToFleetAndEnforces) {
-  RolloutPipelineWorld w;
-  ASSERT_NE(w.dep.rollout(), nullptr);
-  EXPECT_EQ(w.SendRebootAbuse(), "unsupported")
-      << "no crowd rule yet: the abuse reaches the device";
-
-  w.PublishAndAccept();
-  const auto* coord = w.dep.rollout();
-  EXPECT_EQ(coord->StableOf("Wemo-Insight"), 1u)
-      << "healthy canary must promote to the whole fleet";
-  EXPECT_EQ(coord->stats().promotions, 1u);
-  EXPECT_EQ(coord->stats().rollbacks, 0u);
-  EXPECT_EQ(w.dep.version_store()->Latest("Wemo-Insight"), 1u);
-
-  // Every Wemo µmbox now runs version 1 and blocks the abuse in-network.
-  EXPECT_EQ(w.SendRebootAbuse(), "");
-  EXPECT_GT(w.dep.controller().stats().crowd_rules_applied, 0u);
-}
-
-TEST(RolloutPipelineTest, SecondVersionRidesTheFastSwapPath) {
-  RolloutPipelineWorld w;
-  w.PublishAndAccept();
-  ASSERT_EQ(w.dep.rollout()->StableOf("Wemo-Insight"), 1u);
-
-  learn::SignatureReport report;
-  report.sku = "Wemo-Insight";
-  report.rule_text =
-      "block udp any any -> any 5009 (msg:\"unlock abuse\"; "
-      "sid:9401; iotcmd:unlock; )";
-  const auto id = w.repo.Publish(report).id;
-  for (const auto* voter : {"v1", "v2", "v3", "v4", "v5", "v6"}) {
-    w.repo.Vote(id, voter, true);
-  }
-  w.dep.RunFor(2 * kSecond);
-
-  EXPECT_EQ(w.dep.rollout()->StableOf("Wemo-Insight"), 2u);
-  // v1's rule still enforces after the delta upgrade to v2.
-  EXPECT_EQ(w.SendRebootAbuse(), "");
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // Tests for the process-wide compiled-ruleset cache: identical rule lists
 // share one compile, differing lists do not, hot replacement leaves
-// in-flight users on their old compile, and the crowd push path pre-warms
-// the cache so µmbox loads are hits.
+// in-flight users on their old compile.
 #include <gtest/gtest.h>
 
-#include "learn/crowd.h"
 #include "net/address.h"
 #include "obs/obs.h"
 #include "proto/frame.h"
@@ -195,41 +193,6 @@ TEST_F(SigCacheTest, PeriodicSweepPrunesBucketsNeverReprobed) {
   }
   EXPECT_EQ(cache.TotalEntryCount(), 1u);  // only the live entry survives
   EXPECT_EQ(cache.LiveEntryCount(), 1u);
-}
-
-TEST_F(SigCacheTest, CrowdAcceptPrewarmsTheCache) {
-  learn::CrowdRepo repo;
-  repo.Subscribe("cam-sku", "site-a", [](const learn::SharedSignature&) {});
-
-  learn::SignatureReport report;
-  report.sku = "cam-sku";
-  report.rule_text =
-      "block tcp any any -> any 80 (msg:\"exploit\"; sid:7001; "
-      "content:\"evil-payload\"; )";
-  report.contributor = "site-b";
-  const auto published = repo.Publish(report);
-  ASSERT_TRUE(published.accepted_for_review);
-  for (const char* voter : {"v1", "v2", "v3", "v4", "v5", "v6"}) {
-    repo.Vote(published.id, voter, /*up=*/true);
-  }
-  ASSERT_EQ(repo.stats().accepted, 1u);
-
-  // Acceptance compiled the SKU ruleset once (the pre-warm)...
-  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
-
-  // ...so every µmbox that now loads the same accepted ruleset is a hit.
-  const auto accepted = repo.AcceptedFor("cam-sku");
-  ASSERT_EQ(accepted.size(), 1u);
-  std::vector<Rule> pushed;
-  for (const auto& sig : accepted) pushed.push_back(sig.rule);
-  RuleSet umbox_a(pushed);
-  RuleSet umbox_b(pushed);
-  umbox_a.EnsureCompiled();
-  umbox_b.EnsureCompiled();
-  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
-  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 2u);  // both µmbox loads hit
-  EXPECT_EQ(umbox_a.compiled().get(), umbox_b.compiled().get());
-  EXPECT_EQ(umbox_a.compiled().get(), repo.CompiledFor("cam-sku").get());
 }
 
 }  // namespace
