@@ -4,31 +4,14 @@
 #include <stdexcept>
 
 #include "common/log.h"
-#include "common/strings.h"
 #include "control/federation.h"
 #include "dataplane/elements.h"
+#include "dataplane/graph.h"
 #include "obs/obs.h"
 #include "proto/frame.h"
 #include "proto/iotctl.h"
 
 namespace iotsec::control {
-namespace {
-
-/// First declared element name in a Click-lite config (its entry point).
-std::string FirstElementName(const std::string& config) {
-  for (const auto& raw : Split(config, '\n')) {
-    const auto line = Trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-    const auto decl = line.find("::");
-    const auto arrow = line.find("->");
-    if (decl == std::string_view::npos) continue;
-    if (arrow != std::string_view::npos && arrow < decl) continue;
-    return std::string(Trim(line.substr(0, decl)));
-  }
-  return "";
-}
-
-}  // namespace
 
 IoTSecController::IoTSecController(sim::Simulator& simulator,
                                    ControllerConfig config,
@@ -247,7 +230,7 @@ void IoTSecController::ApplyRolloutCompile(
   // adopting the shared compile is a pointer swap, no parse, no
   // reconfigure, no packet loss. This is what makes rollback "instant".
   if (auto* matcher = dynamic_cast<dataplane::SignatureMatcher*>(
-          box->graph()->Find("crowd"))) {
+          box->graph()->Find(std::string(dataplane::kCrowdElement)))) {
     matcher->AdoptCompiled(compiled);
     ++stats_.crowd_rules_applied;
     audit_.Record(sim_.Now(), AuditCategory::kCrowd, md.device->spec().name,
@@ -274,17 +257,8 @@ std::string IoTSecController::EffectiveConfig(
     const ManagedDevice& md, const std::string& config) const {
   // The device's receiver holds exactly the verified ruleset version its
   // cohort is on (canaries ahead of the control group).
-  const std::vector<std::string>& rule_texts =
-      rollout_.RuleTextsFor(md.device->id());
-  if (rule_texts.empty() || config.empty()) return config;
-  const std::string entry = FirstElementName(config);
-  if (entry.empty()) return config;
-  // The rule text goes inside a quoted config value, so its own quotes
-  // must go; the rule parser accepts unquoted option values.
-  std::string rules = Join(rule_texts, "\n");
-  std::erase(rules, '"');
-  return "crowd :: SignatureMatcher(rules=\"" + rules + "\")\n" + config +
-         "crowd -> " + entry + "\n";
+  return dataplane::SpliceCrowdMatcher(
+      config, rollout_.RuleTextsFor(md.device->id()));
 }
 
 void IoTSecController::Start() {
@@ -528,15 +502,13 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   }
 
   if (md.umbox) {
-    // Existing instance: hot reconfigure (or cold restart for ablation).
+    // Existing instance: hot reconfigure.
     dataplane::Umbox* box = cluster_->Find(*md.umbox);
     if (box != nullptr &&
         box->state() != dataplane::UmboxState::kCrashed) {
       std::string error;
       const std::string config = EffectiveConfig(md, posture.umbox_config);
-      const bool ok = config_.hot_reconfig ? box->Reconfigure(config, &error)
-                                           : box->Restart(config, &error);
-      if (!ok) {
+      if (!box->Reconfigure(config, &error)) {
         IOTSEC_LOG_ERROR("reconfig failed for %s: %s",
                          md.device->spec().name.c_str(), error.c_str());
         md.rejected_posture = posture;
@@ -546,9 +518,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
       ++stats_.umbox_reconfigs;
       audit_.Record(sim_.Now(), AuditCategory::kUmbox,
                     md.device->spec().name,
-                    std::string(config_.hot_reconfig ? "hot reconfig"
-                                                     : "restart") +
-                        " of umbox " + std::to_string(*md.umbox));
+                    "hot reconfig of umbox " + std::to_string(*md.umbox));
       md.posture = posture;
       return;
     }

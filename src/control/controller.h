@@ -48,8 +48,6 @@ struct ControllerConfig {
   dataplane::BootModel umbox_boot = dataplane::BootModel::kMicroVm;
   /// Alerts before a "suspicious" device is considered "compromised".
   int compromise_threshold = 3;
-  /// Prefer hot reconfiguration over restart on posture changes.
-  bool hot_reconfig = true;
   /// When a posture cannot be enforced (cluster full, launch failure):
   /// true = install drop rules for the device (fail closed);
   /// false = leave plain L2 forwarding in place (fail open).
@@ -320,7 +318,7 @@ class IoTSecController final : public sdn::PacketInHandler,
   /// the rules it already accepted as the SKU's baseline.
   void SubscribeCrowdSku(const std::string& sku);
   /// Adds the crowd rules the device's receiver holds in front of its
-  /// chain.
+  /// chain (dataplane::SpliceCrowdMatcher).
   [[nodiscard]] std::string EffectiveConfig(const ManagedDevice& md,
                                             const std::string& config) const;
   /// Rollout applier: epoch-swaps a verified compile into the device's

@@ -1,87 +1,6 @@
 #include "dataplane/element.h"
 
-#include "common/strings.h"
-
 namespace iotsec::dataplane {
-
-std::optional<ConfigMap> ParseConfigArgs(std::string_view args,
-                                         std::string* error) {
-  ConfigMap out;
-  std::string key;
-  std::string value;
-  bool in_value = false;
-  bool in_quotes = false;
-
-  auto flush = [&]() -> bool {
-    const auto k = Trim(key);
-    if (k.empty() && Trim(value).empty()) {
-      key.clear();
-      value.clear();
-      in_value = false;
-      return true;
-    }
-    if (k.empty()) {
-      if (error) *error = "empty key in config";
-      return false;
-    }
-    out[std::string(k)] = std::string(Trim(value));
-    key.clear();
-    value.clear();
-    in_value = false;
-    return true;
-  };
-
-  for (char c : args) {
-    if (in_quotes) {
-      if (c == '"') {
-        in_quotes = false;
-      } else {
-        value += c;
-      }
-      continue;
-    }
-    if (c == '"' && in_value) {
-      in_quotes = true;
-    } else if (c == '=' && !in_value) {
-      in_value = true;
-    } else if (c == ',') {
-      if (!flush()) return std::nullopt;
-    } else {
-      (in_value ? value : key) += c;
-    }
-  }
-  if (in_quotes) {
-    if (error) *error = "unterminated quote in config";
-    return std::nullopt;
-  }
-  if (!flush()) return std::nullopt;
-  return out;
-}
-
-std::vector<std::string> SplitConfigStatements(std::string_view text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  bool quoted = false;
-  bool comment = false;
-  bool blank = true;  // nothing but whitespace yet in this statement
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '\n' && !quoted) {
-      out.emplace_back(text.substr(start, i - start));
-      start = i + 1;
-      comment = false;
-      blank = true;
-      continue;
-    }
-    if (blank && !IsAsciiSpace(c)) {
-      blank = false;
-      comment = c == '#';
-    }
-    if (c == '"' && !comment) quoted = !quoted;
-  }
-  out.emplace_back(text.substr(start));
-  return out;
-}
 
 void Element::ConnectOutput(int out_port, Element* next, int next_in_port) {
   if (out_port >= static_cast<int>(outputs_.size())) {

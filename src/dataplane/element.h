@@ -46,16 +46,6 @@ struct Alert {
 /// key=value configuration for an element, parsed from the config text.
 using ConfigMap = std::map<std::string, std::string>;
 
-/// Parses "key=value, key2="a, quoted value"" into a ConfigMap.
-/// Returns nullopt on syntax errors.
-std::optional<ConfigMap> ParseConfigArgs(std::string_view args,
-                                         std::string* error);
-
-/// Splits config text into its newline-separated statements. A newline
-/// inside a double-quoted value belongs to the value (one rule per line
-/// in a SignatureMatcher's rules); quotes in '#' comment lines are text.
-std::vector<std::string> SplitConfigStatements(std::string_view text);
-
 struct ElementContext {
   sim::Simulator* sim = nullptr;
   const ContextView* context = nullptr;

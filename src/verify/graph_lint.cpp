@@ -20,62 +20,13 @@ using dataplane::FindElementType;
 using dataplane::kVariadicOutPorts;
 using dataplane::MboxGraph;
 
-/// One element declaration as written in the config text, with enough
-/// position info to anchor findings. The built graph has the semantics;
-/// this has the syntax.
-struct Decl {
-  std::string name;
-  std::string type;
-  std::string raw_line;  // for locating config keys
-  int line = 0;
-  int col = 0;  // of the element name
-  dataplane::ConfigMap config;
-};
+/// Each built element's declaration, for positions and written config.
+using DeclOf = std::map<const Element*, const dataplane::Declaration*>;
 
-/// 1-based column of `needle` in `line` (first occurrence at or after
-/// `from`), or fallback when absent.
-int ColumnOf(const std::string& line, std::string_view needle,
-             std::size_t from, int fallback) {
-  const auto pos = line.find(needle, from);
-  return pos == std::string::npos ? fallback : static_cast<int>(pos) + 1;
-}
-
-/// Scans declarations out of the config text. Build already validated the
-/// syntax, so this stays permissive: lines it cannot parse are skipped.
-std::map<std::string, Decl> ScanDecls(std::string_view config_text) {
-  std::map<std::string, Decl> decls;
-  int next_line = 1;
-  for (const auto& raw : dataplane::SplitConfigStatements(config_text)) {
-    const int line_no = next_line;
-    next_line +=
-        1 + static_cast<int>(std::count(raw.begin(), raw.end(), '\n'));
-    const std::string_view line = Trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-    const auto sep = line.find("::");
-    if (sep == std::string_view::npos) continue;
-
-    Decl decl;
-    decl.name = std::string(Trim(line.substr(0, sep)));
-    decl.raw_line = raw;
-    decl.line = line_no;
-    decl.col = ColumnOf(raw, decl.name, 0, 1);
-
-    std::string_view rest = Trim(line.substr(sep + 2));
-    const auto paren = rest.find('(');
-    if (paren == std::string_view::npos) {
-      decl.type = std::string(Trim(rest));
-    } else {
-      decl.type = std::string(Trim(rest.substr(0, paren)));
-      const auto close = rest.rfind(')');
-      if (close != std::string_view::npos && close > paren) {
-        std::string error;
-        if (auto cfg = dataplane::ParseConfigArgs(
-                rest.substr(paren + 1, close - paren - 1), &error)) {
-          decl.config = std::move(*cfg);
-        }
-      }
-    }
-    decls[decl.name] = std::move(decl);
+DeclOf DeclarationsOf(const MboxGraph& graph) {
+  DeclOf decls;
+  for (std::size_t i = 0; i < graph.elements().size(); ++i) {
+    decls[graph.elements()[i].get()] = &graph.declarations()[i];
   }
   return decls;
 }
@@ -90,17 +41,14 @@ bool IsSecurity(const Element& e) {
 }
 
 /// Output-port arity of one built element, resolving Tee's `ports`.
-int ArityOf(const Element& e, const std::map<std::string, Decl>& decls) {
+int ArityOf(const Element& e, const dataplane::Declaration& decl) {
   const auto* info = FindElementType(e.type());
   if (!info) return 1;
   if (info->out_ports != kVariadicOutPorts) return info->out_ports;
   int arity = 2;  // Tee's default
-  if (const auto it = decls.find(e.name()); it != decls.end()) {
-    if (const auto cfg = it->second.config.find("ports");
-        cfg != it->second.config.end()) {
-      std::uint64_t v = 0;
-      if (ParseUint(cfg->second, v) && v >= 1) arity = static_cast<int>(v);
-    }
+  if (const auto cfg = decl.config.find("ports"); cfg != decl.config.end()) {
+    std::uint64_t v = 0;
+    if (ParseUint(cfg->second, v) && v >= 1) arity = static_cast<int>(v);
   }
   return arity;
 }
@@ -121,42 +69,49 @@ bool ReachesSecurity(const Element* start) {
   return false;
 }
 
-/// Position of an element's declaration (0:0 when the scan missed it).
-std::pair<int, int> PosOf(const Element& e,
-                          const std::map<std::string, Decl>& decls) {
-  const auto it = decls.find(e.name());
-  return it == decls.end() ? std::pair<int, int>{0, 0}
-                           : std::pair<int, int>{it->second.line,
-                                                 it->second.col};
+/// 1-based line:col of `key`'s first occurrence in its declaration
+/// statement (the name's when absent). The statement starts on the
+/// name's line; a quoted value's newlines move later keys down.
+std::pair<int, int> KeyPosition(const MboxGraph& graph,
+                                const dataplane::Declaration& decl,
+                                std::string_view key) {
+  const auto statement = graph.StatementOf(decl);
+  const auto pos = statement.find(key);
+  if (pos == std::string_view::npos) return {decl.line, decl.col};
+  const auto before = statement.substr(0, pos);
+  const auto nl = before.rfind('\n');
+  return {decl.line + static_cast<int>(
+                          std::count(before.begin(), before.end(), '\n')),
+          static_cast<int>(nl == std::string_view::npos ? pos : pos - nl - 1) +
+              1};
 }
 
-void CheckConfigKeys(const std::map<std::string, Decl>& decls,
-                     const std::string& origin, Report& report) {
-  for (const auto& [name, decl] : decls) {
-    const auto* info = FindElementType(decl.type);
+void CheckConfigKeys(const MboxGraph& graph, const std::string& origin,
+                     Report& report) {
+  for (std::size_t i = 0; i < graph.elements().size(); ++i) {
+    const Element& e = *graph.elements()[i];
+    const dataplane::Declaration& decl = graph.declarations()[i];
+    const auto* info = FindElementType(e.type());
     if (!info) continue;  // Build would have failed; unreachable here
     for (const auto& [key, value] : decl.config) {
       (void)value;
-      bool known = false;
-      for (const auto& k : info->config_keys) {
-        if (k == key) {
-          known = true;
-          break;
-        }
+      if (std::find(info->config_keys.begin(), info->config_keys.end(),
+                    key) != info->config_keys.end()) {
+        continue;
       }
-      if (known) continue;
+      const auto [line, col] = KeyPosition(graph, decl, key);
       report.Add("G002", Severity::kWarn, origin,
                  "unknown config key '" + key + "' for element type " +
-                     decl.type + " (silently ignored at build time)",
-                 decl.line, ColumnOf(decl.raw_line, key, 0, decl.col));
+                     e.type() + " (silently ignored at build time)",
+                 line, col);
     }
   }
 }
 
-void CheckTopology(const MboxGraph& graph,
-                   const std::map<std::string, Decl>& decls,
-                   const std::string& origin, Report& report) {
+void CheckTopology(const MboxGraph& graph, const std::string& origin,
+                   Report& report) {
   const auto& elements = graph.elements();
+  const DeclOf decls = DeclarationsOf(graph);
 
   // Reachability from the entry.
   std::set<const Element*> reachable;
@@ -171,11 +126,11 @@ void CheckTopology(const MboxGraph& graph,
   }
   for (const auto& e : elements) {
     if (reachable.count(e.get())) continue;
-    const auto [line, col] = PosOf(*e, decls);
+    const auto* decl = decls.at(e.get());
     report.Add("G003", Severity::kWarn, origin,
                "element '" + e->name() + "' (" + e->type() +
                    ") is unreachable from the entry point",
-               line, col);
+               decl->line, decl->col);
   }
 
   // Cycle detection: iterative DFS, white/grey/black coloring. A wire
@@ -199,11 +154,11 @@ void CheckTopology(const MboxGraph& graph,
       ++stack.back().second;
       if (!to) continue;
       if (color[to] == 1) {
-        const auto [line, col] = PosOf(*e, decls);
+        const auto* decl = decls.at(e);
         report.Add("G004", Severity::kError, origin,
                    "wiring cycle: '" + e->name() + "' -> '" + to->name() +
                        "' closes a loop (packets circulate forever)",
-                   line, col);
+                   decl->line, decl->col);
       } else if (color[to] == 0) {
         color[to] = 1;
         stack.emplace_back(to, 0);
@@ -213,9 +168,11 @@ void CheckTopology(const MboxGraph& graph,
 
   // Port arity and dangling-port analysis.
   for (const auto& e : elements) {
-    const int arity = ArityOf(*e, decls);
+    const auto& decl = *decls.at(e.get());
+    const int arity = ArityOf(*e, decl);
     const auto& wires = e->wires();
-    const auto [line, col] = PosOf(*e, decls);
+    const int line = decl.line;
+    const int col = decl.col;
 
     for (std::size_t p = 0; p < wires.size(); ++p) {
       if (!wires[p].next) continue;
@@ -258,13 +215,15 @@ void CheckTopology(const MboxGraph& graph,
   }
 }
 
-void LintInlineRules(const std::map<std::string, Decl>& decls,
-                     const std::string& origin, Report& report) {
-  for (const auto& [name, decl] : decls) {
-    if (decl.type != "SignatureMatcher") continue;
-    const auto it = decl.config.find("rules");
-    if (it == decl.config.end() || it->second == "builtin") continue;
-    LintRulesText(it->second, origin + " / element '" + name + "' rules",
+void LintInlineRules(const MboxGraph& graph, const std::string& origin,
+                     Report& report) {
+  for (std::size_t i = 0; i < graph.elements().size(); ++i) {
+    const Element& e = *graph.elements()[i];
+    const auto& config = graph.declarations()[i].config;
+    if (e.type() != "SignatureMatcher") continue;
+    const auto it = config.find("rules");
+    if (it == config.end() || it->second == "builtin") continue;
+    LintRulesText(it->second, origin + " / element '" + e.name() + "' rules",
                   report);
   }
 }
@@ -281,10 +240,9 @@ bool LintGraphConfig(std::string_view config_text,
                diag.col);
     return false;
   }
-  const auto decls = ScanDecls(config_text);
-  CheckConfigKeys(decls, origin, report);
-  CheckTopology(*graph, decls, origin, report);
-  LintInlineRules(decls, origin, report);
+  CheckConfigKeys(*graph, origin, report);
+  CheckTopology(*graph, origin, report);
+  LintInlineRules(*graph, origin, report);
   return true;
 }
 

@@ -6,9 +6,8 @@
 #include <optional>
 
 #include "common/hash.h"
+#include "dataplane/elements.h"
 #include "dataplane/graph.h"
-#include "sig/corpus.h"
-#include "sig/rule.h"
 #include "sig/ruleset.h"
 
 namespace iotsec::verify {
@@ -17,97 +16,39 @@ namespace iotsec::verify {
 
 namespace {
 
-/// Strength contributed by a list of parsed signature rules.
-GuardStrength RulesStrength(const std::vector<sig::Rule>& rules) {
-  if (rules.empty()) return GuardStrength::kNone;
-  return sig::RuleSet::AnyBlocking(rules) ? GuardStrength::kBlocking
-                                          : GuardStrength::kScanOnly;
-}
-
-/// One `name :: Type(args)` declaration pulled back out of a config text.
-struct ElementDecl {
-  std::string type;
-  dataplane::ConfigMap config;
-};
-
-/// Re-parses the declarations of a config the graph already built — the
-/// element API does not expose per-instance configuration, and the guard
-/// analysis needs SignatureMatcher's `rules` value.
-std::map<std::string, ElementDecl> ParseDecls(const std::string& text) {
-  std::map<std::string, ElementDecl> decls;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string line = text.substr(
-        pos, eol == std::string::npos ? std::string::npos : eol - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line = line.substr(0, hash);
-    }
-    const std::size_t sep = line.find("::");
-    if (sep == std::string::npos) continue;
-    const auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t\r");
-      const auto e = s.find_last_not_of(" \t\r");
-      return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-    };
-    const std::string name = trim(line.substr(0, sep));
-    std::string rest = trim(line.substr(sep + 2));
-    if (name.empty() || rest.empty()) continue;
-    ElementDecl decl;
-    const std::size_t paren = rest.find('(');
-    if (paren == std::string::npos) {
-      decl.type = trim(rest);
-    } else {
-      decl.type = trim(rest.substr(0, paren));
-      const std::size_t close = rest.rfind(')');
-      if (close != std::string::npos && close > paren) {
-        std::string error;
-        if (auto parsed = dataplane::ParseConfigArgs(
-                rest.substr(paren + 1, close - paren - 1), &error)) {
-          decl.config = std::move(*parsed);
-        }
-      }
-    }
-    decls.emplace(name, std::move(decl));
+/// What one built element contributes: a SignatureMatcher is as strong as
+/// its loaded ruleset (block-action rule → blocking, alert-only →
+/// scan-only, none → nothing); any other element by its type's role.
+GuardStrength ElementStrength(const dataplane::Element& e) {
+  if (const auto* matcher =
+          dynamic_cast<const dataplane::SignatureMatcher*>(&e)) {
+    const auto& rules = matcher->rules().rules();
+    if (rules.empty()) return GuardStrength::kNone;
+    return sig::RuleSet::AnyBlocking(rules) ? GuardStrength::kBlocking
+                                            : GuardStrength::kScanOnly;
   }
-  return decls;
-}
-
-/// SignatureMatcher's effective ruleset, mirroring its Configure():
-/// missing `rules` or "builtin" loads the builtin corpus.
-GuardStrength SignatureMatcherStrength(const ElementDecl& decl) {
-  const auto it = decl.config.find("rules");
-  if (it == decl.config.end() || it->second == "builtin") {
-    return RulesStrength(sig::BuiltinRules());
+  const auto* info = dataplane::FindElementType(e.type());
+  if (info == nullptr) return GuardStrength::kNone;
+  switch (info->role) {
+    case dataplane::ElementRole::kBlocking: return GuardStrength::kBlocking;
+    case dataplane::ElementRole::kScanning: return GuardStrength::kScanOnly;
+    case dataplane::ElementRole::kPlumbing: break;
   }
-  return RulesStrength(sig::ParseRules(it->second));
+  return GuardStrength::kNone;
 }
 
 }  // namespace
 
 GuardEvaluator::GuardEvaluator(const dataplane::ElementContext& ctx,
                                std::vector<std::string> extra_rule_texts)
-    : ctx_(ctx) {
-  if (!extra_rule_texts.empty()) {
-    // Mirror IoTSecController::EffectiveConfig: the spliced crowd matcher
-    // carries the joined texts with quotes stripped.
-    std::string joined;
-    for (const auto& text : extra_rule_texts) {
-      joined += text;
-      joined += '\n';
-    }
-    std::erase(joined, '"');
-    extra_strength_ = RulesStrength(sig::ParseRules(joined));
-  }
-}
+    : ctx_(ctx), extra_rule_texts_(std::move(extra_rule_texts)) {}
 
 GuardStrength GuardEvaluator::AnalyzeConfig(const std::string& config) {
   std::string error;
-  const auto graph = dataplane::MboxGraph::Build(config, ctx_, &error);
+  const auto graph = dataplane::MboxGraph::Build(
+      dataplane::SpliceCrowdMatcher(config, extra_rule_texts_), ctx_, &error);
   if (graph == nullptr) return GuardStrength::kNone;  // G001's problem
 
-  const auto decls = ParseDecls(config);
   GuardStrength strength = GuardStrength::kNone;
   // BFS over the wiring from the entry: an element a packet can never
   // reach contributes nothing (G003 flags it separately).
@@ -116,20 +57,7 @@ GuardStrength GuardEvaluator::AnalyzeConfig(const std::string& config) {
   while (!queue.empty() && strength < GuardStrength::kBlocking) {
     const dataplane::Element* e = queue.front();
     queue.pop_front();
-    const auto* info = dataplane::FindElementType(e->type());
-    if (info != nullptr) {
-      GuardStrength s = GuardStrength::kNone;
-      if (e->type() == "SignatureMatcher") {
-        const auto it = decls.find(e->name());
-        s = it == decls.end() ? RulesStrength(sig::BuiltinRules())
-                              : SignatureMatcherStrength(it->second);
-      } else if (info->role == dataplane::ElementRole::kBlocking) {
-        s = GuardStrength::kBlocking;
-      } else if (info->role == dataplane::ElementRole::kScanning) {
-        s = GuardStrength::kScanOnly;
-      }
-      strength = std::max(strength, s);
-    }
+    strength = std::max(strength, ElementStrength(*e));
     for (const auto& wire : e->wires()) {
       if (wire.next != nullptr && seen.insert(wire.next).second) {
         queue.push_back(wire.next);
@@ -140,17 +68,14 @@ GuardStrength GuardEvaluator::AnalyzeConfig(const std::string& config) {
 }
 
 GuardStrength GuardEvaluator::Strength(const policy::Posture& posture) {
+  // No diversion → nothing in the path.
   if (!posture.tunnel || posture.umbox_config.empty()) {
-    // No diversion → nothing in the path, and EffectiveConfig splices
-    // crowd rules only into non-empty tunneled chains.
     return GuardStrength::kNone;
   }
-  const auto it = memo_.find(posture.umbox_config);
-  const GuardStrength own = it != memo_.end()
-                                ? it->second
-                                : (memo_[posture.umbox_config] =
-                                       AnalyzeConfig(posture.umbox_config));
-  return std::max(own, extra_strength_);
+  const auto [it, inserted] =
+      memo_.try_emplace(posture.umbox_config, GuardStrength::kNone);
+  if (inserted) it->second = AnalyzeConfig(posture.umbox_config);
+  return it->second;
 }
 
 // ============================================================ Explorer
@@ -574,7 +499,10 @@ void ModelCheckCache::Insert(std::uint64_t key,
 
 namespace {
 
-constexpr std::string_view kCacheHeader = "iotsec-mc-cache v1";
+// v2: guard strength is read from the crowd-spliced chain the controller
+// launches. A v1 file holds verdicts of the older analysis and must read
+// as misses.
+constexpr std::string_view kCacheHeader = "iotsec-mc-cache v2";
 
 void PutStr(std::string& out, const std::string& s) {
   out += std::to_string(s.size());

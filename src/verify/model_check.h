@@ -61,10 +61,11 @@ enum class GuardStrength : std::uint8_t {
 
 /// Memoized posture guard-strength analysis. Refines PostureCache's
 /// boolean "enforces anything" with rule-awareness: a SignatureMatcher is
-/// only as strong as its effective ruleset (block-action rule → blocking,
-/// alert-only → scan-only, none → nothing), and the OTA/crowd rule texts
-/// the controller splices ahead of every tunneled chain
-/// (IoTSecController::EffectiveConfig) count toward every such posture.
+/// only as strong as its loaded ruleset (block-action rule → blocking,
+/// alert-only → scan-only, none → nothing). It analyses the chain the
+/// controller launches: the posture's config with the OTA/crowd rule
+/// texts spliced in by dataplane::SpliceCrowdMatcher, the same function
+/// IoTSecController::EffectiveConfig calls.
 class GuardEvaluator {
  public:
   GuardEvaluator(const dataplane::ElementContext& ctx,
@@ -76,9 +77,8 @@ class GuardEvaluator {
   [[nodiscard]] GuardStrength AnalyzeConfig(const std::string& config);
 
   dataplane::ElementContext ctx_;
-  /// Strength contributed by the spliced crowd/OTA rules alone.
-  GuardStrength extra_strength_ = GuardStrength::kNone;
-  std::map<std::string, GuardStrength> memo_;  // by config text
+  std::vector<std::string> extra_rule_texts_;
+  std::map<std::string, GuardStrength> memo_;  // by posture config text
 };
 
 struct ModelCheckConfig {

@@ -54,10 +54,12 @@ struct RolloutPipelineWorld {
 
   /// `pre_accepted`: a rule the repository accepted before the
   /// deployment attached it (nullptr for none). `shared`: another
-  /// home's repository to attach instead of an own one.
-  explicit RolloutPipelineWorld(int shards,
-                                const char* pre_accepted = nullptr,
-                                learn::CrowdRepo* shared = nullptr)
+  /// home's repository to attach instead of an own one. `posture`: what
+  /// every device runs.
+  explicit RolloutPipelineWorld(
+      int shards, const char* pre_accepted = nullptr,
+      learn::CrowdRepo* shared = nullptr,
+      const policy::Posture& posture = core::MonitorPosture())
       : repo(shared != nullptr ? *shared : own_repo), dep(Options(shards)) {
     if (pre_accepted != nullptr) AcceptRule(repo, pre_accepted);
     wemo = dep.AddSmartPlug("wemo", "oven_power");  // SKU Wemo-Insight
@@ -65,7 +67,7 @@ struct RolloutPipelineWorld {
     dep.AddSmartPlug("wemo3", "lamp_power");
     cam = dep.AddCamera("cam");  // SKU Avtech-AVN801
     policy::FsmPolicy policy;
-    policy.SetDefault(core::MonitorPosture());
+    policy.SetDefault(posture);
     dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
     dep.controller().AttachCrowdRepo(&repo);
     dep.Start();
@@ -127,6 +129,21 @@ TEST_P(RolloutPipelineTest, AcceptedSignatureStagesToFleetAndEnforces) {
   // Benign commands still pass through the patched chain.
   EXPECT_EQ(w.SendCommand(w.wemo, proto::IotCommand::kTurnOn), "ok");
   EXPECT_EQ(w.wemo->State(), "on");
+}
+
+TEST_P(RolloutPipelineTest, DeclaredEntryStillMeetsTheCrowdRules) {
+  // The posture names its own injection point. The crowd splice must
+  // still put the crowd matcher in front of it, or every packet enters
+  // at `count` and the accepted rule never sees the abuse.
+  policy::Posture posture = core::MonitorPosture();
+  posture.umbox_config += "entry count\n";
+  RolloutPipelineWorld w(GetParam(), nullptr, nullptr, posture);
+  w.PublishAndAccept();
+  ASSERT_EQ(w.dep.rollout()->StableOf("Wemo-Insight"), 1u);
+  ASSERT_TRUE(w.ChainHasCrowdRules(w.wemo));
+  EXPECT_EQ(w.SendRebootAbuse(), "")
+      << "the declared entry let the abuse bypass the crowd matcher";
+  EXPECT_EQ(w.SendCommand(w.wemo, proto::IotCommand::kTurnOn), "ok");
 }
 
 TEST_P(RolloutPipelineTest, SecondVersionRidesTheFastSwapPath) {

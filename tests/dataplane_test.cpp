@@ -125,6 +125,73 @@ TEST(GraphTest, RejectsBadConfigs) {
             nullptr);  // element config validation propagates
 }
 
+TEST(GraphTest, RejectsTextThatWouldDesyncStatements) {
+  // Each of these would leave a stray quote that carries the statement
+  // splitter past the end of the line, into whatever follows the config.
+  Harness h;
+  GraphDiag diag;
+  const auto ctx = h.Ctx();
+  EXPECT_EQ(MboxGraph::Build("a\" :: Counter()", ctx, &diag), nullptr);
+  EXPECT_EQ(diag.col, 1) << diag.ToString();
+  EXPECT_EQ(MboxGraph::Build("a :: Counter() \"", ctx, &diag), nullptr);
+  EXPECT_EQ(diag.message, "unexpected text after ')'");
+  EXPECT_EQ(MboxGraph::Build("a :: Counter(k\"=1)", ctx, &diag), nullptr);
+  EXPECT_EQ(diag.message, "quote in config key");
+  // Ports are bounded, so a hostile port number cannot size a wire table.
+  EXPECT_EQ(MboxGraph::Build("a :: Counter()\nb :: Counter()\n"
+                             "a [4000000000] -> b\n",
+                             ctx, &diag),
+            nullptr);
+  EXPECT_EQ(diag.message, "bad output port");
+  EXPECT_NE(MboxGraph::Build("a :: Counter()\nb :: Counter()\n"
+                             "a [255] -> [255] b\n",
+                             ctx, &diag),
+            nullptr);
+}
+
+TEST(GraphTest, KeepsEachElementsDeclaration) {
+  Harness h;
+  const std::string text =
+      "# chain\n"
+      "c1 :: Counter()\n"
+      "  t :: Tee(ports=3)\n"
+      "c1 -> t\n";
+  auto graph = h.BuildGraph(text);
+  ASSERT_NE(graph, nullptr);
+  ASSERT_EQ(graph->declarations().size(), 2u);
+  const auto& tee = graph->declarations()[1];
+  EXPECT_EQ(graph->elements()[1]->name(), "t");
+  EXPECT_EQ(tee.line, 3);
+  EXPECT_EQ(tee.col, 3);
+  EXPECT_EQ(tee.config.at("ports"), "3");
+  EXPECT_EQ(graph->StatementOf(tee), "  t :: Tee(ports=3)");
+}
+
+TEST(GraphTest, CrowdSpliceBecomesTheEntry) {
+  Harness h;
+  const std::vector<std::string> rules = {
+      "block udp any any -> any 9999 (msg:\"bad\"; sid:7; content:EVIL; )"};
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"c :: Counter()\nd :: Counter()\nc -> d\n", "c"},
+      {"c :: Counter()\nd :: Counter()\nc -> d\nentry d", "d"},
+      {"d :: Counter()\n# trailing comment, no newline", "d"}};
+  for (const auto& [config, entry] : cases) {
+    SCOPED_TRACE(config);
+    const std::string spliced = SpliceCrowdMatcher(config, rules);
+    std::string error;
+    auto graph = MboxGraph::Build(spliced, h.Ctx(), &error);
+    ASSERT_NE(graph, nullptr) << error << "\n" << spliced;
+    EXPECT_EQ(graph->entry()->name(), kCrowdElement);
+    const auto& wires = graph->entry()->wires();
+    ASSERT_EQ(wires.size(), 1u);
+    EXPECT_EQ(wires[0].next, graph->Find(entry));
+  }
+  // Nothing to splice, or nothing that could launch: the text is kept.
+  EXPECT_EQ(SpliceCrowdMatcher("c :: Counter()\n", {}), "c :: Counter()\n");
+  EXPECT_EQ(SpliceCrowdMatcher("", rules), "");
+  EXPECT_EQ(SpliceCrowdMatcher("c -> d\n", rules), "c -> d\n");
+}
+
 TEST(ElementTest, DiscardDropsEverything) {
   Harness h;
   auto graph = h.BuildGraph("d :: Discard()\n");

@@ -326,13 +326,14 @@ TEST(ObsRegistryTest, FastPathAndDpiCountersExportUnderStableNames) {
   const std::string prom = reg.ToPrometheusText();
   for (const auto& [handle, name] : pins) {
     EXPECT_EQ(handle, reg.GetCounter(name)) << name;
-    EXPECT_NE(json.find("\"" + std::string(name) + "\""), std::string::npos)
-        << name;
+    std::string quoted = "\"";
+    quoted.append(name).append("\"");
+    EXPECT_NE(json.find(quoted), std::string::npos) << name;
     std::string prom_name = name;
-    prom_name.replace(prom_name.find('.'), 1, "_");
-    EXPECT_NE(prom.find("# TYPE " + prom_name + " counter"),
-              std::string::npos)
-        << name;
+    prom_name.at(prom_name.find('.')) = '_';
+    std::string type_line = "# TYPE ";
+    type_line.append(prom_name).append(" counter");
+    EXPECT_NE(prom.find(type_line), std::string::npos) << name;
   }
 }
 

@@ -238,6 +238,22 @@ TEST(GraphLint, FlagsUnknownConfigKey) {
   EXPECT_GT(f.col, 1);  // points at the key, not the line start
 }
 
+TEST(GraphLint, PositionsCountTheNewlinesOfAQuotedValue) {
+  // The rules value spans two lines, so `brust` sits on line 2.
+  const auto report = LintGraph(
+      "sig :: SignatureMatcher(rules=\"alert udp any any -> any 1 (sid:1; )\n"
+      "alert udp any any -> any 2 (sid:2; )\", brust=1)\n");
+  ASSERT_EQ(Codes(report), std::vector<std::string>{"G002"});
+  EXPECT_EQ(report.findings()[0].line, 2);
+  EXPECT_EQ(report.findings()[0].col, 40);
+
+  dataplane::GraphDiag diag;
+  EXPECT_EQ(dataplane::MboxGraph::Build(
+                "a :: Counter(k=\"x\ny\") zz\n", {}, &diag),
+            nullptr);
+  EXPECT_EQ(diag.ToString(), "line 2:5: unexpected text after ')'");
+}
+
 TEST(GraphLint, FlagsUnreachableElement) {
   const auto report =
       LintGraph("a :: Counter\nb :: Counter\nentry a\n");
@@ -275,9 +291,9 @@ TEST(GraphLint, TerminalSecurityElementIsNotDangling) {
 }
 
 TEST(GraphLint, InlineSignatureRulesAreLinted) {
-  // Config values strip quotes and cannot span lines, so inline rules
-  // are single-line rules with unquoted fields. A valid one lints clean;
-  // the R0xx fixtures exercise the shared lint through --rules files.
+  // Config values strip quotes, so inline rules have unquoted fields. A
+  // valid one lints clean; the R0xx fixtures exercise the shared lint
+  // through --rules files.
   const auto report = LintGraph(
       "sig :: SignatureMatcher(rules=alert tcp any any -> any 80 "
       "(msg:inline; sid:5; content:evil; ))\nentry sig\n");
@@ -1084,6 +1100,22 @@ TEST(ModelCheckCache, SerializationRoundTripsResults) {
   EXPECT_TRUE(empty.Deserialize(ModelCheckCache().Serialize()));
 }
 
+TEST(ModelCheckCache, FilesFromTheOlderGuardAnalysisReadAsMisses) {
+  // A v1 file holds verdicts of the analysis that did not read the
+  // crowd-spliced chain; none of them may come back as a hit.
+  const McFixture f = EvaporationFixture();
+  ModelCheckCache cache;
+  (void)CachedModelCheck(f.In(), &cache);
+  std::string text = cache.Serialize();
+  constexpr std::string_view kV2 = "iotsec-mc-cache v2\n";
+  ASSERT_EQ(text.rfind(kV2, 0), 0u) << text;
+  text.replace(0, kV2.size(), "iotsec-mc-cache v1\n");
+  ModelCheckCache stale;
+  EXPECT_FALSE(stale.Deserialize(text));
+  EXPECT_EQ(stale.size(), 0u);
+  EXPECT_EQ(stale.Lookup(ModelCheckKey(f.In())), nullptr);
+}
+
 // ---- differential verification (M1xx) --------------------------------
 
 constexpr char kBlockRule[] =
@@ -1169,6 +1201,51 @@ TEST(DiffVerify, SharedCacheReusesTheBaseRun) {
   (void)DiffVerify(base, benign, "diff", r2, &cache);
   EXPECT_EQ(cache.hits(), 1u) << "second diff reuses the cached base run";
   EXPECT_EQ(cache.misses(), 3u);
+}
+
+// ---- guard strength of the launched chain ----------------------------
+
+GuardStrength StrengthOf(const std::string& config,
+                         std::vector<std::string> crowd_rules = {}) {
+  GuardEvaluator guards({}, std::move(crowd_rules));
+  policy::Posture posture;
+  posture.umbox_config = config;
+  return guards.Strength(posture);
+}
+
+TEST(GuardEvaluator, AlertRulesOnSeparateLinesAreScanOnly) {
+  // A quoted rules value spans lines. The matcher loads both alert rules,
+  // and the analysis reads what it loaded, not the builtin corpus.
+  EXPECT_EQ(StrengthOf("sig :: SignatureMatcher(rules=\"alert udp any any -> "
+                       "any 5009 (msg:backdoor; sid:9001; iot_backdoor; )\n"
+                       "alert udp any any -> any 5010 (msg:recon; sid:9002; "
+                       "iot_auth_absent; )\")\n"),
+            GuardStrength::kScanOnly);
+}
+
+TEST(GuardEvaluator, CrowdRulesGuardNothingWhenTheChainCannotLaunch) {
+  // `entry cnt` names no declared element: the spliced chain does not
+  // build, the controller launches nothing, and the crowd rules in it
+  // guard nothing.
+  EXPECT_EQ(StrengthOf("count :: Counter()\nentry cnt\n", {kBlockRule}),
+            GuardStrength::kNone);
+}
+
+TEST(GuardEvaluator, CrowdMatcherGuardsAChainWithItsOwnEntry) {
+  // The splice makes the crowd matcher the entry and hands packets on to
+  // the chain's declared entry, so a declared entry no longer hides it.
+  const std::string config = "cnt :: Counter()\nentry cnt\n";
+  EXPECT_EQ(StrengthOf(config), GuardStrength::kNone);
+  EXPECT_EQ(StrengthOf(config, {kBlockRule}), GuardStrength::kBlocking);
+  EXPECT_EQ(StrengthOf(config, {kAlertRule}), GuardStrength::kScanOnly);
+
+  const auto graph = dataplane::MboxGraph::Build(
+      dataplane::SpliceCrowdMatcher(config, {kBlockRule}), {},
+      static_cast<std::string*>(nullptr));
+  ASSERT_NE(graph, nullptr);
+  EXPECT_EQ(graph->entry()->name(), "crowd");
+  ASSERT_FALSE(graph->entry()->wires().empty());
+  EXPECT_EQ(graph->entry()->wires()[0].next, graph->Find("cnt"));
 }
 
 TEST(Report, JsonIsWellFormedAndEscaped) {
