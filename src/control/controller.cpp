@@ -226,16 +226,21 @@ void IoTSecController::ApplyRolloutCompile(
   if (!md.umbox || cluster_ == nullptr) return;
   dataplane::Umbox* box = cluster_->Find(*md.umbox);
   if (box == nullptr || box->graph() == nullptr) return;
-  // Fast path: the chain already carries a "crowd" SignatureMatcher —
-  // adopting the shared compile is a pointer swap, no parse, no
-  // reconfigure, no packet loss. This is what makes rollback "instant".
-  if (auto* matcher = dynamic_cast<dataplane::SignatureMatcher*>(
-          box->graph()->Find(std::string(dataplane::kCrowdElement)))) {
-    matcher->AdoptCompiled(compiled);
-    ++stats_.crowd_rules_applied;
-    audit_.Record(sim_.Now(), AuditCategory::kCrowd, md.device->spec().name,
-                  "rollout compile swapped into crowd matcher");
-    return;
+  // Fast path: the chain carries the crowd matcher the controller
+  // spliced — adopting the shared compile is a pointer swap, no parse,
+  // no reconfigure, no packet loss. This is what makes rollback
+  // "instant". A `crowd` the posture declared itself is not ours to
+  // overwrite.
+  if (md.crowd_spliced) {
+    if (auto* matcher = dynamic_cast<dataplane::SignatureMatcher*>(
+            box->graph()->Find(std::string(dataplane::kCrowdElement)))) {
+      matcher->AdoptCompiled(compiled);
+      ++stats_.crowd_rules_applied;
+      audit_.Record(sim_.Now(), AuditCategory::kCrowd,
+                    md.device->spec().name,
+                    "rollout compile swapped into crowd matcher");
+      return;
+    }
   }
   // First install on this chain: splice the crowd element in via a full
   // hot reconfigure (EffectiveConfig consults the device's receiver).
@@ -243,13 +248,21 @@ void IoTSecController::ApplyRolloutCompile(
   std::string error;
   if (box->Reconfigure(EffectiveConfig(md, md.posture.umbox_config),
                        &error)) {
+    md.crowd_spliced = SplicesCrowd(md);
     ++stats_.crowd_rules_applied;
     ++stats_.umbox_reconfigs;
     audit_.Record(sim_.Now(), AuditCategory::kCrowd, md.device->spec().name,
                   "rollout ruleset spliced via reconfigure");
   } else {
+    // The chain keeps running without the crowd rules. A retry fails the
+    // same way, so the device stays settled until its posture or crowd
+    // ruleset changes (a posture that declares `crowd` itself lands here).
     IOTSEC_LOG_ERROR("rollout repatch failed for %s: %s",
                      md.device->spec().name.c_str(), error.c_str());
+    md.rejected_posture = md.posture;
+    md.rejected_crowd_version = rollout_.VersionOf(device);
+    audit_.Record(sim_.Now(), AuditCategory::kCrowd, md.device->spec().name,
+                  "rollout ruleset refused: " + error);
   }
 }
 
@@ -259,6 +272,10 @@ std::string IoTSecController::EffectiveConfig(
   // cohort is on (canaries ahead of the control group).
   return dataplane::SpliceCrowdMatcher(
       config, rollout_.RuleTextsFor(md.device->id()));
+}
+
+bool IoTSecController::SplicesCrowd(const ManagedDevice& md) const {
+  return !rollout_.RuleTextsFor(md.device->id()).empty();
 }
 
 void IoTSecController::Start() {
@@ -515,6 +532,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
         md.rejected_crowd_version = rollout_.VersionOf(md.device->id());
         return;
       }
+      md.crowd_spliced = SplicesCrowd(md);
       ++stats_.umbox_reconfigs;
       audit_.Record(sim_.Now(), AuditCategory::kUmbox,
                     md.device->spec().name,
@@ -571,6 +589,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
     if (config_.fail_closed) InstallIsolation(md);
     return;
   }
+  md.crowd_spliced = SplicesCrowd(md);
   ++stats_.umbox_launches;
   audit_.Record(sim_.Now(), AuditCategory::kUmbox, md.device->spec().name,
                 "launched umbox " + std::to_string(spec.id) + " (" +
@@ -846,6 +865,7 @@ void IoTSecController::AttemptRecovery(DeviceId device,
         if (box->Restart(config, &error, [this, device, epoch, id, server] {
               FinishRecovery(device, epoch, id, server, /*failover=*/false);
             })) {
+          md.crowd_spliced = SplicesCrowd(md);
           audit_.Record(sim_.Now(), AuditCategory::kRecovery,
                         md.device->spec().name,
                         "restarting umbox " + std::to_string(id) +
@@ -891,6 +911,7 @@ void IoTSecController::AttemptRecovery(DeviceId device,
     ScheduleRecoveryAttempt(md);
     return;
   }
+  md.crowd_spliced = SplicesCrowd(md);
   audit_.Record(sim_.Now(), AuditCategory::kRecovery, md.device->spec().name,
                 "failing over to umbox " + std::to_string(spec.id) +
                     " on host " + std::to_string(server) + " (attempt " +

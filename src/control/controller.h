@@ -268,6 +268,10 @@ class IoTSecController final : public sdn::PacketInHandler,
     /// changes.
     std::optional<policy::Posture> rejected_posture;
     std::uint64_t rejected_crowd_version = 0;
+    /// The running chain was built with the crowd splice (the device's
+    /// receiver held rules then), so its `crowd` element is the
+    /// controller's and a rollout compile may be swapped into it.
+    bool crowd_spliced = false;
     // ---- recovery state machine
     bool recovering = false;
     int recovery_attempts = 0;
@@ -321,9 +325,13 @@ class IoTSecController final : public sdn::PacketInHandler,
   /// chain (dataplane::SpliceCrowdMatcher).
   [[nodiscard]] std::string EffectiveConfig(const ManagedDevice& md,
                                             const std::string& config) const;
-  /// Rollout applier: epoch-swaps a verified compile into the device's
-  /// running "crowd" SignatureMatcher (full reconfigure when the chain
-  /// has none yet; null compile = rolled back to no crowd rules).
+  /// Whether EffectiveConfig splices a crowd matcher into `md`'s chain.
+  [[nodiscard]] bool SplicesCrowd(const ManagedDevice& md) const;
+  /// Rollout applier: epoch-swaps a verified compile into the crowd
+  /// matcher the controller spliced into the device's running chain
+  /// (full reconfigure when the chain has none yet; null compile =
+  /// rolled back to no crowd rules). A refused reconfigure settles like
+  /// one in ApplyPosture.
   void ApplyRolloutCompile(
       DeviceId device,
       const std::shared_ptr<const sig::CompiledRuleset>& compiled);

@@ -86,7 +86,9 @@ bool ParseRolloutPlan(const std::string& text, RolloutPlan* plan,
   int line_no = 0;
   const auto fail = [&](const std::string& what) {
     if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + what;
+      // line_no 0: the plan as a whole is at fault, no line is.
+      *error = line_no > 0 ? "line " + std::to_string(line_no) + ": " + what
+                           : what;
     }
     return false;
   };

@@ -112,8 +112,9 @@ struct RolloutPlan {
   [[nodiscard]] bool KnowsVersion(std::uint64_t v, bool* is_signed) const;
 };
 
-/// Parses the plan format above. Returns false with *error (1-based line
-/// in the message) on malformed input.
+/// Parses the plan format above. Returns false with *error on malformed
+/// input; the message starts "line N: " (1-based) when one line is at
+/// fault, and names the missing directive otherwise.
 [[nodiscard]] bool ParseRolloutPlan(const std::string& text,
                                     RolloutPlan* plan, std::string* error);
 

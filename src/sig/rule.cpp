@@ -89,7 +89,11 @@ std::vector<std::string> SplitOptions(std::string_view body) {
 std::optional<std::string> Unquote(std::string_view s) {
   s = Trim(s);
   if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
-    return std::string(s.substr(1, s.size() - 2));
+    // No quote inside: ToText writes the value back between quotes, and
+    // an inner one would end it early (SplitOptions pairs quotes).
+    const auto inner = s.substr(1, s.size() - 2);
+    if (inner.find('"') != std::string_view::npos) return std::nullopt;
+    return std::string(inner);
   }
   // Lenient mode: unquoted values are accepted as long as they are a
   // single token (rules embedded in element configs lose their quotes).
@@ -260,7 +264,9 @@ std::optional<Rule> ParseRule(std::string_view line, std::string* error) {
       rule.msg = *v;
     } else if (key == "sid") {
       std::uint64_t v = 0;
-      if (!ParseUint(Trim(value), v)) return set_error("bad sid");
+      if (!ParseUint(Trim(value), v) || v > UINT32_MAX) {
+        return set_error("bad sid");
+      }
       rule.sid = static_cast<std::uint32_t>(v);
     } else if (key == "content") {
       auto v = Unquote(value);
@@ -295,7 +301,8 @@ std::optional<Rule> ParseRule(std::string_view line, std::string* error) {
 }
 
 std::vector<Rule> ParseRules(std::string_view text,
-                             std::vector<std::string>* errors) {
+                             std::vector<std::string>* errors,
+                             RuleLines* lines) {
   std::vector<Rule> rules;
   int line_no = 0;
   for (const auto& line : Split(text, '\n')) {
@@ -304,8 +311,12 @@ std::vector<Rule> ParseRules(std::string_view text,
     auto rule = ParseRule(line, &error);
     if (rule) {
       rules.push_back(std::move(*rule));
-    } else if (!error.empty() && errors) {
-      errors->push_back("line " + std::to_string(line_no) + ": " + error);
+      if (lines) lines->rules.push_back(line_no);
+    } else if (!error.empty()) {
+      if (errors) {
+        errors->push_back("line " + std::to_string(line_no) + ": " + error);
+      }
+      if (lines) lines->errors.emplace_back(line_no, std::move(error));
     }
   }
   return rules;

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/address.h"
@@ -78,9 +79,19 @@ struct Rule {
 /// malformed input; comments/blank lines yield nullopt with empty error.
 std::optional<Rule> ParseRule(std::string_view line, std::string* error);
 
+/// Where ParseRules found what it returned (1-based line numbers).
+struct RuleLines {
+  /// rules[i] is the line of the i-th returned rule.
+  std::vector<int> rules;
+  /// One (line, reason) per malformed line, in line order.
+  std::vector<std::pair<int, std::string>> errors;
+};
+
 /// Parses a newline-separated rule file; malformed lines are collected
-/// into `errors` and skipped.
+/// into `errors` ("line N: reason") and skipped. `lines`, when given,
+/// receives each rule's and each error's line.
 std::vector<Rule> ParseRules(std::string_view text,
-                             std::vector<std::string>* errors = nullptr);
+                             std::vector<std::string>* errors = nullptr,
+                             RuleLines* lines = nullptr);
 
 }  // namespace iotsec::sig

@@ -41,7 +41,7 @@ void CheckAttackCoverage(const CoverageInput& in, Report& report) {
   if (!in.space || !in.policy || !in.attack_graph) return;
   const auto& space = *in.space;
   const auto& policy = *in.policy;
-  PostureCache cache(in.element_ctx);
+  GuardEvaluator guards(in.element_ctx);
 
   const auto goals =
       in.goals.empty() ? in.attack_graph->ReachableGoals() : in.goals;
@@ -61,7 +61,8 @@ void CheckAttackCoverage(const CoverageInput& in, Report& report) {
       bool all = true;
       std::size_t first_unguarded = states.size();
       for (std::size_t j = 0; j < states.size(); ++j) {
-        if (!cache.Enforces(policy.Evaluate(space, states[j], step->device))) {
+        if (guards.Strength(policy.Evaluate(space, states[j], step->device)) <
+            GuardStrength::kScanOnly) {
           all = false;
           first_unguarded = j;
           break;

@@ -2,10 +2,11 @@
 //
 // For every multi-stage attack plan the learned attack graph exports,
 // prove statically that the policy cuts it: some hop's device must be
-// tunneled through a µmbox containing a blocking/scanning element in
-// EVERY system state the attack induces along the way (each completed
-// step flips its device's security context to "compromised" — a guard
-// that evaporates once the posture reacts to the compromise is no guard).
+// tunneled through a µmbox that scans or blocks (GuardEvaluator strength
+// kScanOnly or more) in EVERY system state the attack induces along the
+// way (each completed step flips its device's security context to
+// "compromised" — a guard that evaporates once the posture reacts to the
+// compromise is no guard).
 #pragma once
 
 #include <map>

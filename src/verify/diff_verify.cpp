@@ -15,17 +15,16 @@ bool LenientSafe(GoalVerdict::Class cls) {
 }  // namespace
 
 bool DiffVerify(const ModelCheckInput& base, const ModelCheckInput& next,
-                const std::string& origin, Report& report,
-                ModelCheckCache* cache) {
-  const auto base_result = CachedModelCheck(base, cache);
-  const auto next_result = CachedModelCheck(next, cache);
+                const std::string& origin, Report& report) {
+  const ModelCheckResult base_result = ModelCheck(base);
+  const ModelCheckResult next_result = ModelCheck(next);
 
   bool clean = true;
-  for (const auto& nv : next_result->verdicts) {
+  for (const auto& nv : next_result.verdicts) {
     // A goal absent from the base run compares against "blocked": a goal
     // that only exists under next *is* new attack surface.
     const GoalVerdict* bv = nullptr;
-    for (const auto& candidate : base_result->verdicts) {
+    for (const auto& candidate : base_result.verdicts) {
       if (candidate.goal == nv.goal) {
         bv = &candidate;
         break;
@@ -82,9 +81,8 @@ bool DiffVerify(const ModelCheckInput& base, const ModelCheckInput& next,
 }
 
 rollout::PreRolloutVerifier MakePreRolloutVerifier(
-    DeploymentModel model, const rollout::VersionStore* store,
-    ModelCheckCache* cache) {
-  return [model = std::move(model), store, cache](
+    DeploymentModel model, const rollout::VersionStore* store) {
+  return [model = std::move(model), store](
              const std::string& sku, std::uint64_t base_version,
              std::uint64_t target_version, std::string* detail) {
     const auto fill = [&model](std::vector<std::string> rules) {
@@ -106,7 +104,7 @@ rollout::PreRolloutVerifier MakePreRolloutVerifier(
     const std::string origin =
         "rollout " + sku + " v" + std::to_string(base_version) + " -> v" +
         std::to_string(target_version);
-    const bool ok = DiffVerify(base, next, origin, report, cache);
+    const bool ok = DiffVerify(base, next, origin, report);
     report.Finalize();
     if (detail != nullptr) {
       detail->clear();

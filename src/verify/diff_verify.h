@@ -19,7 +19,6 @@
 // (in kBlock mode) quarantines candidates that weaken enforcement.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "rollout/coordinator.h"
@@ -29,13 +28,11 @@
 
 namespace iotsec::verify {
 
-/// Model-checks both inputs (memoized via `cache` — diff runs share the
-/// base check across candidate versions) and appends regression-only
-/// findings labelled `origin`. Returns true when no error-severity
-/// regression was found (warn-level M102s do not fail the gate).
+/// Model-checks both inputs and appends regression-only findings
+/// labelled `origin`. Returns true when no error-severity regression was
+/// found (warn-level M102s do not fail the gate).
 bool DiffVerify(const ModelCheckInput& base, const ModelCheckInput& next,
-                const std::string& origin, Report& report,
-                ModelCheckCache* cache = nullptr);
+                const std::string& origin, Report& report);
 
 /// The deployment the pre-rollout gate verifies against: everything a
 /// ModelCheckInput needs except the ruleset versions, which come from
@@ -57,9 +54,8 @@ struct DeploymentModel {
 /// target_version, detail) diff-verifies store->RulesAt(sku, base) vs
 /// RulesAt(sku, target) under `model` and returns false on an
 /// error-severity regression, with the findings text in *detail.
-/// `store` must outlive the verifier; `cache` may be null.
+/// `store` must outlive the verifier.
 [[nodiscard]] rollout::PreRolloutVerifier MakePreRolloutVerifier(
-    DeploymentModel model, const rollout::VersionStore* store,
-    ModelCheckCache* cache = nullptr);
+    DeploymentModel model, const rollout::VersionStore* store);
 
 }  // namespace iotsec::verify

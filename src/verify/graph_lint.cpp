@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "dataplane/elements.h"
 #include "dataplane/graph.h"
+#include "sig/ruleset.h"
 #include "verify/rules_lint.h"
 
 namespace iotsec::verify {
@@ -31,13 +33,25 @@ DeclOf DeclarationsOf(const MboxGraph& graph) {
   return decls;
 }
 
-ElementRole RoleOf(const Element& e) {
+/// What one built element contributes: a SignatureMatcher is as strong as
+/// its loaded ruleset (block-action rule → blocking, alert-only →
+/// scan-only, none → nothing); any other element by its type's role.
+GuardStrength ElementStrength(const Element& e) {
+  if (const auto* matcher =
+          dynamic_cast<const dataplane::SignatureMatcher*>(&e)) {
+    const auto& rules = matcher->rules().rules();
+    if (rules.empty()) return GuardStrength::kNone;
+    return sig::RuleSet::AnyBlocking(rules) ? GuardStrength::kBlocking
+                                            : GuardStrength::kScanOnly;
+  }
   const auto* info = FindElementType(e.type());
-  return info ? info->role : ElementRole::kPlumbing;
-}
-
-bool IsSecurity(const Element& e) {
-  return RoleOf(e) != ElementRole::kPlumbing;
+  if (info == nullptr) return GuardStrength::kNone;
+  switch (info->role) {
+    case ElementRole::kBlocking: return GuardStrength::kBlocking;
+    case ElementRole::kScanning: return GuardStrength::kScanOnly;
+    case ElementRole::kPlumbing: break;
+  }
+  return GuardStrength::kNone;
 }
 
 /// Output-port arity of one built element, resolving Tee's `ports`.
@@ -53,20 +67,23 @@ int ArityOf(const Element& e, const dataplane::Declaration& decl) {
   return arity;
 }
 
-/// BFS from `start` (inclusive): true if any security element is reached.
-bool ReachesSecurity(const Element* start) {
-  std::set<const Element*> seen;
+/// BFS from `start` (inclusive): the strongest element a packet entering
+/// there can meet.
+GuardStrength ReachableStrength(const Element* start) {
+  GuardStrength strength = GuardStrength::kNone;
+  std::set<const Element*> seen{start};
   std::deque<const Element*> queue{start};
-  while (!queue.empty()) {
+  while (!queue.empty() && strength < GuardStrength::kBlocking) {
     const Element* e = queue.front();
     queue.pop_front();
-    if (!seen.insert(e).second) continue;
-    if (IsSecurity(*e)) return true;
+    strength = std::max(strength, ElementStrength(*e));
     for (const auto& wire : e->wires()) {
-      if (wire.next) queue.push_back(wire.next);
+      if (wire.next && seen.insert(wire.next).second) {
+        queue.push_back(wire.next);
+      }
     }
   }
-  return false;
+  return strength;
 }
 
 /// 1-based line:col of `key`'s first occurrence in its declaration
@@ -188,13 +205,14 @@ void CheckTopology(const MboxGraph& graph, const std::string& origin,
     }
 
     // G006: a dangling output port on an element whose *other* ports lead
-    // to security elements — packets taking the dangling port egress the
-    // µmbox without ever meeting the enforcement chain.
+    // to a guard — packets taking the dangling port egress the µmbox
+    // without ever meeting the enforcement chain.
     if (!reachable.count(e.get())) continue;
     bool connected_hits_security = false;
     for (std::size_t p = 0; p < wires.size(); ++p) {
       if (static_cast<int>(p) >= arity) continue;
-      if (wires[p].next && ReachesSecurity(wires[p].next)) {
+      if (wires[p].next &&
+          ReachableStrength(wires[p].next) > GuardStrength::kNone) {
         connected_hits_security = true;
         break;
       }
@@ -246,20 +264,26 @@ bool LintGraphConfig(std::string_view config_text,
   return true;
 }
 
-bool GraphEnforces(std::string_view config_text,
-                   const dataplane::ElementContext& ctx) {
-  if (Trim(config_text).empty()) return false;
-  dataplane::GraphDiag diag;
-  const auto graph = MboxGraph::Build(config_text, ctx, &diag);
-  if (!graph) return false;
-  return ReachesSecurity(graph->entry());
-}
+GuardEvaluator::GuardEvaluator(const dataplane::ElementContext& ctx,
+                               std::vector<std::string> extra_rule_texts)
+    : ctx_(ctx), extra_rule_texts_(std::move(extra_rule_texts)) {}
 
-bool PostureCache::Enforces(const policy::Posture& posture) {
-  if (!posture.tunnel || Trim(posture.umbox_config).empty()) return false;
-  const auto [it, inserted] = enforces_.try_emplace(posture.umbox_config,
-                                                    false);
-  if (inserted) it->second = GraphEnforces(posture.umbox_config, ctx_);
+GuardStrength GuardEvaluator::Strength(const policy::Posture& posture) {
+  // No diversion → nothing in the path.
+  if (!posture.tunnel || posture.umbox_config.empty()) {
+    return GuardStrength::kNone;
+  }
+  const auto [it, inserted] =
+      memo_.try_emplace(posture.umbox_config, GuardStrength::kNone);
+  if (inserted) {
+    std::string error;
+    const auto graph = MboxGraph::Build(
+        dataplane::SpliceCrowdMatcher(posture.umbox_config,
+                                      extra_rule_texts_),
+        ctx_, &error);
+    // A config that does not build launches nothing (G001's problem).
+    if (graph != nullptr) it->second = ReachableStrength(graph->entry());
+  }
   return it->second;
 }
 

@@ -1,13 +1,24 @@
-// Click-lite µmbox graph linter (G0xx findings).
+// Click-lite µmbox graph linter (G0xx findings) and the one guard
+// analysis every verifier pass shares.
 //
-// Dry-builds the config through MboxGraph::Build (no packets flow, no
-// simulator needed), then checks the wiring topology and the declared
-// configuration against the element-type registry.
+// The linter dry-builds the config through MboxGraph::Build (no packets
+// flow, no simulator needed), then checks the wiring topology and the
+// declared configuration against the element-type registry.
+//
+// GuardEvaluator judges a posture by the chain the controller launches:
+// the posture's config with the OTA/crowd rule texts spliced in by
+// dataplane::SpliceCrowdMatcher. Each reachable element contributes a
+// strength; a SignatureMatcher guards only with rules loaded. The policy
+// checks (P001/P004) and attack-path coverage (X001–X003) count any
+// strength of at least kScanOnly, the model checker runs a blocking and
+// a scan-only floor, and G006 reads the same per-element strength.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dataplane/element.h"
 #include "policy/fsm_policy.h"
@@ -23,24 +34,38 @@ bool LintGraphConfig(std::string_view config_text,
                      const dataplane::ElementContext& ctx,
                      const std::string& origin, Report& report);
 
-/// True when the config builds and some blocking or scanning element is
-/// reachable from the entry — i.e. the µmbox actually enforces/observes
-/// something. The policy checker and attack-path coverage key on this.
-bool GraphEnforces(std::string_view config_text,
-                   const dataplane::ElementContext& ctx);
+/// How strongly a posture guards its device's traffic.
+enum class GuardStrength : std::uint8_t {
+  kNone = 0,      // no tunnel, empty config, or nothing security-relevant
+  kScanOnly = 1,  // raises alerts but cannot drop (Logger, alert rules)
+  kBlocking = 2,  // can drop on a verdict (Discard, firewall, block rules)
+};
 
-/// Memoized "does this posture enforce anything" — tunnel on, non-empty
-/// config, and GraphEnforces. Policies evaluate the same few postures
-/// across thousands of enumerated states; building the graph once per
-/// distinct config keeps the verifier fast.
-class PostureCache {
+[[nodiscard]] constexpr const char* GuardStrengthName(GuardStrength s) {
+  switch (s) {
+    case GuardStrength::kNone: return "none";
+    case GuardStrength::kScanOnly: return "scan-only";
+    case GuardStrength::kBlocking: return "blocking";
+  }
+  return "?";
+}
+
+/// Guard strength of postures, memoized per run by exact config text. A
+/// SignatureMatcher is as strong as its loaded ruleset (block-action rule
+/// → blocking, alert-only → scan-only, none → nothing); any other
+/// element by its type's role. Elements the entry cannot reach, and
+/// configs that do not build, guard nothing.
+class GuardEvaluator {
  public:
-  explicit PostureCache(const dataplane::ElementContext& ctx) : ctx_(ctx) {}
-  bool Enforces(const policy::Posture& posture);
+  explicit GuardEvaluator(const dataplane::ElementContext& ctx,
+                          std::vector<std::string> extra_rule_texts = {});
+
+  [[nodiscard]] GuardStrength Strength(const policy::Posture& posture);
 
  private:
   dataplane::ElementContext ctx_;
-  std::map<std::string, bool> enforces_;
+  std::vector<std::string> extra_rule_texts_;
+  std::map<std::string, GuardStrength> memo_;  // by posture config text
 };
 
 }  // namespace iotsec::verify

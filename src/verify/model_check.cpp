@@ -5,78 +5,7 @@
 #include <deque>
 #include <optional>
 
-#include "common/hash.h"
-#include "dataplane/elements.h"
-#include "dataplane/graph.h"
-#include "sig/ruleset.h"
-
 namespace iotsec::verify {
-
-// ===================================================== GuardEvaluator
-
-namespace {
-
-/// What one built element contributes: a SignatureMatcher is as strong as
-/// its loaded ruleset (block-action rule → blocking, alert-only →
-/// scan-only, none → nothing); any other element by its type's role.
-GuardStrength ElementStrength(const dataplane::Element& e) {
-  if (const auto* matcher =
-          dynamic_cast<const dataplane::SignatureMatcher*>(&e)) {
-    const auto& rules = matcher->rules().rules();
-    if (rules.empty()) return GuardStrength::kNone;
-    return sig::RuleSet::AnyBlocking(rules) ? GuardStrength::kBlocking
-                                            : GuardStrength::kScanOnly;
-  }
-  const auto* info = dataplane::FindElementType(e.type());
-  if (info == nullptr) return GuardStrength::kNone;
-  switch (info->role) {
-    case dataplane::ElementRole::kBlocking: return GuardStrength::kBlocking;
-    case dataplane::ElementRole::kScanning: return GuardStrength::kScanOnly;
-    case dataplane::ElementRole::kPlumbing: break;
-  }
-  return GuardStrength::kNone;
-}
-
-}  // namespace
-
-GuardEvaluator::GuardEvaluator(const dataplane::ElementContext& ctx,
-                               std::vector<std::string> extra_rule_texts)
-    : ctx_(ctx), extra_rule_texts_(std::move(extra_rule_texts)) {}
-
-GuardStrength GuardEvaluator::AnalyzeConfig(const std::string& config) {
-  std::string error;
-  const auto graph = dataplane::MboxGraph::Build(
-      dataplane::SpliceCrowdMatcher(config, extra_rule_texts_), ctx_, &error);
-  if (graph == nullptr) return GuardStrength::kNone;  // G001's problem
-
-  GuardStrength strength = GuardStrength::kNone;
-  // BFS over the wiring from the entry: an element a packet can never
-  // reach contributes nothing (G003 flags it separately).
-  std::deque<const dataplane::Element*> queue{graph->entry()};
-  std::set<const dataplane::Element*> seen{graph->entry()};
-  while (!queue.empty() && strength < GuardStrength::kBlocking) {
-    const dataplane::Element* e = queue.front();
-    queue.pop_front();
-    strength = std::max(strength, ElementStrength(*e));
-    for (const auto& wire : e->wires()) {
-      if (wire.next != nullptr && seen.insert(wire.next).second) {
-        queue.push_back(wire.next);
-      }
-    }
-  }
-  return strength;
-}
-
-GuardStrength GuardEvaluator::Strength(const policy::Posture& posture) {
-  // No diversion → nothing in the path.
-  if (!posture.tunnel || posture.umbox_config.empty()) {
-    return GuardStrength::kNone;
-  }
-  const auto [it, inserted] =
-      memo_.try_emplace(posture.umbox_config, GuardStrength::kNone);
-  if (inserted) it->second = AnalyzeConfig(posture.umbox_config);
-  return it->second;
-}
 
 // ============================================================ Explorer
 
@@ -417,254 +346,6 @@ ModelCheckResult ModelCheck(const ModelCheckInput& in) {
   return result;
 }
 
-// ======================================================= Key & cache
-
-namespace {
-
-void FnvMix(std::uint64_t& h, std::string_view s) {
-  // A 0xff field separator so "ab"+"c" != "a"+"bc".
-  h = hash::Fnv1a("\xff", hash::Fnv1a(s, h));
-}
-
-void FnvMix(std::uint64_t& h, std::uint64_t v) { h = hash::Fnv1aU64(v, h); }
-
-}  // namespace
-
-std::uint64_t ModelCheckKey(const ModelCheckInput& in) {
-  std::uint64_t h = hash::kFnvOffset;
-  if (in.space != nullptr) {
-    for (const auto& dim : in.space->Dims()) {
-      FnvMix(h, dim.name);
-      FnvMix(h, static_cast<std::uint64_t>(dim.kind));
-      FnvMix(h, static_cast<std::uint64_t>(dim.device));
-      for (const auto& v : dim.values) FnvMix(h, v);
-    }
-  }
-  const auto mix_posture = [&h](const policy::Posture& p) {
-    FnvMix(h, p.profile);
-    FnvMix(h, p.umbox_config);
-    FnvMix(h, static_cast<std::uint64_t>(p.tunnel));
-  };
-  if (in.policy != nullptr) {
-    for (const auto& rule : in.policy->rules()) {
-      FnvMix(h, rule.name);
-      FnvMix(h, static_cast<std::uint64_t>(rule.priority));
-      FnvMix(h, static_cast<std::uint64_t>(rule.device));
-      for (const auto& [dim, values] : rule.when.constraints) {
-        FnvMix(h, dim);
-        for (const auto& v : values) FnvMix(h, v);
-      }
-      mix_posture(rule.posture);
-    }
-    mix_posture(in.policy->DefaultPosture());
-  }
-  if (in.attack_graph != nullptr) {
-    for (const auto& fact : in.attack_graph->initial_facts()) FnvMix(h, fact);
-    for (const auto& exploit : in.attack_graph->exploits()) {
-      FnvMix(h, exploit.name);
-      FnvMix(h, static_cast<std::uint64_t>(exploit.device));
-      for (const auto& pre : exploit.preconditions) FnvMix(h, pre);
-      FnvMix(h, std::uint64_t{0x5e});
-      for (const auto& post : exploit.postconditions) FnvMix(h, post);
-    }
-  }
-  for (const DeviceId d : in.devices) FnvMix(h, std::uint64_t{d});
-  for (const auto& [id, name] : in.device_names) {
-    FnvMix(h, std::uint64_t{id});
-    FnvMix(h, name);
-  }
-  for (const auto& goal : in.goals) FnvMix(h, goal);
-  FnvMix(h, std::uint64_t{0xa1});
-  for (const auto& text : in.extra_rule_texts) FnvMix(h, text);
-  FnvMix(h, static_cast<std::uint64_t>(in.config.max_states));
-  FnvMix(h, static_cast<std::uint64_t>(in.config.max_depth));
-  return h;
-}
-
-std::shared_ptr<const ModelCheckResult> ModelCheckCache::Lookup(
-    std::uint64_t key) {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void ModelCheckCache::Insert(std::uint64_t key,
-                             std::shared_ptr<const ModelCheckResult> result) {
-  entries_[key] = std::move(result);
-}
-
-namespace {
-
-// v2: guard strength is read from the crowd-spliced chain the controller
-// launches. A v1 file holds verdicts of the older analysis and must read
-// as misses.
-constexpr std::string_view kCacheHeader = "iotsec-mc-cache v2";
-
-void PutStr(std::string& out, const std::string& s) {
-  out += std::to_string(s.size());
-  out += ':';
-  out += s;
-  out += ' ';
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-  out += ' ';
-}
-
-struct CacheReader {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  void SkipSpace() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\n' || text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-  std::uint64_t U64() {
-    SkipSpace();
-    std::uint64_t v = 0;
-    bool any = false;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-      ++pos;
-      any = true;
-    }
-    if (!any) ok = false;
-    return v;
-  }
-  std::string Str() {
-    const std::uint64_t len = U64();
-    if (!ok || pos >= text.size() || text[pos] != ':' ||
-        pos + 1 + len > text.size()) {
-      ok = false;
-      return {};
-    }
-    ++pos;
-    std::string s(text.substr(pos, len));
-    pos += len;
-    return s;
-  }
-  bool Tag(std::string_view tag) {
-    SkipSpace();
-    if (text.substr(pos, tag.size()) != tag) return false;
-    pos += tag.size();
-    return true;
-  }
-};
-
-}  // namespace
-
-std::string ModelCheckCache::Serialize() const {
-  std::string out{kCacheHeader};
-  out += '\n';
-  for (const auto& [key, result] : entries_) {
-    out += "entry ";
-    PutU64(out, key);
-    PutU64(out, result->states_explored);
-    PutU64(out, result->transitions);
-    PutU64(out, result->exhausted ? 1 : 0);
-    PutU64(out, result->verdicts.size());
-    out += '\n';
-    for (const auto& v : result->verdicts) {
-      out += "goal ";
-      PutU64(out, static_cast<std::uint64_t>(v.cls));
-      PutU64(out, v.guard_evaporated ? 1 : 0);
-      PutStr(out, v.goal);
-      PutU64(out, v.trace.steps.size());
-      out += '\n';
-      for (const auto& s : v.trace.steps) {
-        out += "step ";
-        PutU64(out, static_cast<std::uint64_t>(s.kind));
-        PutStr(out, s.dim);
-        PutStr(out, s.from);
-        PutStr(out, s.to);
-        PutStr(out, s.exploit);
-        PutStr(out, s.device);
-        PutStr(out, s.note);
-        out += '\n';
-      }
-    }
-  }
-  return out;
-}
-
-bool ModelCheckCache::Deserialize(const std::string& text) {
-  entries_.clear();
-  CacheReader r{text};
-  if (!r.Tag(kCacheHeader)) return false;
-  while (true) {
-    r.SkipSpace();
-    if (r.pos >= r.text.size()) return true;
-    if (!r.Tag("entry")) break;
-    const std::uint64_t key = r.U64();
-    auto result = std::make_shared<ModelCheckResult>();
-    result->states_explored = static_cast<std::size_t>(r.U64());
-    result->transitions = static_cast<std::size_t>(r.U64());
-    result->exhausted = r.U64() != 0;
-    const std::uint64_t n_verdicts = r.U64();
-    for (std::uint64_t i = 0; r.ok && i < n_verdicts; ++i) {
-      if (!r.Tag("goal")) {
-        r.ok = false;
-        break;
-      }
-      GoalVerdict v;
-      const std::uint64_t cls = r.U64();
-      if (cls > static_cast<std::uint64_t>(GoalVerdict::Class::kUnknown)) {
-        r.ok = false;
-        break;
-      }
-      v.cls = static_cast<GoalVerdict::Class>(cls);
-      v.guard_evaporated = r.U64() != 0;
-      v.goal = r.Str();
-      const std::uint64_t n_steps = r.U64();
-      for (std::uint64_t j = 0; r.ok && j < n_steps; ++j) {
-        if (!r.Tag("step")) {
-          r.ok = false;
-          break;
-        }
-        TraceStep s;
-        const std::uint64_t kind = r.U64();
-        if (kind > static_cast<std::uint64_t>(TraceStep::Kind::kAttack)) {
-          r.ok = false;
-          break;
-        }
-        s.kind = static_cast<TraceStep::Kind>(kind);
-        s.dim = r.Str();
-        s.from = r.Str();
-        s.to = r.Str();
-        s.exploit = r.Str();
-        s.device = r.Str();
-        s.note = r.Str();
-        v.trace.steps.push_back(std::move(s));
-      }
-      result->verdicts.push_back(std::move(v));
-    }
-    if (!r.ok) break;
-    entries_[key] = std::move(result);
-  }
-  entries_.clear();
-  return false;
-}
-
-std::shared_ptr<const ModelCheckResult> CachedModelCheck(
-    const ModelCheckInput& in, ModelCheckCache* cache) {
-  if (cache == nullptr) {
-    return std::make_shared<ModelCheckResult>(ModelCheck(in));
-  }
-  const std::uint64_t key = ModelCheckKey(in);
-  if (auto hit = cache->Lookup(key)) return hit;
-  auto result = std::make_shared<ModelCheckResult>(ModelCheck(in));
-  cache->Insert(key, result);
-  return result;
-}
-
 // ========================================================== Findings
 
 void ReportModelCheck(const ModelCheckResult& result,
@@ -716,11 +397,10 @@ void ReportModelCheck(const ModelCheckResult& result,
   }
 }
 
-std::shared_ptr<const ModelCheckResult> RunModelCheck(
-    const ModelCheckInput& in, const std::string& origin, Report& report,
-    ModelCheckCache* cache) {
-  auto result = CachedModelCheck(in, cache);
-  ReportModelCheck(*result, origin, report);
+ModelCheckResult RunModelCheck(const ModelCheckInput& in,
+                               const std::string& origin, Report& report) {
+  ModelCheckResult result = ModelCheck(in);
+  ReportModelCheck(result, origin, report);
   return result;
 }
 

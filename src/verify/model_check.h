@@ -25,13 +25,16 @@
 // flips its device's ctx: dimension to "compromised", so quarantine
 // rules fire mid-trace and the checker sees guards *appear* as well as
 // evaporate. Everything is deterministic — transition enumeration order,
-// BFS tie-breaks, trace text — so repeated runs are byte-identical and
-// results memoize by input hash (ModelCheckCache).
+// BFS tie-breaks, trace text — so repeated runs are byte-identical.
+//
+// Guard strength comes from verify::GuardEvaluator (graph_lint.h), the
+// same analysis the P and X passes use, memoized per run by exact config
+// text; nothing is cached across runs. The shipped scenarios explore a
+// dozen states or fewer, so a check costs milliseconds.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,47 +42,10 @@
 #include "dataplane/element.h"
 #include "learn/attack_graph.h"
 #include "policy/fsm_policy.h"
+#include "verify/graph_lint.h"
 #include "verify/report.h"
 
 namespace iotsec::verify {
-
-/// How strongly a posture guards its device's traffic.
-enum class GuardStrength : std::uint8_t {
-  kNone = 0,      // no tunnel, empty config, or nothing security-relevant
-  kScanOnly = 1,  // raises alerts but cannot drop (Logger, alert rules)
-  kBlocking = 2,  // can drop on a verdict (Discard, firewall, block rules)
-};
-
-[[nodiscard]] constexpr const char* GuardStrengthName(GuardStrength s) {
-  switch (s) {
-    case GuardStrength::kNone: return "none";
-    case GuardStrength::kScanOnly: return "scan-only";
-    case GuardStrength::kBlocking: return "blocking";
-  }
-  return "?";
-}
-
-/// Memoized posture guard-strength analysis. Refines PostureCache's
-/// boolean "enforces anything" with rule-awareness: a SignatureMatcher is
-/// only as strong as its loaded ruleset (block-action rule → blocking,
-/// alert-only → scan-only, none → nothing). It analyses the chain the
-/// controller launches: the posture's config with the OTA/crowd rule
-/// texts spliced in by dataplane::SpliceCrowdMatcher, the same function
-/// IoTSecController::EffectiveConfig calls.
-class GuardEvaluator {
- public:
-  GuardEvaluator(const dataplane::ElementContext& ctx,
-                 std::vector<std::string> extra_rule_texts);
-
-  [[nodiscard]] GuardStrength Strength(const policy::Posture& posture);
-
- private:
-  [[nodiscard]] GuardStrength AnalyzeConfig(const std::string& config);
-
-  dataplane::ElementContext ctx_;
-  std::vector<std::string> extra_rule_texts_;
-  std::map<std::string, GuardStrength> memo_;  // by posture config text
-};
 
 struct ModelCheckConfig {
   /// Exploration budget: distinct product states per pass.
@@ -171,52 +137,12 @@ struct ModelCheckResult {
 /// results (and identical findings/text downstream).
 [[nodiscard]] ModelCheckResult ModelCheck(const ModelCheckInput& in);
 
-/// Content hash of everything ModelCheck reads from `in` — state space,
-/// policy, attack graph, devices, goals, extra rules, budget. Two inputs
-/// with equal keys produce equal results, which is what makes the memo
-/// cache sound.
-[[nodiscard]] std::uint64_t ModelCheckKey(const ModelCheckInput& in);
-
-/// Memo cache keyed by ModelCheckKey. In-process it makes repeated
-/// checks (the CLI's N inputs, diff-verify's shared base) free; the
-/// Serialize/Deserialize pair persists it across CI runs
-/// (`iotsec_lint --mc-cache <file>`). Single-threaded by design — the
-/// verifier runs on the control plane, not the packet path.
-class ModelCheckCache {
- public:
-  [[nodiscard]] std::shared_ptr<const ModelCheckResult> Lookup(
-      std::uint64_t key);
-  void Insert(std::uint64_t key,
-              std::shared_ptr<const ModelCheckResult> result);
-
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  /// Deterministic text serialization of every entry.
-  [[nodiscard]] std::string Serialize() const;
-  /// Replaces the contents from Serialize() output. False (and empty
-  /// cache) on malformed/mismatched-version input — a stale or corrupt
-  /// cache file degrades to a cold cache, never to wrong results.
-  bool Deserialize(const std::string& text);
-
- private:
-  std::map<std::uint64_t, std::shared_ptr<const ModelCheckResult>> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
-/// ModelCheck through the cache (nullptr cache = always run).
-[[nodiscard]] std::shared_ptr<const ModelCheckResult> CachedModelCheck(
-    const ModelCheckInput& in, ModelCheckCache* cache);
-
 /// Renders a result as M001–M004 findings labelled `origin`.
 void ReportModelCheck(const ModelCheckResult& result,
                       const std::string& origin, Report& report);
 
-/// CachedModelCheck + ReportModelCheck in one call — the CLI entry point.
-std::shared_ptr<const ModelCheckResult> RunModelCheck(
-    const ModelCheckInput& in, const std::string& origin, Report& report,
-    ModelCheckCache* cache = nullptr);
+/// ModelCheck + ReportModelCheck in one call — the CLI entry point.
+ModelCheckResult RunModelCheck(const ModelCheckInput& in,
+                               const std::string& origin, Report& report);
 
 }  // namespace iotsec::verify

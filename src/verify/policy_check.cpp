@@ -94,10 +94,11 @@ void CheckEmptyTunnels(const PolicyCheckInput& in, Report& report) {
 
 void CheckEnumerated(const PolicyCheckInput& in,
                      const policy::PolicyAnalysis& analysis,
-                     PostureCache& cache, Report& report) {
+                     GuardEvaluator& guards, Report& report) {
   const auto& policy = *in.policy;
   const auto& rules = policy.rules();
-  const bool default_enforces = cache.Enforces(policy.DefaultPosture());
+  const bool default_enforces =
+      guards.Strength(policy.DefaultPosture()) >= GuardStrength::kScanOnly;
 
   for (DeviceId d : in.devices) {
     const auto it = analysis.enumeration.find(d);
@@ -132,7 +133,7 @@ void CheckEnumerated(const PolicyCheckInput& in,
 }
 
 void CheckQuarantineReachability(const PolicyCheckInput& in,
-                                 PostureCache& cache, Report& report) {
+                                 GuardEvaluator& guards, Report& report) {
   const auto& space = *in.space;
   const auto& policy = *in.policy;
   // Contexts in which traffic must be tunneled through an enforcing
@@ -165,7 +166,7 @@ void CheckQuarantineReachability(const PolicyCheckInput& in,
       const std::string ctx_value = space.ValueOf(state, *ctx_idx);
       if (!kDegraded.count(ctx_value)) return;
       const auto& posture = policy.Evaluate(space, state, d);
-      if (cache.Enforces(posture)) return;
+      if (guards.Strength(posture) >= GuardStrength::kScanOnly) return;
       auto& [count, example] = leaks[ctx_value];
       if (count == 0) {
         example = space.Describe(state) + " -> posture '" +
@@ -210,9 +211,10 @@ void CheckPolicy(const PolicyCheckInput& in, Report& report) {
   CheckPredicates(in, report);
   CheckEmptyTunnels(in, report);
 
-  PostureCache cache(in.element_ctx);
-  CheckEnumerated(in, analysis, cache, report);
-  CheckQuarantineReachability(in, cache, report);
+  // Lenient: a scanning guard counts (detection triggers response).
+  GuardEvaluator guards(in.element_ctx);
+  CheckEnumerated(in, analysis, guards, report);
+  CheckQuarantineReachability(in, guards, report);
 }
 
 }  // namespace iotsec::verify

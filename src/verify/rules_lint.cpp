@@ -1,8 +1,5 @@
 #include "verify/rules_lint.h"
 
-#include <vector>
-
-#include "common/strings.h"
 #include "sig/rule.h"
 #include "sig/ruleset.h"
 
@@ -11,31 +8,18 @@ namespace iotsec::verify {
 std::size_t LintRulesText(std::string_view rules_text,
                           const std::string& origin, Report& report) {
   std::size_t added = 0;
-
-  // Parse line by line ourselves (rather than sig::ParseRules) so R004
-  // findings carry the 1-based line number.
-  std::vector<sig::Rule> rules;
-  // Maps lint rule_index -> source line, for positioned R00x findings.
-  std::vector<int> rule_lines;
-  int line_no = 0;
-  for (const auto& raw : Split(rules_text, '\n')) {
-    ++line_no;
-    std::string error;
-    auto rule = sig::ParseRule(raw, &error);
-    if (rule) {
-      rules.push_back(std::move(*rule));
-      rule_lines.push_back(line_no);
-    } else if (!error.empty()) {
-      report.Add("R004", Severity::kError, origin, error, line_no, 1);
-      ++added;
-    }
+  sig::RuleLines lines;
+  const auto rules = sig::ParseRules(rules_text, nullptr, &lines);
+  for (const auto& [line, error] : lines.errors) {
+    report.Add("R004", Severity::kError, origin, error, line, 1);
+    ++added;
   }
 
   for (const auto& issue : sig::RuleSet::Lint(rules)) {
     const Severity severity =
         issue.code == "R002" ? Severity::kError : Severity::kWarn;
-    const int line = issue.rule_index < rule_lines.size()
-                         ? rule_lines[issue.rule_index]
+    const int line = issue.rule_index < lines.rules.size()
+                         ? lines.rules[issue.rule_index]
                          : 0;
     report.Add(issue.code, severity, origin, issue.message, line,
                line > 0 ? 1 : 0);

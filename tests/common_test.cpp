@@ -11,7 +11,6 @@
 #include "rollout/manifest.h"
 #include "sdn/shard_map.h"
 #include "sim/simulator.h"
-#include "verify/model_check.h"
 
 namespace iotsec {
 namespace {
@@ -225,17 +224,6 @@ TEST(HashTest, MixersMatchGoldenValues) {
   EXPECT_EQ(hash::SplitMix64(2 * hash::kGolden), 0x6e789e6aa1b965f4ull);
   EXPECT_EQ(sdn::MixDeviceId(7), 0x63cbe1e459320dd7ull);
   EXPECT_EQ(Rng(42).NextU64(), 0x15780b2e0c2ec716ull);
-}
-
-// --mc-cache files are keyed by ModelCheckKey: a moved key turns every
-// cached result into a miss.
-TEST(HashTest, ModelCheckKeyMatchesGoldenValue) {
-  verify::ModelCheckInput in;
-  in.devices = {1, 2};
-  in.device_names = {{1, "cam"}, {2, "lock"}};
-  in.goals = {"root:cam"};
-  in.extra_rule_texts = {"alert tcp any any -> any any (sid:1; )"};
-  EXPECT_EQ(verify::ModelCheckKey(in), 0x1ea9cbad196303a9ull);
 }
 
 // SipHash-2-4 reference vectors: key 00..0f, message 00..(n-1).

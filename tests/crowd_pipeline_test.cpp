@@ -242,6 +242,45 @@ TEST_P(RolloutPipelineTest, SkuFirstRegisteredAfterAttachGetsItsRules) {
   EXPECT_TRUE(w.ChainHasCrowdRules(bulb));
 }
 
+TEST_P(RolloutPipelineTest, PostureOwnCrowdMatcherKeepsItsRules) {
+  // `crowd` is reserved for the controller's splice. A posture that
+  // declares its own keeps its own rules: the rollout does not swap the
+  // crowd ruleset into it, and the splice it tries instead declares
+  // `crowd` twice and is refused. The refusal is recorded once.
+  policy::Posture posture;
+  posture.profile = "own-crowd";
+  posture.umbox_config = "crowd :: SignatureMatcher(rules=builtin)\n";
+  RolloutPipelineWorld w(GetParam(), nullptr, nullptr, posture);
+  const auto own_rule_count = [&w] {
+    const auto id = w.dep.controller().UmboxOf(w.wemo->id());
+    if (!id) return std::size_t{0};
+    const dataplane::Umbox* box = w.dep.cluster().Find(*id);
+    if (box == nullptr || box->graph() == nullptr) return std::size_t{0};
+    const auto* matcher = dynamic_cast<const dataplane::SignatureMatcher*>(
+        box->graph()->Find("crowd"));
+    return matcher != nullptr ? matcher->rules().RuleCount() : 0;
+  };
+  const std::size_t builtin = sig::BuiltinRules().size();
+  ASSERT_EQ(own_rule_count(), builtin);
+
+  w.PublishAndAccept();
+  ASSERT_EQ(w.dep.rollout()->VersionOf(w.wemo->id()), 1u);
+  EXPECT_EQ(own_rule_count(), builtin)
+      << "the rollout overwrote the posture's own matcher";
+  EXPECT_EQ(w.dep.controller().stats().crowd_rules_applied, 0u);
+  int refusals = 0;
+  for (const auto& entry :
+       w.dep.controller().audit().Of(control::AuditCategory::kCrowd)) {
+    EXPECT_EQ(entry.message.find("swapped"), std::string::npos)
+        << entry.ToString();
+    if (entry.device == "wemo" &&
+        entry.message.rfind("rollout ruleset refused", 0) == 0) {
+      ++refusals;
+    }
+  }
+  EXPECT_EQ(refusals, 1) << "one refusal per installed version";
+}
+
 INSTANTIATE_TEST_SUITE_P(Shards, RolloutPipelineTest, ::testing::Values(1, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return std::to_string(info.param) + "Shard";

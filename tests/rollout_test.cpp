@@ -647,9 +647,8 @@ constexpr char kAlertBackdoor[] =
 TEST(CoordinatorTest, VerifyGateBlocksWeakenedDeltaAndPassesBenign) {
   CoordinatorWorld w(50);
   GateModelFixture fixture;
-  verify::ModelCheckCache cache;
   w.coord->SetVerifier(
-      verify::MakePreRolloutVerifier(fixture.Model(), &w.store, &cache));
+      verify::MakePreRolloutVerifier(fixture.Model(), &w.store));
 
   // v1 adds blocking enforcement over the alert-only base: no regression.
   const auto v1 = w.store.Cut("SKU", {kBlockBackdoor});
@@ -680,8 +679,6 @@ TEST(CoordinatorTest, VerifyGateBlocksWeakenedDeltaAndPassesBenign) {
   w.sim.RunFor(kSecond);
   EXPECT_EQ(w.coord->StableOf("SKU"), v3);
   EXPECT_EQ(w.coord->stats().verify_blocks, 1u);
-  EXPECT_GT(cache.hits(), 0u)
-      << "diff runs against the same stable version share the cached check";
 }
 
 }  // namespace

@@ -144,11 +144,26 @@ TEST(RuleParseTest, RejectsMalformed) {
   EXPECT_FALSE(ParseRule("alert tcp any any -> any any (content:\"|zz|\";)", &error));
   EXPECT_FALSE(ParseRule("alert tcp any any -> any 99999 (sid:1;)", &error));
   EXPECT_FALSE(ParseRule("alert tcp any any -> any any (nocase;)", &error));
+  // 2^32 + 1 would alias sid 1.
+  EXPECT_FALSE(
+      ParseRule("alert tcp any any -> any any (sid:4294967297;)", &error));
   // Comments and blanks: nullopt with no error.
   EXPECT_FALSE(ParseRule("# comment", &error));
   EXPECT_TRUE(error.empty());
   EXPECT_FALSE(ParseRule("   ", &error));
   EXPECT_TRUE(error.empty());
+}
+
+TEST(RuleParseTest, QuoteInsideAQuotedValueIsRejected) {
+  // Accepted as the last option, msg `a"b` would come back from ToText
+  // as the first one, where its odd quote swallows the options after it.
+  std::string error;
+  EXPECT_FALSE(ParseRule(
+      "alert tcp any any -> any any (sid:1; msg:\"a\"b\")", &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(ParseRule(
+      "alert tcp any any -> any any (sid:1; http_path:\"/a\"\")", &error));
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(RuleParseTest, SemicolonInsideQuotedContent) {

@@ -313,12 +313,6 @@ TEST(GraphLint, CanonicalPosturesAreClean) {
   }
 }
 
-TEST(GraphLint, GraphEnforcesDistinguishesPlumbingFromSecurity) {
-  EXPECT_TRUE(GraphEnforces("d :: Discard\nentry d\n", {}));
-  EXPECT_FALSE(GraphEnforces("c :: Counter\nentry c\n", {}));
-  EXPECT_FALSE(GraphEnforces("", {}));
-}
-
 // ---- policy checks ---------------------------------------------------
 
 policy::StateSpace CamSpace() {
@@ -1054,68 +1048,6 @@ TEST(ModelCheck, RepeatedRunsAreByteDeterministic) {
   EXPECT_EQ(a.ToJson(), b.ToJson());
 }
 
-// ---- model-check memo cache ------------------------------------------
-
-TEST(ModelCheckCache, SecondRunHitsAndDistinctInputsMiss) {
-  const McFixture f = EvaporationFixture();
-  ModelCheckCache cache;
-  const auto r1 = CachedModelCheck(f.In(), &cache);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  const auto r2 = CachedModelCheck(f.In(), &cache);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(r1.get(), r2.get()) << "hit must return the cached object";
-
-  auto in = f.In();
-  in.extra_rule_texts = {"block udp any any -> any 5009 (msg:\"x\"; "
-                         "sid:9001; iot_backdoor; )"};
-  (void)CachedModelCheck(in, &cache);
-  EXPECT_EQ(cache.misses(), 2u) << "different rules must not collide";
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ModelCheckCache, SerializationRoundTripsResults) {
-  const McFixture f = EvaporationFixture();
-  ModelCheckCache cache;
-  const auto original = CachedModelCheck(f.In(), &cache);
-
-  ModelCheckCache restored;
-  ASSERT_TRUE(restored.Deserialize(cache.Serialize()));
-  EXPECT_EQ(restored.size(), 1u);
-  const auto hit = restored.Lookup(ModelCheckKey(f.In()));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(restored.hits(), 1u);
-  ASSERT_EQ(hit->verdicts.size(), original->verdicts.size());
-  EXPECT_EQ(hit->verdicts[0].cls, original->verdicts[0].cls);
-  EXPECT_EQ(hit->verdicts[0].goal, original->verdicts[0].goal);
-  EXPECT_EQ(hit->verdicts[0].guard_evaporated,
-            original->verdicts[0].guard_evaporated);
-  EXPECT_EQ(hit->verdicts[0].trace, original->verdicts[0].trace);
-  EXPECT_EQ(hit->states_explored, original->states_explored);
-
-  ModelCheckCache broken;
-  EXPECT_FALSE(broken.Deserialize("not a cache file"));
-  EXPECT_EQ(broken.size(), 0u);
-  ModelCheckCache empty;
-  EXPECT_TRUE(empty.Deserialize(ModelCheckCache().Serialize()));
-}
-
-TEST(ModelCheckCache, FilesFromTheOlderGuardAnalysisReadAsMisses) {
-  // A v1 file holds verdicts of the analysis that did not read the
-  // crowd-spliced chain; none of them may come back as a hit.
-  const McFixture f = EvaporationFixture();
-  ModelCheckCache cache;
-  (void)CachedModelCheck(f.In(), &cache);
-  std::string text = cache.Serialize();
-  constexpr std::string_view kV2 = "iotsec-mc-cache v2\n";
-  ASSERT_EQ(text.rfind(kV2, 0), 0u) << text;
-  text.replace(0, kV2.size(), "iotsec-mc-cache v1\n");
-  ModelCheckCache stale;
-  EXPECT_FALSE(stale.Deserialize(text));
-  EXPECT_EQ(stale.size(), 0u);
-  EXPECT_EQ(stale.Lookup(ModelCheckKey(f.In())), nullptr);
-}
-
 // ---- differential verification (M1xx) --------------------------------
 
 constexpr char kBlockRule[] =
@@ -1133,7 +1065,7 @@ TEST(DiffVerify, WeakenedEnforcementIsM102Error) {
   auto next = f.In();
   next.extra_rule_texts = {kAlertRule};
   Report report;
-  EXPECT_FALSE(DiffVerify(base, next, "diff", report, nullptr));
+  EXPECT_FALSE(DiffVerify(base, next, "diff", report));
   report.Finalize();
   ASSERT_EQ(Codes(report), std::vector<std::string>{"M102"});
   EXPECT_EQ(report.findings()[0].severity, Severity::kError);
@@ -1148,7 +1080,7 @@ TEST(DiffVerify, DroppedBlockRuleIsM101NewAttackPath) {
   base.extra_rule_texts = {kBlockRule};
   const auto next = f.In();  // no crowd rules at all
   Report report;
-  EXPECT_FALSE(DiffVerify(base, next, "diff", report, nullptr));
+  EXPECT_FALSE(DiffVerify(base, next, "diff", report));
   report.Finalize();
   ASSERT_EQ(Codes(report), std::vector<std::string>{"M101"});
   EXPECT_EQ(report.findings()[0].severity, Severity::kError);
@@ -1164,7 +1096,7 @@ TEST(DiffVerify, BenignAdditiveDeltaIsSilent) {
   auto next = f.In();
   next.extra_rule_texts = {kBlockRule, kAlertRule};
   Report report;
-  EXPECT_TRUE(DiffVerify(base, next, "diff", report, nullptr));
+  EXPECT_TRUE(DiffVerify(base, next, "diff", report));
   report.Finalize();
   EXPECT_TRUE(report.findings().empty()) << report.ToText();
 }
@@ -1176,31 +1108,12 @@ TEST(DiffVerify, ShorterUnguardedPathIsM102Warn) {
   McFixture next_f;
   next_f.policy.SetDefault(core::TrustPosture());
   Report report;
-  EXPECT_TRUE(DiffVerify(base_f.In(), next_f.In(), "diff", report, nullptr));
+  EXPECT_TRUE(DiffVerify(base_f.In(), next_f.In(), "diff", report));
   report.Finalize();
   ASSERT_EQ(Codes(report), std::vector<std::string>{"M102"});
   EXPECT_EQ(report.findings()[0].severity, Severity::kWarn);
   EXPECT_NE(report.findings()[0].message.find("got shorter"),
             std::string::npos);
-}
-
-TEST(DiffVerify, SharedCacheReusesTheBaseRun) {
-  McFixture f;
-  f.policy.SetDefault(ObservePosture());
-  auto base = f.In();
-  base.extra_rule_texts = {kBlockRule};
-  auto weak = f.In();
-  weak.extra_rule_texts = {kAlertRule};
-  auto benign = f.In();
-  benign.extra_rule_texts = {kBlockRule, kAlertRule};
-  ModelCheckCache cache;
-  Report r1;
-  (void)DiffVerify(base, weak, "diff", r1, &cache);
-  EXPECT_EQ(cache.misses(), 2u);
-  Report r2;
-  (void)DiffVerify(base, benign, "diff", r2, &cache);
-  EXPECT_EQ(cache.hits(), 1u) << "second diff reuses the cached base run";
-  EXPECT_EQ(cache.misses(), 3u);
 }
 
 // ---- guard strength of the launched chain ----------------------------
@@ -1211,6 +1124,68 @@ GuardStrength StrengthOf(const std::string& config,
   policy::Posture posture;
   posture.umbox_config = config;
   return guards.Strength(posture);
+}
+
+TEST(GuardEvaluator, DistinguishesPlumbingFromSecurity) {
+  EXPECT_EQ(StrengthOf("d :: Discard\nentry d\n"), GuardStrength::kBlocking);
+  EXPECT_EQ(StrengthOf("l :: Logger\nentry l\n"), GuardStrength::kScanOnly);
+  EXPECT_EQ(StrengthOf("c :: Counter\nentry c\n"), GuardStrength::kNone);
+  EXPECT_EQ(StrengthOf(""), GuardStrength::kNone);
+}
+
+TEST(GuardEvaluator, SignatureMatcherWithoutRulesGuardsNothing) {
+  // An empty or comment-only ruleset loads no rule, so the matcher
+  // forwards every packet.
+  EXPECT_EQ(StrengthOf("m :: SignatureMatcher(rules=\"\")\n"),
+            GuardStrength::kNone);
+  EXPECT_EQ(StrengthOf("m :: SignatureMatcher(rules=\"# none yet\")\n"),
+            GuardStrength::kNone);
+  EXPECT_EQ(StrengthOf("m :: SignatureMatcher(rules=builtin)\n"),
+            GuardStrength::kBlocking);
+}
+
+TEST(GuardEvaluator, EveryPassJudgesAnEmptyMatcherAsNoGuard) {
+  // Default and quarantine postures both run a matcher with no rules:
+  // the policy (P001/P004), coverage (X001) and model-check (M001) passes
+  // must all read the device as unguarded.
+  policy::Posture empty_matcher;
+  empty_matcher.profile = "empty-matcher";
+  empty_matcher.umbox_config = "m :: SignatureMatcher(rules=\"\")\n";
+  policy::FsmPolicy policy;
+  policy.SetDefault(empty_matcher);
+  policy::PolicyRule quarantine;
+  quarantine.name = "quarantine-degraded";
+  quarantine.when.AndIn("ctx:cam", {"suspicious", "compromised"});
+  quarantine.device = 1;
+  quarantine.posture = empty_matcher;
+  quarantine.posture.profile = "quarantine";
+  quarantine.priority = 10;
+  policy.Add(quarantine);
+  const auto space = CamSpace();
+  const auto graph = TwoStageGraph();
+
+  VerifyInput in;
+  in.space = &space;
+  in.policy = &policy;
+  in.devices = {1};
+  in.device_names = {{1, "cam"}};
+  in.attack_graph = &graph;
+  const Report report = Verify(in);
+  EXPECT_TRUE(Has(report, "P001")) << report.ToText();
+  EXPECT_TRUE(Has(report, "P004")) << report.ToText();
+  EXPECT_TRUE(Has(report, "X001")) << report.ToText();
+
+  ModelCheckInput mc;
+  mc.space = &space;
+  mc.policy = &policy;
+  mc.attack_graph = &graph;
+  mc.devices = {1};
+  mc.device_names = {{1, "cam"}};
+  Report model;
+  ReportModelCheck(ModelCheck(mc), "model", model);
+  model.Finalize();
+  EXPECT_TRUE(Has(model, "M001")) << model.ToText();
+  EXPECT_FALSE(Has(model, "M003")) << model.ToText();
 }
 
 TEST(GuardEvaluator, AlertRulesOnSeparateLinesAreScanOnly) {

@@ -15,7 +15,7 @@
 //               [--rollout-plan FILE]...
 //               [--scenario smart_home|quickstart|fixture_uncovered|
 //                           fixture_ota|all]
-//               [--model-check] [--diff BASE NEXT] [--mc-cache FILE]
+//               [--model-check] [--diff BASE NEXT]
 //               [--baseline FILE] [--write-baseline FILE]
 //               [--json FILE] [--format text|json] [--werror]
 //   iotsec_lint --list-rules
@@ -26,8 +26,6 @@
 //   --diff BASE NEXT  differential verification: model-check each
 //                     scenario with the crowd/OTA rule texts from BASE
 //                     vs NEXT and report regressions only (M1xx)
-//   --mc-cache FILE   persist the model-check memo cache across runs
-//                     (hit/miss counts go to stderr)
 //   --baseline FILE   suppress known findings (exit clean when no *new*
 //                     findings); --write-baseline regenerates the file
 //   --list-rules      print the finding-code catalogue and exit
@@ -310,7 +308,6 @@ struct ScenarioModes {
   bool diff = false;
   std::string diff_base;  // crowd/OTA rule text spliced into the base run
   std::string diff_next;  // ... and into the next run
-  verify::ModelCheckCache* cache = nullptr;
 };
 
 bool RunScenario(const std::string& name, const ScenarioModes& modes,
@@ -325,7 +322,7 @@ bool RunScenario(const std::string& name, const ScenarioModes& modes,
     const auto base = ModelInputFor(s, {modes.diff_base});
     const auto next = ModelInputFor(s, {modes.diff_next});
     verify::Report unit;
-    verify::DiffVerify(base, next, "model diff", unit, modes.cache);
+    verify::DiffVerify(base, next, "model diff", unit);
     unit.Finalize();
     Merge(unit, "scenario " + name, report);
     return true;
@@ -349,8 +346,7 @@ bool RunScenario(const std::string& name, const ScenarioModes& modes,
 
   if (modes.model_check) {
     verify::Report unit;
-    (void)verify::RunModelCheck(ModelInputFor(s, {}), "model", unit,
-                                modes.cache);
+    (void)verify::RunModelCheck(ModelInputFor(s, {}), "model", unit);
     unit.Finalize();
     Merge(unit, "scenario " + name, report);
   }
@@ -373,8 +369,7 @@ int Usage() {
       "                   [--policy FILE]... [--rollout-plan FILE]...\n"
       "                   [--scenario smart_home|quickstart|"
       "fixture_uncovered|fixture_ota|all]\n"
-      "                   [--model-check] [--diff BASE NEXT]"
-      " [--mc-cache FILE]\n"
+      "                   [--model-check] [--diff BASE NEXT]\n"
       "                   [--baseline FILE] [--write-baseline FILE]\n"
       "                   [--json FILE] [--format text|json] [--werror]\n"
       "       iotsec_lint --list-rules\n");
@@ -389,7 +384,6 @@ int main(int argc, char** argv) {
   std::string format = "text";
   std::string baseline_path;
   std::string write_baseline_path;
-  std::string mc_cache_path;
   std::string diff_base_path;
   std::string diff_next_path;
   bool werror = false;
@@ -428,10 +422,6 @@ int main(int argc, char** argv) {
       diff = true;
       diff_base_path = base;
       diff_next_path = next;
-    } else if (arg == "--mc-cache") {
-      const char* v = value();
-      if (!v) return Usage();
-      mc_cache_path = v;
     } else if (arg == "--baseline") {
       const char* v = value();
       if (!v) return Usage();
@@ -448,14 +438,6 @@ int main(int argc, char** argv) {
 
   ScenarioModes modes;
   modes.model_check = model_check;
-  verify::ModelCheckCache cache;
-  modes.cache = &cache;
-  if (!mc_cache_path.empty()) {
-    // Best-effort warm start: a missing or corrupt cache file is just a
-    // cold cache — never an error, never a wrong result.
-    std::string text;
-    if (ReadFile(mc_cache_path, text)) (void)cache.Deserialize(text);
-  }
   if (diff) {
     modes.diff = true;
     if (!ReadFile(diff_base_path, modes.diff_base)) {
@@ -505,16 +487,6 @@ int main(int argc, char** argv) {
     }
   }
   report.Finalize();
-
-  if (!mc_cache_path.empty()) {
-    std::ofstream out(mc_cache_path, std::ios::binary);
-    if (out) out << cache.Serialize();
-    std::fprintf(stderr, "iotsec_lint: model-check cache: %llu hit(s), "
-                 "%llu miss(es), %zu entr%s\n",
-                 static_cast<unsigned long long>(cache.hits()),
-                 static_cast<unsigned long long>(cache.misses()),
-                 cache.size(), cache.size() == 1 ? "y" : "ies");
-  }
 
   if (!write_baseline_path.empty()) {
     std::ofstream out(write_baseline_path, std::ios::binary);
