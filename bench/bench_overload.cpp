@@ -92,7 +92,6 @@ RunResult RunCell(const Cell& cell, control::AdmissionMode mode, bool faults,
   // contended resource admission control protects.
   opts.cluster_link = opts.link;
   opts.cluster_link->bandwidth_bps = 2e6;
-  opts.controller.fail_closed = true;
   opts.admission.mode = mode;
   opts.admission.pool_capacity = kPoolBudget;
   opts.admission.defer_enter_permille = 350;

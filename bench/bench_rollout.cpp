@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "control/admission.h"
 #include "core/iotsec.h"
 #include "rollout/coordinator.h"
 #include "rollout/manifest.h"
@@ -179,7 +180,8 @@ ContainResult RunContainment() {
   config.stages = {10, 100, 1000};
   config.stage_hold = 100 * kMillisecond;
   config.push_batch = kPushBatch;
-  rollout::RolloutCoordinator coord(sim, &store, config);
+  const control::AdmissionController admission({});  // monitor: no defers
+  rollout::RolloutCoordinator coord(sim, &store, config, admission);
   coord.SetApplier(
       [](DeviceId, const std::shared_ptr<const sig::CompiledRuleset>&) {});
   for (DeviceId d = 1; d <= kFleet; ++d) coord.RegisterDevice(d, "SKU");

@@ -22,7 +22,14 @@
 //     on the largest cell, in every mode. Barrier waiters that spin while
 //     peers need their core collapse this ratio.
 //
+// The largest cell runs kGateRuns times per shard count (interleaved
+// across shard counts) and both throughput gates compare median pps, so
+// one scheduler hiccup cannot decide a verdict. Every run must match the
+// cell's reference digest with zero late posts, and every run is
+// recorded in the JSON.
+//
 // IOTSEC_BENCH_SCALE_SMALL trims the sweep to {1k, 10k} devices for CI.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -45,8 +52,17 @@ struct Cell {
 struct Row {
   int devices = 0;
   int shards = 0;
+  int run = 0;  // repetition index within the cell
   core::FleetResult r;
 };
+
+constexpr int kGateRuns = 3;
+
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
 std::string Hex(std::uint64_t v) {
   char buf[19];
@@ -78,58 +94,69 @@ int main() {
   bool deterministic = true;
   bool no_late_posts = true;
 
+  const int gate_devices = cells.back().devices;
   for (const Cell& cell : cells) {
     std::printf("== %d devices ==\n", cell.devices);
+    const int runs = cell.devices == gate_devices ? kGateRuns : 1;
+    bool have_reference = false;
     std::uint64_t reference_digest = 0;
     std::uint64_t reference_delivered = 0;
-    for (const int shards : shard_counts) {
-      core::FleetOptions opt;
-      opt.devices = cell.devices;
-      opt.shards = shards;
-      opt.packets_per_device = cell.packets_per_device;
-      core::FleetResult r;
-      {
-        core::ShardedFleet fleet(opt);
-        r = fleet.Run();
-      }
-      rows.push_back({cell.devices, shards, r});
+    for (int run = 0; run < runs; ++run) {
+      for (const int shards : shard_counts) {
+        core::FleetOptions opt;
+        opt.devices = cell.devices;
+        opt.shards = shards;
+        opt.packets_per_device = cell.packets_per_device;
+        core::FleetResult r;
+        {
+          core::ShardedFleet fleet(opt);
+          r = fleet.Run();
+        }
+        rows.push_back({cell.devices, shards, run, r});
 
-      if (shards == shard_counts.front()) {
-        reference_digest = r.digest;
-        reference_delivered = r.delivered;
-      } else if (r.digest != reference_digest ||
-                 r.delivered != reference_delivered) {
-        deterministic = false;
-        std::printf("!! DETERMINISM VIOLATION at %d devices / %d shards: "
-                    "digest %s vs reference %s (delivered %llu vs %llu)\n",
-                    cell.devices, shards, Hex(r.digest).c_str(),
-                    Hex(reference_digest).c_str(),
+        if (!have_reference) {
+          have_reference = true;
+          reference_digest = r.digest;
+          reference_delivered = r.delivered;
+        } else if (r.digest != reference_digest ||
+                   r.delivered != reference_delivered) {
+          deterministic = false;
+          std::printf("!! DETERMINISM VIOLATION at %d devices / %d shards "
+                      "(run %d): digest %s vs reference %s (delivered %llu "
+                      "vs %llu)\n",
+                      cell.devices, shards, run, Hex(r.digest).c_str(),
+                      Hex(reference_digest).c_str(),
+                      static_cast<unsigned long long>(r.delivered),
+                      static_cast<unsigned long long>(reference_delivered));
+        }
+        if (r.late_posts != 0) no_late_posts = false;
+
+        std::printf("  shards=%d run=%d  processed=%9llu  delivered=%9llu  "
+                    "wall=%6.2fs  pps=%10.0f  cross=%llu  digest=%s\n",
+                    shards, run, static_cast<unsigned long long>(r.processed),
                     static_cast<unsigned long long>(r.delivered),
-                    static_cast<unsigned long long>(reference_delivered));
+                    r.wall_seconds, r.packets_per_second,
+                    static_cast<unsigned long long>(r.cross_shard_events),
+                    Hex(r.digest).c_str());
       }
-      if (r.late_posts != 0) no_late_posts = false;
-
-      std::printf("  shards=%d  processed=%9llu  delivered=%9llu  "
-                  "wall=%6.2fs  pps=%10.0f  cross=%llu  digest=%s\n",
-                  shards, static_cast<unsigned long long>(r.processed),
-                  static_cast<unsigned long long>(r.delivered),
-                  r.wall_seconds, r.packets_per_second,
-                  static_cast<unsigned long long>(r.cross_shard_events),
-                  Hex(r.digest).c_str());
     }
   }
 
-  // Throughput gates on the largest cell: 4 shards vs 1, and the largest
-  // shard count vs 1.
-  const int gate_devices = cells.back().devices;
+  // Throughput gates on the largest cell, median pps over its runs:
+  // 4 shards vs 1, and the largest shard count vs 1.
   const int max_shards = shard_counts.back();
-  double pps1 = 0, pps4 = 0, pps_max = 0;
-  for (const Row& row : rows) {
-    if (row.devices != gate_devices) continue;
-    if (row.shards == 1) pps1 = row.r.packets_per_second;
-    if (row.shards == 4) pps4 = row.r.packets_per_second;
-    if (row.shards == max_shards) pps_max = row.r.packets_per_second;
-  }
+  const auto median_pps = [&](int shards) {
+    std::vector<double> pps;
+    for (const Row& row : rows) {
+      if (row.devices == gate_devices && row.shards == shards) {
+        pps.push_back(row.r.packets_per_second);
+      }
+    }
+    return Median(std::move(pps));
+  };
+  const double pps1 = median_pps(1);
+  const double pps4 = median_pps(4);
+  const double pps_max = median_pps(max_shards);
   const double speedup = pps1 > 0 ? pps4 / pps1 : 0.0;
   const double speedup_max = pps1 > 0 ? pps_max / pps1 : 0.0;
   const bool can_parallelize = cores >= 4;
@@ -151,6 +178,7 @@ int main() {
       w.BeginObject();
       w.Field("devices", row.devices);
       w.Field("shards", row.shards);
+      w.Field("run", row.run);
       w.Field("injected", row.r.injected);
       w.Field("processed", row.r.processed);
       w.Field("delivered", row.r.delivered);
@@ -167,6 +195,10 @@ int main() {
     w.Key("acceptance");
     w.BeginObject();
     w.Field("gate_devices", gate_devices);
+    w.Field("gate_runs", kGateRuns);
+    w.Field("median_pps_1", pps1, 0);
+    w.Field("median_pps_4", pps4, 0);
+    w.Field("median_pps_max", pps_max, 0);
     w.Field("speedup_4_vs_1", speedup, 2);
     w.Field("required_speedup", required, 1);
     w.Field("max_shards", max_shards);
@@ -186,10 +218,11 @@ int main() {
     std::printf("\nwrote BENCH_scale.json\n");
   }
 
-  std::printf("speedup 4v1 @%dk devices: %.2fx (need >= %.1fx%s)  "
+  std::printf("median of %d runs, speedup 4v1 @%dk devices: %.2fx "
+              "(need >= %.1fx%s)  "
               "%dv1: %.2fx (need >= %.1fx)  "
               "deterministic: %s  late posts: %s\n",
-              gate_devices / 1000, speedup, required,
+              kGateRuns, gate_devices / 1000, speedup, required,
               strict_perf ? "" : ", lax", max_shards, speedup_max,
               kCollapseFloor, deterministic ? "yes" : "NO",
               no_late_posts ? "none" : "SOME");

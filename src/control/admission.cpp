@@ -110,7 +110,6 @@ void AdmissionController::StepLevel(int pressure, SimTime now) {
             static_cast<std::uint32_t>(next),
         static_cast<std::uint64_t>(pressure));
   }
-  if (on_level_change_) on_level_change_(from, next);
 }
 
 void AdmissionController::Update(const AdmissionSignals& signals,
@@ -155,10 +154,7 @@ bool AdmissionController::DeferRestart(DeviceId device, SimTime now) {
 }
 
 bool AdmissionController::AdmitIngress(SimTime now) {
-  if (!enforcing() || level_ < BrownoutLevel::kShed) {
-    ++stats_.ingress_admitted;
-    return true;
-  }
+  if (!enforcing() || level_ < BrownoutLevel::kShed) return true;
   const int permille = level_ == BrownoutLevel::kFailClosedLite
                            ? config_.fail_closed_drop_permille
                            : config_.shed_drop_permille;
@@ -167,10 +163,7 @@ bool AdmissionController::AdmitIngress(SimTime now) {
   const std::uint64_t n = ++ingress_decisions_;
   const std::uint64_t p = static_cast<std::uint64_t>(permille);
   const bool drop = (n * p) / 1000 != ((n - 1) * p) / 1000;
-  if (!drop) {
-    ++stats_.ingress_admitted;
-    return true;
-  }
+  if (!drop) return true;
   ++stats_.backpressure_drops;
   Fold(kFoldIngressDrop, n, static_cast<std::uint64_t>(now));
   if (obs::Enabled()) obs::M().ctl_admission_backpressure_drops->Inc();

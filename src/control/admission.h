@@ -3,8 +3,8 @@
 // The paper's premise is a fleet too flawed to fix at the endpoints, so
 // the *network* layer must stay standing when traffic or failures spike.
 // The AdmissionController closes the loop from the observability
-// snapshots (boot-queue depth, packet-pool occupancy, cluster load,
-// in-flight recoveries) back into control-plane decisions:
+// snapshots (worst boot-queue fill, packet-pool occupancy, cluster load)
+// back into control-plane decisions:
 //
 //   * refuse new µmbox launches while boot queues back up (the device is
 //     quarantined — fail closed — and retried when pressure drops),
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 
 #include "common/types.h"
@@ -44,13 +43,15 @@ enum class BrownoutLevel : std::uint8_t {
 std::string_view BrownoutLevelName(BrownoutLevel level);
 
 enum class AdmissionMode : std::uint8_t {
-  kOff,      // no controller is created at all (legacy behaviour)
   kMonitor,  // sample, level, count — but never act
   kEnforce   // act on launches, restarts and ingress
 };
 
+/// Every IoTSec controller owns one AdmissionController built from this
+/// config; there is no mode without one. kMonitor (default) only samples
+/// and levels, so it changes no decision anywhere.
 struct AdmissionConfig {
-  AdmissionMode mode = AdmissionMode::kOff;
+  AdmissionMode mode = AdmissionMode::kMonitor;
 
   /// Snapshot cadence. A deployment samples at the quantum barrier that
   /// ends each period, idle stretches included.
@@ -85,8 +86,6 @@ struct AdmissionConfig {
 /// One deterministic snapshot of the signals admission keys on. Every
 /// field must be shard-placement-invariant (see header comment).
 struct AdmissionSignals {
-  /// Packets parked in µmbox boot queues, summed over the cluster.
-  std::size_t boot_queue_depth = 0;
   /// Worst single µmbox queue fill fraction, permille of its limit.
   int boot_queue_worst_permille = 0;
   /// Live packets across every packet pool (acquired, not yet released).
@@ -94,8 +93,6 @@ struct AdmissionSignals {
   /// µmbox instances placed / placeable on the cluster.
   int cluster_load = 0;
   int cluster_capacity = 0;
-  /// Devices with recovery in flight.
-  int recovering = 0;
 };
 
 class AdmissionController {
@@ -111,15 +108,6 @@ class AdmissionController {
   /// Feeds one barrier snapshot; steps the brownout level (with
   /// hysteresis), counts pool exhaustion, emits transition events.
   void Update(const AdmissionSignals& signals, SimTime now);
-
-  /// Fires on every level change, after counters/trace are updated.
-  /// (The deployment wires this to the controller so launches shed
-  /// earlier get retried when pressure relaxes.)
-  using LevelChangeCallback =
-      std::function<void(BrownoutLevel from, BrownoutLevel to)>;
-  void SetLevelChangeCallback(LevelChangeCallback cb) {
-    on_level_change_ = std::move(cb);
-  }
 
   // ---- Decision points (each decision is counted and digest-folded).
   /// May a new µmbox be launched for `device` right now? Always true
@@ -137,7 +125,6 @@ class AdmissionController {
     std::uint64_t transitions = 0;
     std::uint64_t shed_launches = 0;
     std::uint64_t deferred_restarts = 0;
-    std::uint64_t ingress_admitted = 0;
     std::uint64_t backpressure_drops = 0;
     /// Samples whose pool_live exceeded pool_capacity.
     std::uint64_t pool_exhausted_samples = 0;
@@ -166,7 +153,6 @@ class AdmissionController {
   std::uint64_t ingress_decisions_ = 0;  // token-bucket phase
   std::uint64_t digest_ = 0;
   Stats stats_;
-  LevelChangeCallback on_level_change_;
 };
 
 }  // namespace iotsec::control

@@ -15,14 +15,16 @@ namespace iotsec::control {
 
 IoTSecController::IoTSecController(sim::Simulator& simulator,
                                    ControllerConfig config,
-                                   rollout::RolloutConfig rollout)
+                                   rollout::RolloutConfig rollout,
+                                   AdmissionConfig admission)
     : sim_(simulator),
       config_(config),
       health_(HealthConfig{config.heartbeat_period,
                            config.heartbeat_miss_threshold}),
       recovery_rng_(config.recovery_seed),
       control_fault_rng_(config.recovery_seed ^ 0xC7A11u),
-      rollout_(simulator, &versions_, std::move(rollout)) {
+      admission_(admission),
+      rollout_(simulator, &versions_, std::move(rollout), admission_) {
   rollout_.SetApplier(
       [this](DeviceId device,
              const std::shared_ptr<const sig::CompiledRuleset>& compiled) {
@@ -56,16 +58,14 @@ void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
       // (and are subject to injected control-channel faults).
       DeliverControl([this, id, alert] { OnUmboxAlert(id, alert); });
     });
-    if (config_.self_healing) {
-      health_.TrackHost(host->id(), sim_.Now());
-      host->StartHeartbeats(
-          [this](ServerId server, std::vector<UmboxId> running) {
-            DeliverControl([this, server, running = std::move(running)] {
-              OnHostHeartbeat(server, running);
-            });
-          },
-          config_.heartbeat_period);
-    }
+    health_.TrackHost(host->id(), sim_.Now());
+    host->StartHeartbeats(
+        [this](ServerId server, std::vector<UmboxId> running) {
+          DeliverControl([this, server, running = std::move(running)] {
+            OnHostHeartbeat(server, running);
+          });
+        },
+        config_.heartbeat_period);
   }
 }
 
@@ -280,8 +280,7 @@ bool IoTSecController::SplicesCrowd(const ManagedDevice& md) const {
 
 void IoTSecController::Start() {
   started_ = true;
-  if (config_.self_healing && cluster_ != nullptr &&
-      !cluster_->hosts().empty()) {
+  if (cluster_ != nullptr && !cluster_->hosts().empty()) {
     sim_.Every(config_.heartbeat_period, [this] { CheckHealth(); });
   }
   for (auto& ms : switches_) {
@@ -514,7 +513,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   if (cluster_ == nullptr) {
     IOTSEC_LOG_WARN("posture for %s needs a umbox but no cluster is set",
                     md.device->spec().name.c_str());
-    if (config_.fail_closed) InstallIsolation(md);
+    InstallIsolation(md);
     return;
   }
 
@@ -548,14 +547,13 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   // Overload shedding: at kShed or worse a fresh launch would only deepen
   // the boot-queue backlog. Refuse it, quarantine the device (fail closed
   // — never fail open under pressure; no enforcement-failure accounting,
-  // this is intentional degradation) and leave md.posture stale so
-  // OnAdmissionRelaxed()'s re-evaluation retries the launch.
-  if (admission_ != nullptr &&
-      !admission_->AllowLaunch(md.device->id(), sim_.Now())) {
+  // this is intentional degradation) and leave md.posture stale so the
+  // re-evaluation SampleAdmission() schedules retries the launch.
+  if (!admission_.AllowLaunch(md.device->id(), sim_.Now())) {
     md.launch_shed = true;
     audit_.Record(sim_.Now(), AuditCategory::kUmbox, md.device->spec().name,
                   "launch shed by admission control (" +
-                      std::string(BrownoutLevelName(admission_->level())) +
+                      std::string(BrownoutLevelName(admission_.level())) +
                       "); quarantined until pressure drops");
     InstallQuarantine(md);
     return;
@@ -565,7 +563,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   if (host == nullptr) {
     IOTSEC_LOG_ERROR("cluster at capacity; cannot enforce posture for %s",
                      md.device->spec().name.c_str());
-    if (config_.fail_closed) InstallIsolation(md);
+    InstallIsolation(md);
     return;
   }
   dataplane::UmboxSpec spec;
@@ -586,7 +584,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
                      md.device->spec().name.c_str(), error.c_str());
     md.rejected_posture = posture;
     md.rejected_crowd_version = rollout_.VersionOf(md.device->id());
-    if (config_.fail_closed) InstallIsolation(md);
+    InstallIsolation(md);
     return;
   }
   md.crowd_spliced = SplicesCrowd(md);
@@ -596,9 +594,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
                     std::string(dataplane::BootModelName(spec.boot)) +
                     ") for posture " + posture.profile);
   md.umbox = spec.id;
-  if (config_.self_healing) {
-    health_.TrackUmbox(spec.id, host->id(), sim_.Now());
-  }
+  health_.TrackUmbox(spec.id, host->id(), sim_.Now());
   // Divert immediately; the µmbox queues packets while booting, so the
   // device keeps (delayed) connectivity instead of a blackhole.
   InstallDiversion(md, spec.id);
@@ -769,18 +765,12 @@ void IoTSecController::HandleUmboxFailure(UmboxId umbox, const char* cause) {
   // window fails the canary immediately (max_cohort_crashes default 0).
   rollout_.OnDeviceCrash(md->device->id());
   audit_.Record(sim_.Now(), AuditCategory::kRecovery, md->device->spec().name,
-                "umbox " + std::to_string(umbox) + " " + cause + "; " +
-                    (config_.fail_closed ? "fail-closed quarantine"
-                                         : "fail-open forwarding") +
-                    " while recovering");
+                "umbox " + std::to_string(umbox) + " " + cause +
+                    "; fail-closed quarantine while recovering");
   // The invariant: while the guard is down, no packet may reach the
   // device unfiltered. Quarantine drop rules replace the diversion until
   // the replacement instance reports ready.
-  if (config_.fail_closed) {
-    InstallQuarantine(*md);
-  } else {
-    RemoveDiversion(*md);
-  }
+  InstallQuarantine(*md);
   ScheduleRecoveryAttempt(*md);
 }
 
@@ -802,8 +792,7 @@ void IoTSecController::ScheduleRecoveryAttempt(ManagedDevice& md) {
                   md.device->spec().name,
                   "recovery abandoned after " +
                       std::to_string(config_.max_restart_attempts) +
-                      " attempt(s); device stays " +
-                      (config_.fail_closed ? "quarantined" : "unguarded"));
+                      " attempt(s); device stays quarantined");
     IOTSEC_LOG_ERROR("giving up on %s after %d recovery attempts",
                      md.device->spec().name.c_str(),
                      config_.max_restart_attempts);
@@ -840,13 +829,13 @@ void IoTSecController::AttemptRecovery(DeviceId device,
   // is not failure, and the device stays quarantined (fail closed)
   // meanwhile. A posture change mid-defer bumps the epoch and this
   // continuation no-ops.
-  if (admission_ != nullptr && admission_->DeferRestart(device, sim_.Now())) {
+  if (admission_.DeferRestart(device, sim_.Now())) {
     audit_.Record(sim_.Now(), AuditCategory::kRecovery,
                   md.device->spec().name,
                   "restart deferred by admission control (" +
-                      std::string(BrownoutLevelName(admission_->level())) +
+                      std::string(BrownoutLevelName(admission_.level())) +
                       ")");
-    sim_.After(admission_->config().restart_defer_interval,
+    sim_.After(admission_.config().restart_defer_interval,
                [this, device, epoch] { AttemptRecovery(device, epoch); });
     return;
   }
@@ -975,9 +964,7 @@ void IoTSecController::FinishRecovery(DeviceId device, std::uint64_t epoch,
                  : obs::TraceEventType::kUmboxRestart,
         sim_.Now(), umbox, failover ? host : device);
   }
-  if (config_.self_healing) {
-    health_.TrackUmbox(umbox, host, sim_.Now());
-  }
+  health_.TrackUmbox(umbox, host, sim_.Now());
   // Replacement is filtering again: swap the quarantine drops back for
   // version-stamped diversion rules.
   InstallDiversion(md, umbox);
@@ -1005,7 +992,13 @@ void IoTSecController::AbandonUmbox(ManagedDevice& md) {
   md.umbox.reset();
 }
 
-void IoTSecController::OnAdmissionRelaxed() {
+void IoTSecController::SampleAdmission(const AdmissionSignals& signals,
+                                       SimTime now) {
+  const BrownoutLevel before = admission_.level();
+  admission_.Update(signals, now);
+  // Only a drop means pressure receded: give shed launches their retry
+  // now instead of waiting for the next posture change.
+  if (admission_.level() >= before) return;
   bool any = false;
   for (auto& [id, md] : devices_) {
     if (md.launch_shed) {
@@ -1016,14 +1009,6 @@ void IoTSecController::OnAdmissionRelaxed() {
   // One re-evaluation covers every shed device; the control latency the
   // schedule pays models the real cost of the retry sweep.
   if (any) ScheduleReevaluate();
-}
-
-int IoTSecController::RecoveringCount() const {
-  int count = 0;
-  for (const auto& [id, md] : devices_) {
-    if (md.recovering) ++count;
-  }
-  return count;
 }
 
 bool IoTSecController::Recovering(DeviceId device) const {

@@ -9,7 +9,10 @@
 //     that read a changed key, and diff postures;
 //   - drive the orchestrator: launch/hot-reconfigure µmboxes on the
 //     cluster and (re)program edge-switch flow tables, version-stamped
-//     for consistent updates.
+//     for consistent updates;
+//   - fail closed: a posture that cannot be enforced (no cluster, cluster
+//     full, launch refused, guard down while recovering) isolates the
+//     device at the switch; there is no fail-open mode.
 #pragma once
 
 #include <map>
@@ -48,14 +51,8 @@ struct ControllerConfig {
   dataplane::BootModel umbox_boot = dataplane::BootModel::kMicroVm;
   /// Alerts before a "suspicious" device is considered "compromised".
   int compromise_threshold = 3;
-  /// When a posture cannot be enforced (cluster full, launch failure):
-  /// true = install drop rules for the device (fail closed);
-  /// false = leave plain L2 forwarding in place (fail open).
-  bool fail_closed = true;
 
-  // ---- Self-healing (heartbeats + automatic recovery).
-  /// Master switch for health monitoring and automatic recovery.
-  bool self_healing = true;
+  // ---- Self-healing (heartbeats + automatic recovery), always on.
   /// Host heartbeat period; the controller's health check runs at the
   /// same cadence.
   SimDuration heartbeat_period = 100 * kMillisecond;
@@ -68,13 +65,13 @@ struct ControllerConfig {
   /// restarts after a host failure).
   double restart_jitter = 0.2;
   /// Recovery attempts per detected failure before giving up (the device
-  /// then stays in its fail-closed/fail-open fallback).
+  /// then stays quarantined).
   int max_restart_attempts = 6;
   /// Seed for the backoff-jitter stream (determinism).
   std::uint64_t recovery_seed = 0x5EA1;
   /// Boot-queue bound stamped onto every µmbox the controller launches
   /// (packets parked while an instance boots; overflow is dropped and
-  /// counted). Zero with queue_while_booting on is a guaranteed
+  /// counted). Every µmbox queues while booting, so zero is a guaranteed
   /// boot-window blackhole — iotsec-verify flags it (G007).
   std::size_t boot_queue_limit = 256;
 };
@@ -83,9 +80,11 @@ class IoTSecController final : public sdn::PacketInHandler,
                                public net::PacketSink {
  public:
   /// `rollout` configures the staged pipeline that carries crowd
-  /// rulesets to the µmboxes (see AttachCrowdRepo).
+  /// rulesets to the µmboxes (see AttachCrowdRepo); `admission` the
+  /// controller's own overload control (see admission()).
   IoTSecController(sim::Simulator& simulator, ControllerConfig config = {},
-                   rollout::RolloutConfig rollout = {});
+                   rollout::RolloutConfig rollout = {},
+                   AdmissionConfig admission = {});
 
   // ---- Wiring (called once while building the deployment).
   void ManageSwitch(sdn::Switch* sw, int port_to_cluster);
@@ -160,19 +159,22 @@ class IoTSecController final : public sdn::PacketInHandler,
   /// on top of the control latency. Pass (0, 0) to heal.
   void SetControlChannelFault(double drop_rate, SimDuration extra_delay);
 
-  /// Wires the deployment's admission controller. When set (and
-  /// enforcing), new µmbox launches can be shed — the device is
-  /// quarantined and retried via OnAdmissionRelaxed() — and recovery
-  /// restarts can be deferred while the cluster is saturated.
-  void SetAdmission(AdmissionController* admission) {
-    admission_ = admission;
-    rollout_.SetAdmission(admission);
+  /// The controller's overload control. Under kEnforce, new µmbox
+  /// launches can be shed (the device is quarantined and retried when
+  /// the level drops), recovery restarts and rollout stages deferred
+  /// while the cluster is saturated; under kMonitor it only levels.
+  [[nodiscard]] const AdmissionController& admission() const {
+    return admission_;
   }
-  /// Called when the brownout level drops: re-evaluates devices whose
-  /// launches were shed so enforcement is restored.
-  void OnAdmissionRelaxed();
-  /// Devices with recovery in flight (admission's restart-storm signal).
-  [[nodiscard]] int RecoveringCount() const;
+  /// Feeds one barrier snapshot, taken at `now`, to admission control.
+  /// When the brownout level drops, devices whose launches were shed are
+  /// re-evaluated so enforcement is restored.
+  void SampleAdmission(const AdmissionSignals& signals, SimTime now);
+  /// Ingress backpressure decision for one already-exempted frame (the
+  /// switch ingress gate a kEnforce deployment installs).
+  [[nodiscard]] bool AdmitIngress(SimTime now) {
+    return admission_.AdmitIngress(now);
+  }
 
   [[nodiscard]] const HealthMonitor& health() const { return health_; }
   /// The crowd ruleset pipeline: every registered device has a receiver
@@ -395,10 +397,10 @@ class IoTSecController final : public sdn::PacketInHandler,
   double control_drop_rate_ = 0.0;
   SimDuration control_extra_delay_ = 0;
   Rng control_fault_rng_;
-  AdmissionController* admission_ = nullptr;
   FederatedControlPlane* federation_ = nullptr;
   learn::CrowdRepo* crowd_repo_ = nullptr;
   std::set<std::string> crowd_skus_;  // subscribed at crowd_repo_
+  AdmissionController admission_;  // before rollout_, which reads it
   rollout::VersionStore versions_;
   rollout::RolloutCoordinator rollout_;
   Stats stats_;

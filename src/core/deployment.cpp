@@ -60,9 +60,10 @@ Deployment::Deployment(DeploymentOptions options)
                            : sdn::Switch::MissBehavior::kFlood);
 
   // The controller owns the ruleset OTA pipeline (version store and
-  // rollout coordinator) on shard 0's simulator, the control-plane clock.
+  // rollout coordinator) and admission control on shard 0's simulator,
+  // the control-plane clock.
   controller_ = std::make_unique<control::IoTSecController>(
-      sim_, options_.controller, options_.rollout);
+      sim_, options_.controller, options_.rollout, options_.admission);
 
   // Controller uplink: the hub is an endpoint like any other, so device
   // telemetry is forwarded by its entry, not by PacketIn.
@@ -122,17 +123,9 @@ Deployment::Deployment(DeploymentOptions options)
     controller_->RegisterEndpoint(attacker_mac, switch_.get(), port);
   }
 
+  // Monitor never sheds, so only an enforcing controller gets a gate.
   if (options_.with_iotsec &&
-      options_.admission.mode != control::AdmissionMode::kOff) {
-    admission_ =
-        std::make_unique<control::AdmissionController>(options_.admission);
-    controller_->SetAdmission(admission_.get());
-    // Dropping a level means pressure receded: give shed launches their
-    // retry immediately instead of waiting for the next posture change.
-    admission_->SetLevelChangeCallback(
-        [this](control::BrownoutLevel from, control::BrownoutLevel to) {
-          if (to < from) controller_->OnAdmissionRelaxed();
-        });
+      options_.admission.mode == control::AdmissionMode::kEnforce) {
     // Ingress backpressure: shed only *new client work* at the edge.
     // Exempt (a) tunnel frames — µmbox verdicts and diversions already
     // paid for, (b) control-plane traffic to/from the hub, (c) frames
@@ -148,7 +141,7 @@ Deployment::Deployment(DeploymentOptions options)
             if (frame.ip->src == hub || frame.ip->dst == hub) return true;
             if (registry_.ByIp(frame.ip->src) != nullptr) return true;
           }
-          return admission_->AdmitIngress(sim_.Now());
+          return controller_->AdmitIngress(sim_.Now());
         });
   }
 }
@@ -221,8 +214,8 @@ void Deployment::BarrierSync(SimTime now) {
   // Feed the admission controller. Barrier times are quantum multiples,
   // identical for every shard count, and RunFor ends a run at each
   // sample instant, so the idle-quantum skip never jumps one.
-  if (admission_ != nullptr && now >= next_admission_sample_) {
-    admission_->Update(CollectAdmissionSignals(), now);
+  if (options_.with_iotsec && now >= next_admission_sample_) {
+    controller_->SampleAdmission(CollectAdmissionSignals(), now);
     next_admission_sample_ = now + options_.admission.sample_period;
   }
 }
@@ -230,15 +223,13 @@ void Deployment::BarrierSync(SimTime now) {
 control::AdmissionSignals Deployment::CollectAdmissionSignals() const {
   control::AdmissionSignals sig;
   for (const auto& host : hosts_) {
-    host->AccumulateBootQueue(sig.boot_queue_depth,
-                              sig.boot_queue_worst_permille);
+    host->AccumulateBootQueue(sig.boot_queue_worst_permille);
   }
   std::int64_t live = 0;
   for (const auto& pool : shard_pools_) live += pool->Live();
   sig.pool_live = static_cast<std::size_t>(std::max<std::int64_t>(0, live));
   sig.cluster_load = cluster_.TotalLoad();
   sig.cluster_capacity = cluster_.TotalCapacity();
-  sig.recovering = controller_->RecoveringCount();
   return sig;
 }
 
@@ -256,7 +247,7 @@ void Deployment::RunFor(SimDuration d) {
     // Stop at the next sample instant; a sample already due is taken at
     // the barrier that ends the next quantum.
     SimTime stop = end;
-    if (admission_ != nullptr) {
+    if (options_.with_iotsec) {
       const SimTime next_barrier = shard_set_->Now() + shard_set_->quantum();
       stop = std::min(stop, std::max(next_admission_sample_, next_barrier));
     }

@@ -47,11 +47,11 @@ struct DeploymentOptions {
   /// of on the LAN.
   bool wan_attacker = false;
   control::ControllerConfig controller;
-  /// Overload control (see control/admission.h). kOff (default) creates
-  /// no admission controller at all — byte-identical behaviour to every
-  /// release before it existed. kMonitor samples and levels without
-  /// acting; kEnforce sheds launches, defers restarts and backpressures
-  /// ingress. Signals are sampled at the quantum barrier that ends each
+  /// Overload control (see control/admission.h), owned by the controller
+  /// whenever IoTSec is on. kMonitor (default) samples and levels without
+  /// acting; kEnforce sheds launches, defers restarts and rollout stages,
+  /// and backpressures ingress through a switch gate installed only under
+  /// kEnforce. Signals are sampled at the quantum barrier that ends each
   /// sample_period; RunFor stops the idle-quantum skip at every sample
   /// instant, so a quiet stretch still takes one sample per period.
   control::AdmissionConfig admission;
@@ -128,9 +128,9 @@ class Deployment {
   /// controller, every link built so far — links added later register
   /// automatically) on first use.
   [[nodiscard]] fault::FaultInjector& chaos();
-  /// Non-null iff options().admission.mode != kOff (and IoTSec is on).
-  [[nodiscard]] control::AdmissionController* admission() {
-    return admission_.get();
+  /// The controller's admission control; non-null iff IoTSec is on.
+  [[nodiscard]] const control::AdmissionController* admission() const {
+    return options_.with_iotsec ? &controller_->admission() : nullptr;
   }
   /// Non-null iff options().federation.enabled (and IoTSec is on);
   /// created at Start(), once the device set and policy are final.
@@ -235,8 +235,8 @@ class Deployment {
   /// canonical order, then fans the owner's state back out to every
   /// replica. Runs at every barrier and at the start of RunFor.
   void SyncEnvironment(SimTime now);
-  /// Barrier-phase work: SyncEnvironment, then feed the admission
-  /// controller.
+  /// Barrier-phase work: SyncEnvironment, then feed the controller's
+  /// admission control.
   void BarrierSync(SimTime now);
   /// One shard-placement-invariant admission snapshot: boot queues and
   /// cluster load live on shard 0, and pool_live sums Live() over every
@@ -273,7 +273,6 @@ class Deployment {
   std::vector<std::unique_ptr<net::Link>> links_;
   std::unique_ptr<sdn::Switch> switch_;
   std::unique_ptr<control::IoTSecController> controller_;
-  std::unique_ptr<control::AdmissionController> admission_;
   std::unique_ptr<control::FederatedControlPlane> federation_;
   SimTime next_admission_sample_ = 0;
   std::vector<std::unique_ptr<dataplane::UmboxHost>> hosts_;

@@ -101,8 +101,6 @@ UmboxHost::UmboxTotals UmboxHost::AggregatedUmboxStats() const {
     totals.processed += s.processed;
     totals.queued_during_boot += s.queued_during_boot;
     totals.dropped_during_boot += s.dropped_during_boot;
-    totals.dropped_queue_full += s.dropped_queue_full;
-    totals.dropped_unqueued += s.dropped_unqueued;
     totals.dropped_crashed += s.dropped_crashed;
     totals.crashes += s.crashes;
     totals.restarts += s.restarts;
@@ -110,11 +108,9 @@ UmboxHost::UmboxTotals UmboxHost::AggregatedUmboxStats() const {
   return totals;
 }
 
-void UmboxHost::AccumulateBootQueue(std::size_t& depth,
-                                    int& worst_permille) const {
+void UmboxHost::AccumulateBootQueue(int& worst_permille) const {
   for (const auto& [id, box] : boxes_) {
     const std::size_t parked = box->boot_queue_depth();
-    depth += parked;
     const std::size_t limit = box->spec().boot_queue_limit;
     if (limit > 0 && parked > 0) {
       worst_permille = std::max(

@@ -82,8 +82,6 @@ class UmboxHost final : public net::PacketSink {
     std::uint64_t processed = 0;
     std::uint64_t queued_during_boot = 0;
     std::uint64_t dropped_during_boot = 0;
-    std::uint64_t dropped_queue_full = 0;
-    std::uint64_t dropped_unqueued = 0;
     std::uint64_t dropped_crashed = 0;
     std::uint64_t crashes = 0;
     std::uint64_t restarts = 0;
@@ -91,9 +89,9 @@ class UmboxHost final : public net::PacketSink {
   [[nodiscard]] UmboxTotals AggregatedUmboxStats() const;
 
   /// Adds this host's boot-queue occupancy to an admission snapshot:
-  /// `depth` accumulates every parked packet, `worst_permille` tracks the
-  /// fullest single µmbox queue as a fraction of its own limit.
-  void AccumulateBootQueue(std::size_t& depth, int& worst_permille) const;
+  /// `worst_permille` tracks the fullest single µmbox queue as a fraction
+  /// of its own limit.
+  void AccumulateBootQueue(int& worst_permille) const;
 
  private:
   void ReturnFrame(UmboxId vni, SwitchId origin, net::PacketPtr inner);

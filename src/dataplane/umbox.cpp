@@ -91,13 +91,8 @@ void Umbox::Process(net::PacketPtr pkt) {
     }
     case UmboxState::kBooting:
     case UmboxState::kConfigured:
-      if (!spec_.queue_while_booting) {
+      if (boot_queue_.size() >= spec_.boot_queue_limit) {
         ++stats_.dropped_during_boot;
-        ++stats_.dropped_unqueued;
-        if (obs::Enabled()) obs::M().dp_boot_drops->Inc();
-      } else if (boot_queue_.size() >= spec_.boot_queue_limit) {
-        ++stats_.dropped_during_boot;
-        ++stats_.dropped_queue_full;
         if (obs::Enabled()) obs::M().dp_boot_drops->Inc();
       } else {
         ++stats_.queued_during_boot;

@@ -51,8 +51,8 @@ struct UmboxSpec {
   DeviceId device = kInvalidDevice;  // device this µmbox guards
   std::string config_text;           // Click-lite graph
   BootModel boot = BootModel::kMicroVm;
-  /// Packets arriving while booting are queued (true) or dropped (false).
-  bool queue_while_booting = true;
+  /// Packets arriving while booting are queued, up to this many; the
+  /// overflow is dropped and counted.
   std::size_t boot_queue_limit = 256;
   /// Shard whose worker executes this µmbox's chain. Selects the
   /// dp.shard.<i>.packets counter.
@@ -96,7 +96,7 @@ class Umbox {
   bool Reconfigure(const std::string& new_config, std::string* error);
 
   /// Cold restart with a new config: tears the graph down and pays boot
-  /// latency again; traffic in between queues or drops per the spec.
+  /// latency again; traffic in between queues up to the boot-queue limit.
   bool Restart(const std::string& new_config, std::string* error,
                std::function<void()> on_ready = nullptr);
 
@@ -115,10 +115,8 @@ class Umbox {
   struct Stats {
     std::uint64_t processed = 0;
     std::uint64_t queued_during_boot = 0;
-    /// Total boot-time drops (= dropped_queue_full + dropped_unqueued).
+    /// Boot-time drops: the boot queue was at boot_queue_limit.
     std::uint64_t dropped_during_boot = 0;
-    std::uint64_t dropped_queue_full = 0;  // boot_queue_limit exceeded
-    std::uint64_t dropped_unqueued = 0;    // queue_while_booting == false
     /// Frames that arrived at (or were queued in) a crashed instance.
     std::uint64_t dropped_crashed = 0;
     std::uint64_t reconfigs = 0;

@@ -69,7 +69,7 @@ CrowdRepo::PublishResult CrowdRepo::Publish(SignatureReport report) {
     result.error = error.empty() ? "empty rule" : error;
     return result;
   }
-  if (config_.reject_overbroad && IsOverbroad(*rule)) {
+  if (IsOverbroad(*rule)) {
     ++stats_.rejected_at_ingest;
     result.error = "rejected: rule matches all traffic (overbroad)";
     return result;

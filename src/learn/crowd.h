@@ -60,9 +60,9 @@ class CrowdRepo {
  public:
   struct Config {
     /// Weighted vote mass needed to accept/reject a pending signature.
+    /// (Rules with no narrowing predicate at all are always rejected at
+    /// ingest.)
     double quorum = 3.0;
-    /// Reject ingest of rules with no narrowing predicate at all.
-    bool reject_overbroad = true;
   };
 
   CrowdRepo() = default;

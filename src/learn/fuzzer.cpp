@@ -133,7 +133,9 @@ FuzzReport InteractionFuzzer::Run(const FuzzConfig& config) {
     Probe& probe = probes[pick];
     ++probe.tried;
 
-    if (config.reset_between_rounds) ResetWorld();
+    // Reset devices + environment first, so each round's changes are
+    // attributable to its one command.
+    ResetWorld();
     const Snapshot before = Capture();
     probe.device->Actuate(probe.cmd);
     ++report.commands_issued;

@@ -41,8 +41,6 @@ struct FuzzConfig {
   /// Restrict the command alphabet to the class's abstract model;
   /// without models the fuzzer tries every command on every device.
   bool use_models = true;
-  /// Reset devices + environment between rounds (clean attribution).
-  bool reset_between_rounds = true;
 };
 
 /// "actor device name" -> observed entity ("env:temperature" or

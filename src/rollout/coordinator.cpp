@@ -24,8 +24,13 @@ constexpr std::uint64_t kEvCatchUp = 8;
 
 RolloutCoordinator::RolloutCoordinator(sim::Simulator& simulator,
                                        VersionStore* store,
-                                       RolloutConfig config)
-    : sim_(simulator), store_(store), config_(std::move(config)) {
+                                       RolloutConfig config,
+                                       const control::AdmissionController&
+                                           admission)
+    : sim_(simulator),
+      store_(store),
+      config_(std::move(config)),
+      admission_(admission) {
   if (config_.stages.empty()) config_.stages = {1000};
 }
 
@@ -393,8 +398,8 @@ std::uint64_t RolloutCoordinator::StableOf(const std::string& sku) const {
 }
 
 bool RolloutCoordinator::AdmissionWantsDefer() const {
-  return admission_ != nullptr && admission_->enforcing() &&
-         admission_->level() >= control::BrownoutLevel::kDefer;
+  return admission_.enforcing() &&
+         admission_.level() >= control::BrownoutLevel::kDefer;
 }
 
 void RolloutCoordinator::Fold(std::uint64_t kind, std::uint64_t a,

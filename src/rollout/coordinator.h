@@ -76,14 +76,12 @@ struct RolloutConfig {
 
 class RolloutCoordinator {
  public:
+  /// Brownout interplay: stage advancement defers while `admission`
+  /// enforces at kDefer or worse. `admission` must outlive the
+  /// coordinator.
   RolloutCoordinator(sim::Simulator& simulator, VersionStore* store,
-                     RolloutConfig config);
-
-  /// Brownout interplay (optional): stage advancement defers at kDefer or
-  /// worse.
-  void SetAdmission(control::AdmissionController* admission) {
-    admission_ = admission;
-  }
+                     RolloutConfig config,
+                     const control::AdmissionController& admission);
 
   /// How a verified compile reaches a device's running µmbox. The
   /// controller implements this as an epoch swap on the in-place
@@ -232,7 +230,7 @@ class RolloutCoordinator {
   sim::Simulator& sim_;
   VersionStore* store_;
   RolloutConfig config_;
-  control::AdmissionController* admission_ = nullptr;
+  const control::AdmissionController& admission_;
   Applier applier_;
   PreRolloutVerifier verifier_;
   std::map<DeviceId, DeviceState> devices_;

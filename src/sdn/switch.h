@@ -100,6 +100,9 @@ class Switch final : public net::PacketSink {
       std::function<bool(const net::Packet& pkt,
                          const proto::ParsedFrame& frame, int port)>;
   void SetIngressGate(IngressGate gate) { gate_ = std::move(gate); }
+  [[nodiscard]] bool has_ingress_gate() const {
+    return static_cast<bool>(gate_);
+  }
 
   /// Sends a raw frame out a port (controller PacketOut).
   void Output(net::PacketPtr pkt, int port);

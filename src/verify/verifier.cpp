@@ -29,12 +29,11 @@ void LintPostureGraphs(const VerifyInput& in, Report& report) {
 /// G007: boot-queue sizing against the deployment's runtime limits.
 void CheckDeploymentLimits(const VerifyInput::DeploymentLimits& lim,
                            Report& report) {
-  if (lim.queue_while_booting && lim.boot_queue_limit == 0) {
+  if (lim.boot_queue_limit == 0) {
     report.Add("G007", Severity::kError, "deployment limits",
-               "boot_queue_limit is 0 while queue_while_booting is on: "
-               "every packet arriving during a µmbox boot window is "
-               "silently dropped (guaranteed boot blackhole); set a "
-               "positive limit or disable boot-time queueing");
+               "boot_queue_limit is 0: every packet arriving during a "
+               "µmbox boot window is silently dropped (guaranteed boot "
+               "blackhole); set a positive limit");
   }
   if (lim.pool_capacity > 0 && lim.cluster_slots > 0) {
     const std::size_t aggregate =

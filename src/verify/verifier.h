@@ -42,7 +42,6 @@ struct VerifyInput {
     /// Boot-queue bound stamped onto launched µmboxes
     /// (ControllerConfig::boot_queue_limit).
     std::size_t boot_queue_limit = 256;
-    bool queue_while_booting = true;
     /// Total µmbox slots: host capacity summed over the cluster. Bounds
     /// how many boot queues can exist at once.
     int cluster_slots = 0;

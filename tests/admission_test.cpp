@@ -189,18 +189,5 @@ TEST(Admission, DigestIsReproducibleAndOrderSensitive) {
   EXPECT_EQ(idle.DecisionDigest(), 0u);
 }
 
-TEST(Admission, LevelChangeCallbackSeesEveryTransition) {
-  AdmissionController ac(EnforceConfig());
-  std::vector<std::pair<int, int>> seen;
-  ac.SetLevelChangeCallback([&](BrownoutLevel from, BrownoutLevel to) {
-    seen.emplace_back(static_cast<int>(from), static_cast<int>(to));
-  });
-  ac.Update(Pool(600), 1);
-  for (SimTime t = 2; t <= 4; ++t) ac.Update(Pool(0), t);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], (std::pair<int, int>{0, 1}));
-  EXPECT_EQ(seen[1], (std::pair<int, int>{1, 0}));
-}
-
 }  // namespace
 }  // namespace iotsec::control

@@ -29,7 +29,6 @@ policy::Posture AclGuardPosture(net::Ipv4Address attacker_ip) {
 TEST(ChaosTest, SoakConvergesWithFailClosedInvariant) {
   core::DeploymentOptions opts;
   opts.cluster_hosts = 3;
-  opts.controller.fail_closed = true;
   core::Deployment dep(opts);
 
   std::vector<devices::Camera*> cams;

@@ -250,5 +250,62 @@ TEST(DeploymentTest, MultipleClusterHostsBalanceUmboxes) {
   EXPECT_EQ(dep.cluster().hosts()[1]->load(), 3);
 }
 
+// Admission control is always there: a default deployment monitors it
+// (samples and levels) but never acts on a launch, a restart or a frame,
+// and installs no ingress gate.
+TEST(DeploymentTest, DefaultAdmissionMonitorsAndNeverActs) {
+  constexpr SimDuration kElapsed = 500 * kMillisecond;
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    DeploymentOptions opts;
+    opts.shards = shards;
+    opts.host_capacity = 4;  // 3 µmboxes on 4 slots: 750‰ cluster load
+    Deployment dep(opts);
+    std::vector<devices::Camera*> cams;
+    for (int i = 0; i < 4; ++i) {
+      cams.push_back(dep.AddCamera("cam" + std::to_string(i)));
+    }
+    // Monitor for everyone; the last camera is trusted until compromised.
+    policy::FsmPolicy policy;
+    policy.SetDefault(MonitorPosture());
+    policy::PolicyRule rule;
+    rule.name = "cam3-trusted";
+    rule.when.AndIn("ctx:cam3", {"normal"});
+    rule.device = cams[3]->id();
+    rule.posture = TrustPosture();
+    rule.priority = 10;
+    policy.Add(rule);
+    dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
+    dep.Start();
+
+    const control::AdmissionController* admission = dep.admission();
+    ASSERT_NE(admission, nullptr);
+    EXPECT_EQ(admission->config().mode, control::AdmissionMode::kMonitor);
+    EXPECT_FALSE(dep.edge().has_ingress_gate());
+
+    dep.RunFor(kElapsed / 2);
+    ASSERT_FALSE(dep.controller().UmboxOf(cams[3]->id()).has_value());
+    // The level follows the load: an enforcing controller would shed the
+    // next launch here.
+    EXPECT_GE(admission->level(), control::BrownoutLevel::kShed);
+
+    dep.controller().SetDeviceContext("cam3", "compromised");
+    dep.RunFor(kElapsed / 2);
+    EXPECT_TRUE(dep.controller().UmboxOf(cams[3]->id()).has_value());
+    EXPECT_EQ(dep.controller().PostureProfileOf(cams[3]->id()),
+              MonitorPosture().profile);
+
+    const auto& stats = admission->stats();
+    EXPECT_EQ(stats.samples, kElapsed / opts.admission.sample_period);
+    EXPECT_GT(stats.transitions, 0u);
+    EXPECT_EQ(stats.shed_launches, 0u);
+    EXPECT_EQ(stats.deferred_restarts, 0u);
+    EXPECT_EQ(stats.backpressure_drops, 0u);
+    EXPECT_NE(admission->DecisionDigest(), 0u)
+        << "transitions fold into the digest";
+    EXPECT_EQ(dep.edge().stats().admission_drops, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace iotsec::core

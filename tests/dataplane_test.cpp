@@ -495,21 +495,6 @@ TEST(UmboxTest, QueuesDuringBootThenDrains) {
   EXPECT_EQ(box->stats().queued_during_boot, 1u);
 }
 
-TEST(UmboxTest, DropModeDropsDuringBoot) {
-  Harness h;
-  UmboxSpec spec;
-  spec.id = 2;
-  spec.config_text = "c :: Counter()\n";
-  spec.queue_while_booting = false;
-  std::string error;
-  auto box = Umbox::Create(spec, h.Ctx(), &error);
-  ASSERT_NE(box, nullptr);
-  box->Boot();
-  box->Process(UdpPacket(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), 9,
-                         ToBytes("lost")));
-  EXPECT_EQ(box->stats().dropped_during_boot, 1u);
-}
-
 TEST(UmboxTest, HotReconfigureHasNoDowntime) {
   Harness h;
   UmboxSpec spec;

@@ -63,7 +63,6 @@ OverloadResult RunOverload(int shards) {
   opts.shards = shards;
   opts.cluster_hosts = 2;
   opts.host_capacity = 3;  // 6 slots < 8 devices: permanent saturation
-  opts.controller.fail_closed = true;
   opts.admission.mode = control::AdmissionMode::kEnforce;
   opts.admission.pool_capacity = 4096;
   core::Deployment dep(opts);
@@ -155,7 +154,6 @@ TEST(OverloadTest, ShedLaunchQuarantinesThenRetriesWhenPressureDrops) {
   // One shard: the test thread is bound to shard 0's pool, so the
   // packets held below are the pool signal.
   core::DeploymentOptions opts;
-  opts.controller.fail_closed = true;
   opts.admission.mode = control::AdmissionMode::kEnforce;
   opts.admission.pool_capacity = 200;
   core::Deployment dep(opts);
@@ -190,8 +188,8 @@ TEST(OverloadTest, ShedLaunchQuarantinesThenRetriesWhenPressureDrops) {
   EXPECT_FALSE(dep.controller().UmboxOf(cam->id()).has_value());
   EXPECT_GT(dep.admission()->stats().pool_exhausted_samples, 0u);
 
-  // Pressure release: the level walks back down and the relaxation
-  // callback re-evaluates the shed device, which now launches.
+  // Pressure release: the level walks back down and the controller
+  // re-evaluates the shed device, which now launches.
   held.clear();
   dep.RunFor(1 * kSecond);
   EXPECT_EQ(dep.admission()->level(), control::BrownoutLevel::kNormal);

@@ -110,7 +110,6 @@ TEST(RecoveryTest, GivesUpWhenNoHostSurvives) {
   core::DeploymentOptions opts;
   opts.cluster_hosts = 1;
   opts.controller.max_restart_attempts = 2;
-  opts.controller.fail_closed = true;
   core::Deployment dep(opts);
   auto* cam = dep.AddCamera("cam");
   policy::FsmPolicy policy;
@@ -132,47 +131,6 @@ TEST(RecoveryTest, GivesUpWhenNoHostSurvives) {
 
   // Abandoned but fail-closed: the device stays dark, not wide open.
   EXPECT_EQ(Probe(dep, cam), 0);
-}
-
-TEST(RecoveryTest, FailOpenOutageLeavesForwardingUp) {
-  core::DeploymentOptions opts;
-  opts.controller.fail_closed = false;
-  opts.controller.max_restart_attempts = 1;
-  core::Deployment dep(opts);
-  auto* cam = dep.AddCamera("cam");
-  policy::FsmPolicy policy;
-  policy.SetDefault(core::MonitorPosture());
-  dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
-  dep.Start();
-  dep.RunFor(kSecond);
-  ASSERT_EQ(Probe(dep, cam), 200);
-
-  // Fail-open operators prefer availability: kill the only host so the
-  // recovery gives up, and the device must stay reachable (unguarded).
-  dep.chaos().CrashHost(dep.sim().Now() + kMillisecond, 0);
-  dep.RunFor(15 * kSecond);
-  ASSERT_EQ(dep.controller().stats().recovery_give_ups, 1u);
-  EXPECT_EQ(Probe(dep, cam), 200);
-}
-
-TEST(RecoveryTest, SelfHealingOffChangesNothing) {
-  core::DeploymentOptions opts;
-  opts.controller.self_healing = false;
-  core::Deployment dep(opts);
-  auto* cam = dep.AddCamera("cam");
-  policy::FsmPolicy policy;
-  policy.SetDefault(core::MonitorPosture());
-  dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
-  dep.Start();
-  dep.RunFor(kSecond);
-  ASSERT_EQ(Probe(dep, cam), 200);
-
-  dep.chaos().CrashUmboxOf(dep.sim().Now() + kMillisecond, cam->id());
-  dep.RunFor(5 * kSecond);
-  const auto& stats = dep.controller().stats();
-  EXPECT_EQ(stats.heartbeats, 0u);
-  EXPECT_EQ(stats.detected_failures, 0u);
-  EXPECT_EQ(Probe(dep, cam), 0) << "no self-healing: the outage persists";
 }
 
 TEST(RecoveryTest, BackoffIsDeterministicPerSeed) {

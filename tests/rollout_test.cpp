@@ -318,17 +318,22 @@ TEST(CoordinatorTest, CohortIsDeterministicAndMonotone) {
 }
 
 /// Harness: a coordinator over `n` synthetic devices of one SKU, with an
-/// applier that counts installs per device.
+/// applier that counts installs per device, and the admission control it
+/// reads (the test drives its level).
 struct CoordinatorWorld {
   sim::Simulator sim;
   VersionStore store;
   RolloutConfig config;
+  control::AdmissionController admission;
   std::unique_ptr<RolloutCoordinator> coord;
   std::map<DeviceId, int> applies;
 
-  explicit CoordinatorWorld(int n, RolloutConfig cfg = MakeConfig()) {
+  explicit CoordinatorWorld(int n, RolloutConfig cfg = MakeConfig(),
+                            control::AdmissionConfig acfg = {})
+      : admission(acfg) {
     config = cfg;
-    coord = std::make_unique<RolloutCoordinator>(sim, &store, config);
+    coord = std::make_unique<RolloutCoordinator>(sim, &store, config,
+                                                 admission);
     coord->SetApplier(
         [this](DeviceId d,
                const std::shared_ptr<const sig::CompiledRuleset>&) {
@@ -484,14 +489,13 @@ TEST(CoordinatorTest, DefersUnderAdmissionBrownout) {
   acfg.mode = control::AdmissionMode::kEnforce;
   acfg.pool_capacity = 1000;
   acfg.down_hold = 1;
-  control::AdmissionController admission(acfg);
+  CoordinatorWorld w(200, CoordinatorWorld::MakeConfig(), acfg);
+  control::AdmissionController& admission = w.admission;
   control::AdmissionSignals hot;
   hot.pool_live = 600;  // 600 permille >= defer threshold (500)
   admission.Update(hot, 0);
   ASSERT_EQ(admission.level(), control::BrownoutLevel::kDefer);
 
-  CoordinatorWorld w(200);
-  w.coord->SetAdmission(&admission);
   w.CutAndRoll(1000, 2);
   w.sim.RunFor(200 * kMillisecond);
   EXPECT_GT(w.coord->stats().deferred, 0u);

@@ -51,7 +51,6 @@ ScenarioResult RunScenario(int shards, bool threads) {
   opts.shards = shards;
   opts.shard_threads = threads;
   opts.cluster_hosts = 2;
-  opts.controller.fail_closed = true;
   core::Deployment dep(opts);
 
   std::vector<devices::Camera*> cams;

@@ -1,6 +1,6 @@
 // Boot-queue accounting, crash semantics and host-level aggregation:
-// the drop counters split in the self-healing work must add up, and a
-// crashed instance must behave like a dead box until Restart().
+// boot-time drops are exactly the boot-queue overflow, and a crashed
+// instance must behave like a dead box until Restart().
 #include <gtest/gtest.h>
 
 #include "dataplane/cluster.h"
@@ -46,29 +46,12 @@ TEST(BootQueueTest, OverflowBeyondLimitCountsQueueFullDrops) {
   for (int i = 0; i < 5; ++i) box->Process(UdpPacket(ToBytes("x")));
 
   EXPECT_EQ(box->stats().queued_during_boot, 3u);
-  EXPECT_EQ(box->stats().dropped_queue_full, 2u);
-  EXPECT_EQ(box->stats().dropped_unqueued, 0u);
   EXPECT_EQ(box->stats().dropped_during_boot, 2u)
-      << "total must equal the sum of the split counters";
+      << "every packet past the limit is dropped and counted";
 
   sim.RunFor(BootLatency(spec.boot) + kMillisecond);
   EXPECT_EQ(out.size(), 3u) << "only the queued packets drain";
   EXPECT_EQ(box->stats().processed, 3u);
-}
-
-TEST(BootQueueTest, UnqueuedModeCountsSeparately) {
-  sim::Simulator sim;
-  UmboxSpec spec;
-  spec.id = 2;
-  spec.queue_while_booting = false;
-  auto box = MakeBox(sim, spec);
-  box->Boot();
-  for (int i = 0; i < 4; ++i) box->Process(UdpPacket(ToBytes("x")));
-
-  EXPECT_EQ(box->stats().queued_during_boot, 0u);
-  EXPECT_EQ(box->stats().dropped_unqueued, 4u);
-  EXPECT_EQ(box->stats().dropped_queue_full, 0u);
-  EXPECT_EQ(box->stats().dropped_during_boot, 4u);
 }
 
 TEST(BootQueueTest, StoppingMidBootCancelsTheReadyTimer) {
@@ -216,7 +199,6 @@ TEST(CrashTest, HostAggregatesBootQueueDrops) {
 
   const auto totals = host.AggregatedUmboxStats();
   EXPECT_EQ(totals.queued_during_boot, 1u);
-  EXPECT_EQ(totals.dropped_queue_full, 1u);
   EXPECT_EQ(totals.dropped_during_boot, 1u);
 }
 

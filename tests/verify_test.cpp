@@ -591,20 +591,10 @@ TEST(Verifier, FlagsZeroBootQueueLimitAsBlackhole) {
   VerifyInput in;  // limits alone are checkable — no policy needed
   VerifyInput::DeploymentLimits limits;
   limits.boot_queue_limit = 0;
-  limits.queue_while_booting = true;
   in.limits = limits;
   const auto report = Verify(in);
   ASSERT_EQ(Codes(report), std::vector<std::string>{"G007"});
   EXPECT_EQ(report.findings()[0].severity, Severity::kError);
-}
-
-TEST(Verifier, ZeroBootQueueLimitIsFineWithoutBootQueueing) {
-  VerifyInput in;
-  VerifyInput::DeploymentLimits limits;
-  limits.boot_queue_limit = 0;
-  limits.queue_while_booting = false;  // drops are the declared intent
-  in.limits = limits;
-  EXPECT_TRUE(Verify(in).findings().empty());
 }
 
 TEST(Verifier, WarnsWhenBootQueuesCanSwallowThePool) {
