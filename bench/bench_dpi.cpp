@@ -26,11 +26,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
 #include "common/rng.h"
+#include "dataplane/elements.h"
 #include "net/address.h"
 #include "obs/obs.h"
 #include "proto/frame.h"
@@ -245,19 +247,30 @@ struct ReconfigRow {
   bool compile_once = false;
 };
 
-/// Deploys one SKU ruleset to M µmboxes (each modeled by its
-/// SignatureMatcher's RuleSet) and counts actual automaton compiles.
+/// Deploys one SKU ruleset to M µmboxes: configures M SignatureMatcher
+/// elements from the ruleset's text, as each µmbox launch does, and
+/// counts actual automaton compiles.
 ReconfigRow RunReconfigRow(std::size_t n_rules, std::size_t umboxes) {
   Workload w(n_rules, 256);
+  const dataplane::ConfigMap config{
+      {"rules", sig::CompiledRuleset::CanonicalText(w.rules)}};
+  std::vector<std::unique_ptr<dataplane::SignatureMatcher>> fleet;
+  for (std::size_t i = 0; i < umboxes; ++i) {
+    fleet.push_back(std::make_unique<dataplane::SignatureMatcher>(
+        "sig" + std::to_string(i), "SignatureMatcher"));
+  }
   sig::CompiledRulesetCache::Instance().Clear();
   const std::uint64_t compiles_before = obs::M().sig_compiles->Value();
   const std::uint64_t hits_before = obs::M().sig_cache_hits->Value();
 
-  std::vector<sig::RuleSet> fleet(umboxes);
+  bool configured = true;
   const auto start = std::chrono::steady_clock::now();
-  for (auto& rs : fleet) {
-    rs.Reset(w.rules);
-    rs.EnsureCompiled();  // what SignatureMatcher::Configure does
+  for (auto& matcher : fleet) {
+    std::string error;
+    if (!matcher->Configure(config, &error)) {
+      std::fprintf(stderr, "push: %s\n", error.c_str());
+      configured = false;
+    }
   }
   const auto stop = std::chrono::steady_clock::now();
 
@@ -267,7 +280,8 @@ ReconfigRow RunReconfigRow(std::size_t n_rules, std::size_t umboxes) {
   row.compiles = obs::M().sig_compiles->Value() - compiles_before;
   row.cache_hits = obs::M().sig_cache_hits->Value() - hits_before;
   row.total_ms = Seconds(start, stop) * 1e3;
-  row.compile_once = row.compiles == 1 && row.cache_hits == umboxes - 1;
+  row.compile_once =
+      configured && row.compiles == 1 && row.cache_hits == umboxes - 1;
   std::printf(
       "push  rules=%5zu umboxes=%3zu  compiles=%llu hits=%llu  %.2f ms  %s\n",
       n_rules, umboxes, static_cast<unsigned long long>(row.compiles),

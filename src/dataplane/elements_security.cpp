@@ -60,21 +60,21 @@ void StatefulFirewall::Push(net::PacketPtr pkt, int in_port) {
 
 bool SignatureMatcher::Configure(const ConfigMap& config, std::string* error) {
   const auto it = config.find("rules");
-  if (it == config.end() || it->second == "builtin") {
-    rules_.Reset(sig::BuiltinRules());
-  } else {
-    std::vector<std::string> errors;
-    auto parsed = sig::ParseRules(it->second, &errors);
-    if (!errors.empty()) {
-      if (error) *error = "SignatureMatcher: " + errors.front();
-      return false;
-    }
-    rules_.Reset(std::move(parsed));
-  }
+  const std::string_view text = it == config.end() || it->second == "builtin"
+                                    ? sig::BuiltinRulesText()
+                                    : std::string_view(it->second);
   // Pay the compile here, off the packet path. The shared cache makes this
-  // a pointer grab whenever any other µmbox already carries the same
-  // ruleset — a crowd push to M same-SKU µmboxes compiles once.
-  rules_.EnsureCompiled();
+  // a pointer grab whenever any other µmbox already carries the same text
+  // (no parse) or a text with the same rules — a crowd push to M same-SKU
+  // µmboxes compiles once.
+  std::string parse_error;
+  auto compiled =
+      sig::CompiledRulesetCache::Instance().GetOrCompileText(text, &parse_error);
+  if (compiled == nullptr) {
+    if (error) *error = "SignatureMatcher: " + parse_error;
+    return false;
+  }
+  rules_.AdoptCompiled(std::move(compiled));
   return true;
 }
 

@@ -135,13 +135,50 @@ std::shared_ptr<const CompiledRuleset> CompiledRulesetCache::GetOrCompile(
   std::string key = CompiledRuleset::CanonicalText(rules);
   const std::uint64_t hash = CompiledRuleset::ContentHash(key);
   std::lock_guard<std::mutex> lock(mu_);
-  // Probing below only prunes this key's bucket; sweep the whole table
+  CountLookupLocked();
+  return GetOrCompileLocked(hash, std::move(key), rules);
+}
+
+std::shared_ptr<const CompiledRuleset> CompiledRulesetCache::GetOrCompileText(
+    std::string_view text, std::string* error) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    CountLookupLocked();
+    const auto it = aliases_.find(text);
+    if (it != aliases_.end()) {
+      if (auto live = it->second.lock()) {
+        obs::M().sig_cache_hits->Inc();
+        return live;
+      }
+    }
+  }
+  // Parse outside the lock: other shards' lookups need not wait on it.
+  std::vector<std::string> errors;
+  const std::vector<Rule> rules = ParseRules(text, &errors);
+  if (!errors.empty()) {
+    if (error != nullptr) *error = errors.front();
+    return nullptr;
+  }
+  std::string key = CompiledRuleset::CanonicalText(rules);
+  const std::uint64_t hash = CompiledRuleset::ContentHash(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto compiled = GetOrCompileLocked(hash, std::move(key), rules);
+  aliases_.insert_or_assign(std::string(text), compiled);
+  return compiled;
+}
+
+void CompiledRulesetCache::CountLookupLocked() {
+  // Probing only prunes the probed bucket; sweep the whole table
   // periodically so buckets for rulesets never re-requested can't leak
   // their dead entries forever.
   if (++ops_since_sweep_ >= kSweepInterval) {
     ops_since_sweep_ = 0;
     SweepExpiredLocked();
   }
+}
+
+std::shared_ptr<const CompiledRuleset> CompiledRulesetCache::GetOrCompileLocked(
+    std::uint64_t hash, std::string key, const std::vector<Rule>& rules) {
   auto& bucket = entries_[hash];
   bool expired_here = false;
   for (auto it = bucket.begin(); it != bucket.end();) {
@@ -173,6 +210,8 @@ void CompiledRulesetCache::SweepExpiredLocked() {
                  bucket.end());
     it = bucket.empty() ? entries_.erase(it) : std::next(it);
   }
+  std::erase_if(aliases_,
+                [](const auto& alias) { return alias.second.expired(); });
 }
 
 std::size_t CompiledRulesetCache::LiveEntryCount() const {
@@ -193,9 +232,15 @@ std::size_t CompiledRulesetCache::TotalEntryCount() const {
   return total;
 }
 
+std::size_t CompiledRulesetCache::AliasCount() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return aliases_.size();
+}
+
 void CompiledRulesetCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
+  aliases_.clear();
   ops_since_sweep_ = 0;
 }
 

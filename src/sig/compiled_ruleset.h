@@ -12,14 +12,18 @@
 // CompiledRulesetCache keys compiles by a content hash of the canonical
 // rule text, so a crowd-repository push to M same-SKU µmboxes performs
 // exactly one compile and M-1 pointer grabs (counted in obs::M()'s
-// sig_compiles and sig_cache_hits).
+// sig_compiles and sig_cache_hits). Its text front keys weak aliases of
+// those compiles by the source text a µmbox was configured with, so a
+// launch whose text is already live neither parses nor canonicalises.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -94,10 +98,19 @@ class CompiledRuleset {
 /// compile. Entries hold weak references: when the last µmbox drops a
 /// ruleset the compile is freed, and a later identical request recompiles
 /// (counted as expired + miss).
+///
+/// In front of it sits a map from source text to the compile that text
+/// parsed to. Each alias is keyed by the whole text, compared byte for
+/// byte (never by hash alone), and holds a weak reference to the
+/// canonical entry's compile, so it dies with that compile. Texts that
+/// differ but parse to canonically equal rules (a crowd splice strips its
+/// rule texts' quotes) alias one compile. Parse errors are not cached:
+/// a malformed text parses, and fails, on every lookup.
 class CompiledRulesetCache {
  public:
-  /// Every this-many GetOrCompile calls the whole table is swept for
-  /// expired entries (probing alone only prunes the probed bucket).
+  /// Every this-many lookups (by rules or by text) the whole table is
+  /// swept for expired entries and aliases (probing alone only prunes the
+  /// probed bucket).
   static constexpr std::uint64_t kSweepInterval = 64;
 
   static CompiledRulesetCache& Instance();
@@ -107,6 +120,15 @@ class CompiledRulesetCache {
   std::shared_ptr<const CompiledRuleset> GetOrCompile(
       const std::vector<Rule>& rules);
 
+  /// Returns the shared compile for rule-language `text`. A text whose
+  /// compile is live is a hit (sig_cache_hits) with no parse and no
+  /// allocation. Otherwise the text is parsed: on a malformed line it
+  /// returns nullptr with the first parse error in *error and caches
+  /// nothing; else it takes GetOrCompile's canonical lookup (which counts
+  /// its own hit or miss) and records the text as an alias of the result.
+  std::shared_ptr<const CompiledRuleset> GetOrCompileText(
+      std::string_view text, std::string* error);
+
   /// Live (non-expired) entries — test/introspection aid.
   [[nodiscard]] std::size_t LiveEntryCount() const;
 
@@ -114,26 +136,51 @@ class CompiledRulesetCache {
   /// periodic sweep (live == total once the sweep has run).
   [[nodiscard]] std::size_t TotalEntryCount() const;
 
-  /// Drops all entries (does not invalidate outstanding shared_ptrs).
+  /// All retained text aliases, dead ones included.
+  [[nodiscard]] std::size_t AliasCount() const;
+
+  /// Drops all entries and aliases (does not invalidate outstanding
+  /// shared_ptrs).
   void Clear();
 
  private:
   CompiledRulesetCache() = default;
 
-  /// Drops every expired entry and every emptied bucket. Probing only
-  /// prunes the requested bucket, so without this a long-running process
-  /// with churning rulesets would accumulate dead entries (each holding
-  /// the full canonical rule text) in buckets never probed again.
+  /// Counts one lookup and runs the sweep every kSweepInterval lookups.
+  void CountLookupLocked();
+
+  /// Drops every expired entry, every emptied bucket and every alias of a
+  /// dead compile. Probing only prunes the requested bucket, so without
+  /// this a long-running process with churning rulesets would accumulate
+  /// dead entries (each holding the full canonical rule text) in buckets
+  /// never probed again.
   void SweepExpiredLocked();
+
+  /// The canonical lookup: the live compile keyed `key` (content hash
+  /// `hash`), else a new compile of `rules`.
+  std::shared_ptr<const CompiledRuleset> GetOrCompileLocked(
+      std::uint64_t hash, std::string key, const std::vector<Rule>& rules);
 
   struct Entry {
     std::string key;  // canonical text, to disambiguate hash collisions
     std::weak_ptr<const CompiledRuleset> value;
   };
 
+  /// Transparent hashing, so a text lookup finds its alias from a
+  /// string_view without building a key.
+  struct TextHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
   mutable std::mutex mu_;
   std::uint64_t ops_since_sweep_ = 0;
   std::unordered_map<std::uint64_t, std::vector<Entry>> entries_;
+  std::unordered_map<std::string, std::weak_ptr<const CompiledRuleset>,
+                     TextHash, std::equal_to<>>
+      aliases_;
 };
 
 }  // namespace iotsec::sig

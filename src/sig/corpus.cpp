@@ -6,7 +6,8 @@
 
 namespace iotsec::sig {
 
-std::string BuiltinRulesText() {
+std::string_view BuiltinRulesText() {
+  using namespace std::string_view_literals;
   return R"(# IoTSec built-in signature corpus — one rule per Table 1 vulnerability class.
 
 # Row 1: Avtech cameras with hardcoded "admin/admin" (Basic YWRtaW46YWRtaW4=).
@@ -32,7 +33,7 @@ alert udp any any -> any 5009 (msg:"credential-less actuation"; sid:1007; iot_au
 
 # Telnet-style cleartext default logins.
 alert tcp any any -> any 23 (msg:"cleartext default login"; sid:1008; content:"login: admin"; nocase; )
-)";
+)"sv;
 }
 
 std::vector<Rule> BuiltinRules() {

@@ -5,7 +5,7 @@
 // repository (§4.1) distributes and the SignatureMatcher µmboxes load.
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sig/rule.h"
@@ -24,8 +24,9 @@ enum BuiltinSid : std::uint32_t {
   kSidTelnetDefaultCreds = 1008,    // "admin/admin" style logins in stream
 };
 
-/// The corpus as rule-language text (parsable by ParseRules).
-std::string BuiltinRulesText();
+/// The corpus as rule-language text (parsable by ParseRules): a view of
+/// one static literal, so it costs no copy and its bytes never change.
+std::string_view BuiltinRulesText();
 
 /// The corpus parsed; aborts the process if the built-in text is invalid
 /// (that would be a programming error, covered by tests).

@@ -5,7 +5,10 @@
 // compile itself is fetched from the process-wide CompiledRulesetCache so
 // every µmbox carrying the same SKU ruleset shares one automaton, and
 // evaluation reuses per-instance scratch so the per-packet hot path does
-// not allocate.
+// not allocate. A SignatureMatcher never edits rules: it looks its config
+// text up in the cache's text front (CompiledRulesetCache::
+// GetOrCompileText) and AdoptCompiled()s the result, so a launch whose
+// text is already live parses nothing.
 #pragma once
 
 #include <memory>

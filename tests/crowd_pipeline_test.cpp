@@ -208,6 +208,32 @@ TEST_P(RolloutPipelineTest, LateDeviceJoinsAtTheStableVersion) {
   EXPECT_EQ(w.SendRebootAbuse(late), "");
 }
 
+TEST_P(RolloutPipelineTest, SplicedCrowdMatcherSharesTheReceiversCompile) {
+  // The splice strips the rule texts' quotes, so a launch looks up a
+  // text the receiver never parsed. It must still land on the receiver's
+  // compile: one ruleset, one automaton.
+  RolloutPipelineWorld w(GetParam());
+  w.PublishAndAccept();
+  ASSERT_EQ(w.dep.rollout()->StableOf("Wemo-Insight"), 1u);
+  devices::SmartPlug* late = w.dep.AddSmartPlug("wemo4", "fan_power");
+  w.dep.controller().SetDeviceContext("wemo4", "normal");
+  w.dep.RunFor(kSecond);
+
+  const auto id = w.dep.controller().UmboxOf(late->id());
+  ASSERT_TRUE(id.has_value());
+  const dataplane::Umbox* box = w.dep.cluster().Find(*id);
+  ASSERT_NE(box, nullptr);
+  ASSERT_NE(box->graph(), nullptr);
+  const auto* crowd = dynamic_cast<const dataplane::SignatureMatcher*>(
+      box->graph()->Find("crowd"));
+  ASSERT_NE(crowd, nullptr);
+  const rollout::RulesetReceiver* receiver =
+      w.dep.rollout()->ReceiverOf(late->id());
+  ASSERT_NE(receiver, nullptr);
+  ASSERT_NE(receiver->compiled(), nullptr);
+  EXPECT_EQ(crowd->rules().compiled().get(), receiver->compiled().get());
+}
+
 TEST_P(RolloutPipelineTest, HomesSharingARepoBothEnforce) {
   RolloutPipelineWorld home(GetParam());
   RolloutPipelineWorld neighbour(GetParam(), nullptr, &home.repo);

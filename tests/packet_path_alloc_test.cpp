@@ -3,7 +3,8 @@
 // http_path/http_auth_absent rule), the in-place HTTP request view, and a
 // tunnel round trip through pooled packets (switch encap, host decap, host
 // encap, switch decap) must not touch the heap; nor may a link's send
-// and delivery, bound or not.
+// and delivery, bound or not. A µmbox launch is not a packet-path cost,
+// but a warm one is bounded too: it must not parse its ruleset again.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "alloc_counter.h"
+#include "core/postures.h"
+#include "dataplane/graph.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "proto/frame.h"
@@ -72,6 +75,23 @@ TEST(PacketPathAllocTest, BuiltinRulesetEvaluateAllocatesNothing) {
     EXPECT_EQ(News() - before, 0u);
     EXPECT_FALSE(matched);
   }
+}
+
+TEST(PacketPathAllocTest, WarmMonitorBuildParsesNoRules) {
+  // While one Monitor chain is alive, the next launch of the same config
+  // finds its compile by text: no ruleset parse, no canonical rule text.
+  // Re-parsing the builtin corpus alone costs well over 100 blocks.
+  constexpr std::uint64_t kMaxBlocks = 64;
+  const std::string config = core::MonitorPosture().umbox_config;
+  const dataplane::ElementContext ctx;
+  std::string error;
+  const auto first = dataplane::MboxGraph::Build(config, ctx, &error);
+  ASSERT_NE(first, nullptr) << error;
+  const std::uint64_t before = News();
+  const auto second = dataplane::MboxGraph::Build(config, ctx, &error);
+  const std::uint64_t blocks = News() - before;
+  ASSERT_NE(second, nullptr) << error;
+  EXPECT_LE(blocks, kMaxBlocks);
 }
 
 TEST(PacketPathAllocTest, RequestViewParseAndHeaderAllocateNothing) {

@@ -1,7 +1,11 @@
 // Tests for the process-wide compiled-ruleset cache: identical rule lists
 // share one compile, differing lists do not, hot replacement leaves
-// in-flight users on their old compile.
+// in-flight users on their old compile. The text front: texts with equal
+// rules share a compile, errors are never cached, aliases die with their
+// compile, and concurrent lookups agree.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "net/address.h"
 #include "obs/obs.h"
@@ -193,6 +197,138 @@ TEST_F(SigCacheTest, PeriodicSweepPrunesBucketsNeverReprobed) {
   }
   EXPECT_EQ(cache.TotalEntryCount(), 1u);  // only the live entry survives
   EXPECT_EQ(cache.LiveEntryCount(), 1u);
+}
+
+std::string OneRuleText(std::string_view content) {
+  return "alert tcp any any -> any any (sid:900; content:\"" +
+         std::string(content) + "\"; )\n";
+}
+
+TEST_F(SigCacheTest, CanonicallyEqualTextsShareOneCompile) {
+  // A crowd splice strips its rule texts' quotes; the rollout receiver
+  // parsed them quoted. Both texts must land on one compile.
+  auto& cache = CompiledRulesetCache::Instance();
+  const std::string quoted =
+      "alert tcp any any -> any any (msg:\"spliced\"; sid:901; "
+      "content:\"needle\"; )\n";
+  std::string stripped = quoted;
+  std::erase(stripped, '"');
+  ASSERT_NE(quoted, stripped);
+
+  std::string error;
+  const auto a = cache.GetOrCompileText(quoted, &error);
+  const auto b = cache.GetOrCompileText(stripped, &error);
+  ASSERT_NE(a, nullptr) << error;
+  ASSERT_NE(b, nullptr) << error;
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
+  EXPECT_EQ(cache.TotalEntryCount(), 1u);
+  EXPECT_EQ(cache.AliasCount(), 2u);
+  // The second text parsed and hit the canonical entry; a repeat of
+  // either is a text hit.
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 1u);
+  EXPECT_EQ(cache.GetOrCompileText(quoted, &error).get(), a.get());
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 2u);
+  EXPECT_EQ(obs::M().sig_cache_misses->Value(), 1u);
+}
+
+TEST_F(SigCacheTest, MalformedTextIsNeverCached) {
+  auto& cache = CompiledRulesetCache::Instance();
+  const auto live = cache.GetOrCompileText(OneRuleText("fine"), nullptr);
+  ASSERT_NE(live, nullptr);
+  const std::size_t entries = cache.TotalEntryCount();
+  const std::size_t aliases = cache.AliasCount();
+  const std::string bad =
+      OneRuleText("fine") + "alert tcp any any -> (sid:902; oops\n";
+
+  std::string first;
+  std::string second;
+  EXPECT_EQ(cache.GetOrCompileText(bad, &first), nullptr);
+  EXPECT_EQ(cache.GetOrCompileText(bad, &second), nullptr);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, second) << "the second lookup must parse and fail again";
+  EXPECT_NE(first.find("line 2"), std::string::npos) << first;
+  EXPECT_EQ(cache.TotalEntryCount(), entries);
+  EXPECT_EQ(cache.AliasCount(), aliases);
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 1u);
+}
+
+TEST_F(SigCacheTest, DroppedCompileRecompilesOnNextTextLookup) {
+  // The alias is weak: once the last holder (a destroyed deployment's
+  // µmboxes) drops the compile, the next launch parses and compiles again.
+  auto& cache = CompiledRulesetCache::Instance();
+  const std::string text = OneRuleText("gone");
+  {
+    const auto held = cache.GetOrCompileText(text, nullptr);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(cache.GetOrCompileText(text, nullptr).get(), held.get());
+  }
+  const auto again = cache.GetOrCompileText(text, nullptr);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(obs::M().sig_compiles->Value(), 2u);
+  EXPECT_EQ(obs::M().sig_cache_expired->Value(), 1u);
+  EXPECT_EQ(obs::M().sig_cache_misses->Value(), 2u);
+  EXPECT_EQ(obs::M().sig_cache_hits->Value(), 1u);  // only the held repeat
+  EXPECT_EQ(cache.AliasCount(), 1u);
+}
+
+TEST_F(SigCacheTest, PeriodicSweepPrunesDeadAliases) {
+  auto& cache = CompiledRulesetCache::Instance();
+  constexpr std::size_t kChurned = 8;
+  for (std::size_t i = 0; i < kChurned; ++i) {
+    auto compiled =
+        cache.GetOrCompileText(OneRuleText("churn" + std::to_string(i)),
+                               nullptr);
+    ASSERT_NE(compiled, nullptr);
+  }
+  EXPECT_EQ(cache.AliasCount(), kChurned);  // dead but retained
+  EXPECT_EQ(cache.TotalEntryCount(), kChurned);
+
+  const std::string text = OneRuleText("live");
+  const auto live = cache.GetOrCompileText(text, nullptr);
+  for (std::uint64_t i = 0; i < CompiledRulesetCache::kSweepInterval; ++i) {
+    EXPECT_EQ(cache.GetOrCompileText(text, nullptr).get(), live.get());
+  }
+  EXPECT_EQ(cache.AliasCount(), 1u);  // only the live text survives
+  EXPECT_EQ(cache.TotalEntryCount(), 1u);
+}
+
+TEST_F(SigCacheTest, ConcurrentTextLookupsShareOneCompile) {
+  // µmbox launches on every shard look texts up at once. One builtin
+  // compile is held throughout, so every lookup of its text must return
+  // it; each thread's own text is compiled and dropped over and over.
+  auto& cache = CompiledRulesetCache::Instance();
+  const std::string builtin(BuiltinRulesText());
+  const auto held = cache.GetOrCompileText(builtin, nullptr);
+  ASSERT_NE(held, nullptr);
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 200;
+  std::vector<int> other_builtin(kThreads, 0);
+  std::vector<int> wrong_own(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string own = OneRuleText("thread" + std::to_string(t));
+      for (int i = 0; i < kLookups; ++i) {
+        std::string error;
+        if (cache.GetOrCompileText(builtin, &error).get() != held.get()) {
+          ++other_builtin[t];
+        }
+        const auto mine = cache.GetOrCompileText(own, &error);
+        if (mine == nullptr || mine->RuleCount() != 1 ||
+            mine->rules()[0].contents[0].bytes !=
+                "thread" + std::to_string(t)) {
+          ++wrong_own[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(other_builtin[t], 0) << "thread " << t;
+    EXPECT_EQ(wrong_own[t], 0) << "thread " << t;
+  }
+  EXPECT_LE(cache.AliasCount(), std::size_t{kThreads + 1});
 }
 
 }  // namespace
