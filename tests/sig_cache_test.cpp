@@ -33,9 +33,13 @@ class SigCacheTest : public ::testing::Test {
   }
 };
 
+std::string OneRuleText(std::string_view content) {
+  return "alert tcp any any -> any any (sid:900; content:\"" +
+         std::string(content) + "\"; )\n";
+}
+
 std::vector<Rule> SomeRules(std::string_view content) {
-  auto rules = ParseRules("alert tcp any any -> any any (sid:900; content:\"" +
-                          std::string(content) + "\"; )\n");
+  auto rules = ParseRules(OneRuleText(content));
   EXPECT_EQ(rules.size(), 1u);
   return rules;
 }
@@ -197,11 +201,6 @@ TEST_F(SigCacheTest, PeriodicSweepPrunesBucketsNeverReprobed) {
   }
   EXPECT_EQ(cache.TotalEntryCount(), 1u);  // only the live entry survives
   EXPECT_EQ(cache.LiveEntryCount(), 1u);
-}
-
-std::string OneRuleText(std::string_view content) {
-  return "alert tcp any any -> any any (sid:900; content:\"" +
-         std::string(content) + "\"; )\n";
 }
 
 TEST_F(SigCacheTest, CanonicallyEqualTextsShareOneCompile) {
