@@ -29,7 +29,20 @@
 // recorded in the JSON.
 //
 // IOTSEC_BENCH_SCALE_SMALL trims the sweep to {1k, 10k} devices for CI.
+//
+// A second cell builds fleets on the real core::Deployment: N cameras
+// under the Monitor posture (one µmbox and two diversion entries each,
+// on one edge switch), kGateRuns builds per size, timing Start() per
+// device. Its gate is HARD, never relaxed by IOTSEC_BENCH_LAX_PERF:
+//
+//   * Fleet-build linearity: the median per-device Start() time at the
+//     largest size must stay within 2x the median at 1k devices. A
+//     per-device cost that grows with the fleet (an edge-table mutation
+//     that shifts every entry, say) breaks it long before 32k.
+//
+// Sizes: {1k, 8k, 32k} devices, {1k, 8k} under IOTSEC_BENCH_SCALE_SMALL.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,6 +50,8 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "core/deployment.h"
+#include "core/postures.h"
 #include "core/sharded_fleet.h"
 #include "net/packet.h"
 
@@ -69,6 +84,49 @@ std::string Hex(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "0x%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+struct BuildRow {
+  int devices = 0;
+  int run = 0;
+  double start_seconds = 0.0;
+  double start_us_per_device = 0.0;
+  std::uint64_t umbox_launches = 0;
+  std::size_t flow_entries = 0;
+  bool guarded = false;  // every camera launched under Monitor
+};
+
+/// Builds `devices` Monitor-posture cameras on a real Deployment and
+/// times its Start().
+BuildRow BuildMonitorFleet(int devices, int run) {
+  core::DeploymentOptions opts;
+  opts.cluster_hosts = 1;
+  opts.host_capacity = devices;
+  core::Deployment dep(opts);
+  for (int i = 0; i < devices; ++i) {
+    dep.AddCamera("cam-" + std::to_string(i));
+  }
+  policy::FsmPolicy policy;
+  policy.SetDefault(core::MonitorPosture());
+  dep.UsePolicy(dep.BuildStateSpace(), std::move(policy));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  dep.Start();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  BuildRow row;
+  row.devices = devices;
+  row.run = run;
+  row.start_seconds = seconds;
+  row.start_us_per_device = seconds * 1e6 / devices;
+  const auto& stats = dep.controller().stats();
+  row.umbox_launches = stats.umbox_launches;
+  row.flow_entries = dep.edge().flow_table().Size();
+  row.guarded = stats.umbox_launches == static_cast<std::uint64_t>(devices) &&
+                stats.enforcement_failures == 0 &&
+                row.flow_entries >= 2 * static_cast<std::size_t>(devices);
+  return row;
 }
 
 }  // namespace
@@ -142,6 +200,40 @@ int main() {
     }
   }
 
+  // Fleet build on the real Deployment, kGateRuns builds per size.
+  const std::vector<int> build_sizes =
+      small ? std::vector<int>{1000, 8000}
+            : std::vector<int>{1000, 8000, 32000};
+  std::vector<BuildRow> builds;
+  bool all_guarded = true;
+  std::printf("== fleet build: Monitor cameras on core::Deployment ==\n");
+  for (const int devices : build_sizes) {
+    for (int run = 0; run < kGateRuns; ++run) {
+      builds.push_back(BuildMonitorFleet(devices, run));
+      const BuildRow& b = builds.back();
+      if (!b.guarded) all_guarded = false;
+      std::printf("  devices=%6d run=%d  start=%8.2f ms  per-device=%7.2f us  "
+                  "launches=%llu  flow entries=%zu%s\n",
+                  devices, run, b.start_seconds * 1e3, b.start_us_per_device,
+                  static_cast<unsigned long long>(b.umbox_launches),
+                  b.flow_entries, b.guarded ? "" : "  !! NOT GUARDED");
+    }
+  }
+  const auto median_build_us = [&](int devices) {
+    std::vector<double> us;
+    for (const BuildRow& b : builds) {
+      if (b.devices == devices) us.push_back(b.start_us_per_device);
+    }
+    return Median(std::move(us));
+  };
+  constexpr double kMaxBuildGrowth = 2.0;
+  const int build_largest = build_sizes.back();
+  const double build_us_1k = median_build_us(build_sizes.front());
+  const double build_us_largest = median_build_us(build_largest);
+  const double build_growth =
+      build_us_1k > 0 ? build_us_largest / build_us_1k : 0.0;
+  const bool build_linear = build_growth <= kMaxBuildGrowth;
+
   // Throughput gates on the largest cell, median pps over its runs:
   // 4 shards vs 1, and the largest shard count vs 1.
   const int max_shards = shard_counts.back();
@@ -167,7 +259,8 @@ int main() {
   const double required = strict_perf ? 2.5 : kCollapseFloor;
   const bool oversub_pass = speedup_max >= kCollapseFloor;
   const bool perf_pass = speedup >= required && oversub_pass;
-  const bool pass = deterministic && no_late_posts && perf_pass;
+  const bool pass = deterministic && no_late_posts && perf_pass &&
+                    all_guarded && build_linear;
 
   if (FILE* json = std::fopen("BENCH_scale.json", "w")) {
     bench::JsonWriter w(json);
@@ -192,6 +285,20 @@ int main() {
       w.EndObject();
     }
     w.EndArray();
+    w.Key("fleet_build");
+    w.BeginArray();
+    for (const BuildRow& b : builds) {
+      w.BeginObject();
+      w.Field("devices", b.devices);
+      w.Field("run", b.run);
+      w.Field("start_seconds", b.start_seconds, 4);
+      w.Field("start_us_per_device", b.start_us_per_device, 3);
+      w.Field("umbox_launches", b.umbox_launches);
+      w.Field("flow_entries", static_cast<std::uint64_t>(b.flow_entries));
+      w.Field("guarded", b.guarded);
+      w.EndObject();
+    }
+    w.EndArray();
     w.Key("acceptance");
     w.BeginObject();
     w.Field("gate_devices", gate_devices);
@@ -211,6 +318,13 @@ int main() {
     w.Field("deterministic", deterministic);
     w.Field("no_late_posts", no_late_posts);
     w.Field("perf_pass", perf_pass);
+    w.Field("build_median_us_per_device_1k", build_us_1k, 3);
+    w.Field("build_largest_devices", build_largest);
+    w.Field("build_median_us_per_device_largest", build_us_largest, 3);
+    w.Field("build_growth", build_growth, 2);
+    w.Field("build_max_growth", kMaxBuildGrowth, 1);
+    w.Field("build_all_guarded", all_guarded);
+    w.Field("build_linear", build_linear);
     w.Field("pass", pass);
     w.EndObject();
     w.EndObject();
@@ -226,5 +340,9 @@ int main() {
               strict_perf ? "" : ", lax", max_shards, speedup_max,
               kCollapseFloor, deterministic ? "yes" : "NO",
               no_late_posts ? "none" : "SOME");
+  std::printf("fleet build per-device Start(): %.2f us @1k, %.2f us @%dk "
+              "(%.2fx, need <= %.1fx)  guarded: %s\n",
+              build_us_1k, build_us_largest, build_largest / 1000,
+              build_growth, kMaxBuildGrowth, all_guarded ? "yes" : "NO");
   return pass ? 0 : 1;
 }

@@ -127,32 +127,73 @@ constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
 
 std::size_t FlowTable::Install(FlowEntry entry) {
   ++generation_;
-  // Behind every entry of equal or higher priority: ties keep install
-  // order, so Entries() stays sorted by (-priority, install order).
-  const auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), entry.priority,
-      [](int priority, const FlowEntry& e) { return priority > e.priority; });
-  entries_.insert(it, std::move(entry));
+  ++cookie_counts_[entry.cookie];
+  pending_.push_back(std::move(entry));
   return next_seq_++;
 }
 
+void FlowTable::Settle() const {
+  if (pending_.empty()) return;
+  const auto by_rank = [](const FlowEntry& a, const FlowEntry& b) {
+    return a.priority > b.priority;
+  };
+  // Install order already ranks equal priorities; a lone install or an
+  // ordered burst skips the sort (and its temporary buffer).
+  if (!std::is_sorted(pending_.begin(), pending_.end(), by_rank)) {
+    std::stable_sort(pending_.begin(), pending_.end(), by_rank);
+  }
+  // Fill from the back: each step moves the later-ranked of the two
+  // runs' last entries into the last free slot. On a priority tie the
+  // pending entry goes behind, since it was installed later. Settled
+  // entries ahead of every pending one never move, so a single install
+  // moves exactly the entries a vector insert would shift.
+  std::size_t settled = entries_.size();
+  std::size_t pending = pending_.size();
+  entries_.resize(settled + pending);
+  for (std::size_t free = entries_.size(); pending > 0;) {
+    if (settled > 0 &&
+        entries_[settled - 1].priority < pending_[pending - 1].priority) {
+      entries_[--free] = std::move(entries_[--settled]);
+    } else {
+      entries_[--free] = std::move(pending_[--pending]);
+    }
+  }
+  pending_.clear();
+}
+
 std::size_t FlowTable::RemoveByCookie(std::uint64_t cookie) {
+  const auto count = cookie_counts_.find(cookie);
+  if (count == cookie_counts_.end()) return 0;
+  Settle();
   const std::size_t removed = std::erase_if(
       entries_, [cookie](const FlowEntry& e) { return e.cookie == cookie; });
-  if (removed > 0) ++generation_;
+  cookie_counts_.erase(count);
+  ++generation_;
   return removed;
 }
 
 std::size_t FlowTable::RemoveOlderThan(std::uint64_t min_version) {
+  Settle();
   const std::size_t removed =
-      std::erase_if(entries_, [min_version](const FlowEntry& e) {
-        return e.version < min_version;
+      std::erase_if(entries_, [&](const FlowEntry& e) {
+        if (e.version >= min_version) return false;
+        const auto count = cookie_counts_.find(e.cookie);
+        if (--count->second == 0) cookie_counts_.erase(count);
+        return true;
       });
   if (removed > 0) ++generation_;
   return removed;
 }
 
+void FlowTable::Clear() {
+  if (Size() > 0) ++generation_;
+  entries_.clear();
+  pending_.clear();
+  cookie_counts_.clear();
+}
+
 void FlowTable::RebuildIndex() const {
+  Settle();
   subtables_.clear();
   // Pass 1: group entries by mask. entries_ is in rank order, so each
   // subtable is created at its best entry and subtables_ comes out

@@ -10,12 +10,19 @@
 // are set, plus the ip_src/ip_dst prefix lengths — into subtables, each
 // an open-addressing hash from masked key to the best entry holding that
 // key. A lookup costs one probe per distinct mask, not one match per rule.
+//
+// Mutations are cheap in bulk: installs append to a pending run that the
+// first read after them merges into the rank-ordered entries in one pass,
+// so a burst of k installs into n entries costs O(n + k log k) rather
+// than a vector shift per install, and a per-cookie count answers the
+// removal of an absent cookie without scanning the table.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -92,28 +99,30 @@ class MicroflowCache;
 /// Single-owner contract: a table is used by one thread at a time (the
 /// shard that owns its switch). Lookup is const but writes `mutable`
 /// state — the matched entry's packets/bytes counters and, on the first
-/// lookup after a mutation, the classifier index it rebuilds lazily — so
-/// concurrent lookups on one table are a data race, as are lookups
-/// concurrent with mutation.
+/// lookup after a mutation, the pending installs it merges and the
+/// classifier index it rebuilds lazily — so concurrent lookups on one
+/// table are a data race, as are lookups concurrent with mutation.
+/// Entries() merges pending installs too.
 class FlowTable {
  public:
   /// Installs an entry behind every entry of equal or higher priority.
   /// Returns the entry's install sequence number (monotonic per table,
-  /// never reused); it is not a position in Entries(). O(log n) search
-  /// plus the vector insert; the classifier index is rebuilt lazily.
+  /// never reused); it is not a position in Entries(). Amortized O(1):
+  /// the entry joins the pending run, which the next read (Entries() or
+  /// the lazy classifier rebuild) merges into rank order, moving each
+  /// settled entry at most once per burst.
   std::size_t Install(FlowEntry entry);
 
   /// Removes all entries with the given cookie. Returns count removed.
+  /// O(1) when no entry carries the cookie (generation() unchanged);
+  /// otherwise merges the pending run and erases in one pass.
   std::size_t RemoveByCookie(std::uint64_t cookie);
 
   /// Removes every entry whose version is older than `min_version`
   /// (two-phase consistent update: install new version, then sweep).
   std::size_t RemoveOlderThan(std::uint64_t min_version);
 
-  void Clear() {
-    if (!entries_.empty()) ++generation_;
-    entries_.clear();
-  }
+  void Clear();
 
   /// Highest-priority matching entry (ties: earliest installed) — the
   /// first entry of Entries() whose match accepts the frame. Updates the
@@ -136,9 +145,13 @@ class FlowTable {
   /// the classifier index is rebuilt when it lags behind.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
-  [[nodiscard]] std::size_t Size() const { return entries_.size(); }
+  /// Installed entries, pending ones included.
+  [[nodiscard]] std::size_t Size() const {
+    return entries_.size() + pending_.size();
+  }
   /// Entries in rank order: (-priority, install order).
   [[nodiscard]] const std::vector<FlowEntry>& Entries() const {
+    Settle();
     return entries_;
   }
 
@@ -160,8 +173,16 @@ class FlowTable {
 
   const FlowEntry* Classify(const FlowKey& key, std::size_t frame_bytes) const;
   void RebuildIndex() const;
+  /// Merges pending_ into entries_ (no-op when nothing is pending).
+  void Settle() const;
 
-  std::vector<FlowEntry> entries_;  // kept in rank order
+  // Settled entries in rank order, then installs since the last read in
+  // install order (each installed after every settled entry). Reads
+  // settle first, so only mutations ever see pending_ non-empty.
+  mutable std::vector<FlowEntry> entries_;
+  mutable std::vector<FlowEntry> pending_;
+  // Entries (settled or pending) per cookie; absent cookies have no key.
+  std::unordered_map<std::uint64_t, std::size_t> cookie_counts_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t generation_ = 0;
 

@@ -34,18 +34,27 @@ std::string FoldedPatternKey(const Rule& rule) {
 
 }  // namespace
 
+void RuleSet::Unadopt() {
+  if (!adopted_) return;
+  rules_ = compiled_->rules();
+  adopted_ = false;
+}
+
 void RuleSet::Reset(std::vector<Rule> rules) {
   rules_ = std::move(rules);
   compiled_.reset();
   dirty_ = true;
+  adopted_ = false;
 }
 
 void RuleSet::Add(Rule rule) {
+  Unadopt();
   rules_.push_back(std::move(rule));
   dirty_ = true;
 }
 
 void RuleSet::Add(std::vector<Rule> rules) {
+  Unadopt();
   rules_.insert(rules_.end(), std::make_move_iterator(rules.begin()),
                 std::make_move_iterator(rules.end()));
   dirty_ = true;
@@ -65,9 +74,10 @@ void RuleSet::AdoptCompiled(
     Reset({});
     return;
   }
-  rules_ = compiled->rules();
+  rules_ = {};
   compiled_ = std::move(compiled);
   dirty_ = false;
+  adopted_ = true;
 }
 
 RuleVerdict RuleSet::Evaluate(const proto::ParsedFrame& frame) {

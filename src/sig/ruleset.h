@@ -51,17 +51,20 @@ class RuleSet {
   /// point.
   void EnsureCompiled();
 
-  /// Epoch swap: adopts an already-built shared compile (rules included)
-  /// with no parse and no compile — the rollout pipeline's instant
-  /// apply/rollback path. nullptr resets to the empty ruleset.
+  /// Epoch swap: adopts an already-built shared compile with no parse,
+  /// no compile and no copy — rules() reads the compile's own rule list
+  /// until the next edit, which starts from it. The rollout pipeline's
+  /// instant apply/rollback path. nullptr resets to the empty ruleset.
   void AdoptCompiled(std::shared_ptr<const CompiledRuleset> compiled);
 
   /// Evaluates every rule against a parsed frame. Allocation-free beyond
   /// the verdict's matched-sid list (empty in the common no-match case).
   [[nodiscard]] RuleVerdict Evaluate(const proto::ParsedFrame& frame);
 
-  [[nodiscard]] std::size_t RuleCount() const { return rules_.size(); }
-  [[nodiscard]] const std::vector<Rule>& rules() const { return rules_; }
+  [[nodiscard]] std::size_t RuleCount() const { return rules().size(); }
+  [[nodiscard]] const std::vector<Rule>& rules() const {
+    return adopted_ ? compiled_->rules() : rules_;
+  }
 
   /// Static hygiene checks over a rule list, cheap enough to run on
   /// every load: R001 empty content pattern (matches everything at
@@ -73,7 +76,7 @@ class RuleSet {
   [[nodiscard]] static std::vector<RuleLintIssue> Lint(
       const std::vector<Rule>& rules);
   [[nodiscard]] std::vector<RuleLintIssue> Lint() const {
-    return Lint(rules_);
+    return Lint(rules());
   }
 
   /// True when any rule's action is block. The model checker's
@@ -90,10 +93,14 @@ class RuleSet {
   [[nodiscard]] bool CompilePending() const { return dirty_; }
 
  private:
-  std::vector<Rule> rules_;
+  /// Copies an adopted compile's rules into rules_ before an edit.
+  void Unadopt();
+
+  std::vector<Rule> rules_;  // empty while adopted_
   std::shared_ptr<const CompiledRuleset> compiled_;
   EvalScratch scratch_;
   bool dirty_ = false;
+  bool adopted_ = false;  // the rules are compiled_->rules()
 };
 
 }  // namespace iotsec::sig

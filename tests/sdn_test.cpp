@@ -121,6 +121,124 @@ TEST(FlowTableTest, CountersAccumulate) {
   EXPECT_EQ(table.Entries()[0].bytes, 2 * wire.size());
 }
 
+// Installs a match-everything entry whose cookie is its install index.
+std::size_t InstallAny(FlowTable& table, int priority, std::uint64_t cookie,
+                       std::uint64_t version = 0) {
+  FlowEntry e;
+  e.priority = priority;
+  e.cookie = cookie;
+  e.version = version;
+  return table.Install(e);
+}
+
+void ExpectRankOrder(const FlowTable& table) {
+  const auto& entries = table.Entries();
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    const FlowEntry& a = entries[i - 1];
+    const FlowEntry& b = entries[i];
+    ASSERT_TRUE(a.priority > b.priority ||
+                (a.priority == b.priority && a.cookie < b.cookie))
+        << "rank " << i << ": (" << a.priority << ", " << a.cookie
+        << ") before (" << b.priority << ", " << b.cookie << ")";
+  }
+}
+
+TEST(FlowTableTest, InstallBurstSettlesInRankOrder) {
+  const Bytes wire = UdpWire(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2),
+                             9, "x");
+  FlowTable table;
+  std::uint64_t next = 0;
+  // A settled table, then a burst with no read in between. Priorities
+  // repeat, so ties fall both inside the burst and against settled
+  // entries; the burst is long enough that an unstable sort reorders it.
+  for (const int priority : {7, 3, 3, 1}) {
+    EXPECT_EQ(InstallAny(table, priority, next), next);
+    ++next;
+  }
+  ASSERT_EQ(table.Entries().size(), 4u);
+  for (int i = 0; i < 96; ++i) {
+    EXPECT_EQ(InstallAny(table, (i * 5) % 9, next), next);
+    ++next;
+  }
+  EXPECT_EQ(table.Size(), 100u);
+  // The lookup settles the burst: of the priority-8 matches, the
+  // earliest-installed wins (cookie 4 + the first i with i*5 % 9 == 8).
+  EXPECT_EQ(table.Lookup(Parse(wire), 0)->cookie, 4u + 7u);
+  ExpectRankOrder(table);
+  ASSERT_EQ(table.Entries().size(), 100u);
+
+  // A second burst lands behind every settled entry of its priority.
+  for (int i = 0; i < 20; ++i) InstallAny(table, 8 - (i % 3) * 4, next++);
+  EXPECT_EQ(table.Lookup(Parse(wire), 0)->cookie, 4u + 7u);
+  ExpectRankOrder(table);
+  EXPECT_EQ(table.Size(), 120u);
+}
+
+TEST(FlowTableTest, RemoveByCookieTakesPendingEntries) {
+  FlowTable table;
+  InstallAny(table, 5, 9);
+  InstallAny(table, 2, 1);
+  ASSERT_EQ(table.Entries().size(), 2u);
+  InstallAny(table, 4, 9);  // pending from here on
+  InstallAny(table, 6, 2);
+  InstallAny(table, 1, 9);
+  const std::uint64_t before = table.generation();
+  EXPECT_EQ(table.RemoveByCookie(9), 3u);
+  EXPECT_GT(table.generation(), before);
+  EXPECT_EQ(table.Size(), 2u);
+  ASSERT_EQ(table.Entries().size(), 2u);
+  EXPECT_EQ(table.Entries()[0].cookie, 2u);
+  EXPECT_EQ(table.Entries()[1].cookie, 1u);
+  EXPECT_EQ(table.RemoveByCookie(9), 0u);
+}
+
+TEST(FlowTableTest, RemovingAnAbsentCookieLeavesGenerationAlone) {
+  FlowTable table;
+  InstallAny(table, 5, 1, /*version=*/1);
+  InstallAny(table, 5, 2, /*version=*/2);
+  InstallAny(table, 3, 3, /*version=*/2);  // all three still pending
+  std::uint64_t generation = table.generation();
+  EXPECT_EQ(table.RemoveByCookie(42), 0u);
+  EXPECT_EQ(table.generation(), generation);
+  EXPECT_EQ(table.Size(), 3u);
+
+  // Cookies emptied by either removal path count as absent afterwards.
+  EXPECT_EQ(table.RemoveByCookie(2), 1u);
+  EXPECT_EQ(table.RemoveOlderThan(2), 1u);  // cookie 1's only entry
+  generation = table.generation();
+  EXPECT_EQ(table.RemoveByCookie(2), 0u);
+  EXPECT_EQ(table.RemoveByCookie(1), 0u);
+  EXPECT_EQ(table.generation(), generation);
+  EXPECT_EQ(table.RemoveByCookie(3), 1u);
+  EXPECT_EQ(table.Size(), 0u);
+}
+
+TEST(FlowTableTest, SizeCountsPendingEntriesAndClearDropsThem) {
+  const Bytes wire = UdpWire(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2),
+                             9, "x");
+  FlowTable table;
+  InstallAny(table, 1, 1);
+  ASSERT_NE(table.Lookup(Parse(wire), 0), nullptr);
+  InstallAny(table, 2, 2);
+  InstallAny(table, 3, 3);
+  EXPECT_EQ(table.Size(), 3u);
+
+  const std::uint64_t before = table.generation();
+  table.Clear();
+  EXPECT_GT(table.generation(), before);
+  EXPECT_EQ(table.Size(), 0u);
+  EXPECT_TRUE(table.Entries().empty());
+  EXPECT_EQ(table.Lookup(Parse(wire), 0), nullptr);
+  const std::uint64_t cleared = table.generation();
+  EXPECT_EQ(table.RemoveByCookie(3), 0u);
+  EXPECT_EQ(table.generation(), cleared);
+
+  // Sequence numbers keep counting across Clear.
+  EXPECT_EQ(InstallAny(table, 4, 4), 3u);
+  EXPECT_EQ(table.Size(), 1u);
+  EXPECT_EQ(table.Lookup(Parse(wire), 0)->cookie, 4u);
+}
+
 // ------------------------------------------------------------- Switch
 
 class Collector final : public net::PacketSink {

@@ -143,6 +143,40 @@ TEST_F(SigCacheTest, DeferredAndBatchedAddCompileOnce) {
   EXPECT_EQ(obs::M().sig_cache_hits->Value(), 1u);
 }
 
+TEST_F(SigCacheTest, AdoptedRuleSetReadsTheCompileUntilItsNextEdit) {
+  std::string error;
+  const auto shared = CompiledRulesetCache::Instance().GetOrCompileText(
+      "alert tcp any any -> any any (sid:1; content:\"one\"; )\n"
+      "alert tcp any any -> any any (sid:2; content:\"two\"; )\n",
+      &error);
+  ASSERT_NE(shared, nullptr) << error;
+
+  RuleSet rs;
+  rs.AdoptCompiled(shared);
+  // No copy: the rule list read back is the compile's own.
+  EXPECT_EQ(&rs.rules(), &shared->rules());
+  EXPECT_EQ(rs.RuleCount(), 2u);
+  EXPECT_TRUE(rs.Lint().empty());
+  EXPECT_FALSE(rs.CompilePending());
+
+  // An edit starts from the adopted rules and leaves the compile as is.
+  rs.Add(SomeRules("three"));
+  EXPECT_NE(&rs.rules(), &shared->rules());
+  ASSERT_EQ(rs.RuleCount(), 3u);
+  EXPECT_EQ(rs.rules()[0].sid, 1u);
+  EXPECT_EQ(rs.rules()[2].sid, 900u);
+  EXPECT_EQ(shared->rules().size(), 2u);
+  const Bytes wire = TcpPayloadFrame("one two three");
+  EXPECT_EQ(rs.Evaluate(MustParse(wire)).matched_sids.size(), 3u);
+
+  rs.AdoptCompiled(shared);
+  rs.Reset(SomeRules("four"));
+  ASSERT_EQ(rs.RuleCount(), 1u);
+  EXPECT_EQ(rs.rules()[0].sid, 900u);
+  rs.AdoptCompiled(nullptr);
+  EXPECT_EQ(rs.RuleCount(), 0u);
+}
+
 TEST_F(SigCacheTest, ScratchRebindsWhenAllocatorReusesCompileAddress) {
   // Regression: EvalScratch used to bind to the compile's raw address.
   // RuleSet::Reset frees the old compile before EnsureCompiled allocates
