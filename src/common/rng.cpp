@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cmath>
-#include <numbers>
 
 #include "common/hash.h"
 
@@ -58,17 +57,6 @@ double Rng::NextExponential(double mean) {
     u = NextDouble();
   } while (u <= 0.0);
   return -mean * std::log(u);
-}
-
-double Rng::NextGaussian(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  const double u2 = NextDouble();
-  const double mag =
-      std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
-  return mean + stddev * mag;
 }
 
 std::size_t Rng::NextWeighted(const std::vector<double>& weights) {

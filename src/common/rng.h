@@ -36,9 +36,6 @@ class Rng {
   /// Exponentially distributed value with the given mean.
   double NextExponential(double mean);
 
-  /// Normally distributed value (Box–Muller).
-  double NextGaussian(double mean, double stddev);
-
   /// Picks an index in [0, weights.size()) proportionally to weights.
   std::size_t NextWeighted(const std::vector<double>& weights);
 

@@ -19,8 +19,8 @@ IoTSecController::IoTSecController(sim::Simulator& simulator,
                                    AdmissionConfig admission)
     : sim_(simulator),
       config_(config),
-      health_(HealthConfig{config.heartbeat_period,
-                           config.heartbeat_miss_threshold}),
+      health_(config.heartbeat_period *
+              static_cast<SimDuration>(config.heartbeat_miss_threshold)),
       recovery_rng_(config.recovery_seed),
       control_fault_rng_(config.recovery_seed ^ 0xC7A11u),
       admission_(admission),
@@ -218,8 +218,8 @@ void IoTSecController::ApplyRolloutCompile(
   auto it = devices_.find(device);
   if (it == devices_.end()) return;
   ManagedDevice& md = it->second;
-  if (md.rejected_posture) {
-    // The crowd rules are part of the rejected config: retry the posture.
+  if (md.settlement) {
+    // A new crowd ruleset version: retry what the device fell short of.
     pending_.insert(device);
     ScheduleReevaluate();
   }
@@ -259,8 +259,8 @@ void IoTSecController::ApplyRolloutCompile(
     // ruleset changes (a posture that declares `crowd` itself lands here).
     IOTSEC_LOG_ERROR("rollout repatch failed for %s: %s",
                      md.device->spec().name.c_str(), error.c_str());
-    md.rejected_posture = md.posture;
-    md.rejected_crowd_version = rollout_.VersionOf(device);
+    md.settlement = Settlement{md.posture, rollout_.VersionOf(device),
+                               SettleReason::kConfigRefused};
     audit_.Record(sim_.Now(), AuditCategory::kCrowd, md.device->spec().name,
                   "rollout ruleset refused: " + error);
   }
@@ -459,23 +459,26 @@ void IoTSecController::ReevaluateDevices(const std::vector<DeviceId>& scope) {
       pending_.insert(readers->begin(), readers->end());
     }
   });
-  std::vector<DeviceId> visit;
-  for (const DeviceId id : pending_) {
-    if (std::binary_search(scope.begin(), scope.end(), id)) {
-      visit.push_back(id);
-    }
-  }
   const policy::SystemState& state = view_.State();
-  for (const DeviceId id : visit) {
-    pending_.erase(id);
+  // Re-read after every device: one a freed slot re-queues mid-sweep is
+  // still visited when its id lies ahead, as in a sweep of every device.
+  DeviceId id = 0;
+  for (auto next = pending_.begin(); next != pending_.end();
+       next = pending_.upper_bound(id)) {
+    id = *next;
+    if (!std::binary_search(scope.begin(), scope.end(), id)) continue;
+    pending_.erase(next);
     const auto it = devices_.find(id);
     if (it == devices_.end()) continue;
     ManagedDevice& md = it->second;
     ++stats_.devices_evaluated;
     const policy::Posture& posture = policy_.Evaluate(space_, state, id);
-    if (posture == md.posture) continue;
-    if (md.rejected_posture && *md.rejected_posture == posture &&
-        md.rejected_crowd_version == rollout_.VersionOf(id)) {
+    if (md.settlement && md.settlement->wanted == posture &&
+        md.settlement->crowd_version == rollout_.VersionOf(id)) {
+      continue;  // a retry would fail the same way
+    }
+    if (posture == md.posture) {
+      md.settlement.reset();
       continue;
     }
     ++stats_.posture_changes;
@@ -489,19 +492,24 @@ void IoTSecController::ReevaluateDevices(const std::vector<DeviceId>& scope) {
                   md.device->spec().name,
                   md.posture.profile + " -> " + posture.profile);
     ApplyPosture(md, posture);
-    // Unsettled (shed launch, no cluster or host): a full sweep would
-    // retry it every time, so it stays pending. A rejected config is
-    // settled: only a new posture or crowd ruleset retries it.
-    if (!(md.posture == posture) && !md.rejected_posture) {
-      pending_.insert(id);
-    }
   }
+}
+
+void IoTSecController::RetrySettled(SettleReason reason) {
+  bool any = false;
+  for (auto& [id, md] : devices_) {
+    if (!md.settlement || md.settlement->reason != reason) continue;
+    md.settlement.reset();
+    pending_.insert(id);
+    any = true;
+  }
+  if (any) ScheduleReevaluate();
 }
 
 void IoTSecController::ApplyPosture(ManagedDevice& md,
                                     const policy::Posture& posture) {
-  md.launch_shed = false;
-  md.rejected_posture.reset();
+  const DeviceId device = md.device->id();
+  md.settlement.reset();
   const bool needs_umbox = posture.tunnel && !posture.umbox_config.empty();
   if (!needs_umbox) {
     RemoveDiversion(md);
@@ -513,7 +521,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   if (cluster_ == nullptr) {
     IOTSEC_LOG_WARN("posture for %s needs a umbox but no cluster is set",
                     md.device->spec().name.c_str());
-    InstallIsolation(md);
+    InstallIsolation(md, posture, SettleReason::kNoCluster);
     return;
   }
 
@@ -527,8 +535,8 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
       if (!box->Reconfigure(config, &error)) {
         IOTSEC_LOG_ERROR("reconfig failed for %s: %s",
                          md.device->spec().name.c_str(), error.c_str());
-        md.rejected_posture = posture;
-        md.rejected_crowd_version = rollout_.VersionOf(md.device->id());
+        md.settlement = Settlement{posture, rollout_.VersionOf(device),
+                                   SettleReason::kConfigRefused};
         return;
       }
       md.crowd_spliced = SplicesCrowd(md);
@@ -545,17 +553,14 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   }
 
   // Overload shedding: at kShed or worse a fresh launch would only deepen
-  // the boot-queue backlog. Refuse it, quarantine the device (fail closed
-  // — never fail open under pressure; no enforcement-failure accounting,
-  // this is intentional degradation) and leave md.posture stale so the
-  // re-evaluation SampleAdmission() schedules retries the launch.
-  if (!admission_.AllowLaunch(md.device->id(), sim_.Now())) {
-    md.launch_shed = true;
+  // the boot-queue backlog. Refuse it and isolate the device (fail closed
+  // — never fail open under pressure) until the level drops.
+  if (!admission_.AllowLaunch(device, sim_.Now())) {
     audit_.Record(sim_.Now(), AuditCategory::kUmbox, md.device->spec().name,
                   "launch shed by admission control (" +
                       std::string(BrownoutLevelName(admission_.level())) +
                       "); quarantined until pressure drops");
-    InstallQuarantine(md);
+    InstallIsolation(md, posture, SettleReason::kShed);
     return;
   }
 
@@ -563,18 +568,16 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
   if (host == nullptr) {
     IOTSEC_LOG_ERROR("cluster at capacity; cannot enforce posture for %s",
                      md.device->spec().name.c_str());
-    InstallIsolation(md);
+    InstallIsolation(md, posture, SettleReason::kNoHost);
     return;
   }
   dataplane::UmboxSpec spec;
   spec.id = next_umbox_id_++;
-  spec.device = md.device->id();
+  spec.device = device;
   spec.config_text = EffectiveConfig(md, posture.umbox_config);
   spec.boot = config_.umbox_boot;
   spec.boot_queue_limit = config_.boot_queue_limit;
-  dataplane::ElementContext ctx;
-  ctx.sim = &sim_;
-  ctx.context = &view_;
+  const dataplane::ElementContext ctx{&sim_, &view_};
   std::string error;
   dataplane::Umbox* box = host->Launch(spec, ctx, &error);
   if (box == nullptr) {
@@ -582,9 +585,7 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
     // config itself was refused.
     IOTSEC_LOG_ERROR("umbox launch failed for %s: %s",
                      md.device->spec().name.c_str(), error.c_str());
-    md.rejected_posture = posture;
-    md.rejected_crowd_version = rollout_.VersionOf(md.device->id());
-    InstallIsolation(md);
+    InstallIsolation(md, posture, SettleReason::kConfigRefused);
     return;
   }
   md.crowd_spliced = SplicesCrowd(md);
@@ -602,7 +603,6 @@ void IoTSecController::ApplyPosture(ManagedDevice& md,
 }
 
 void IoTSecController::InstallDiversion(ManagedDevice& md, UmboxId umbox) {
-  RemoveDiversion(md);
   const ManagedSwitch* ms = FindSwitch(md.sw->id());
   if (ms == nullptr) return;
   // Tunnel out the port of the host actually serving this µmbox — after
@@ -615,29 +615,34 @@ void IoTSecController::InstallDiversion(ManagedDevice& md, UmboxId umbox) {
       if (it != ms->host_ports.end()) tunnel_port = it->second;
     }
   }
-  ++flow_version_;
-  const auto ip = md.device->spec().ip;
-  for (const auto& match :
-       {sdn::FlowMatch::FromIp(ip), sdn::FlowMatch::ToIp(ip)}) {
-    sdn::FlowEntry entry;
-    entry.priority = 100;
-    entry.match = match;
-    entry.actions = {sdn::FlowAction::Tunnel(umbox, tunnel_port)};
-    entry.cookie = 0x1000000ull + md.device->id();
-    entry.version = flow_version_;
-    EmitInstall(md.sw, entry, /*urgent=*/false);
-  }
+  InstallPostureEntries(md, sdn::FlowAction::Tunnel(umbox, tunnel_port),
+                        /*urgent=*/false);
 }
 
-void IoTSecController::InstallIsolation(ManagedDevice& md) {
-  ++stats_.enforcement_failures;
-  audit_.Record(sim_.Now(), AuditCategory::kFailure,
-                md.device->spec().name,
-                "enforcement failed; fail-closed isolation installed");
+void IoTSecController::InstallIsolation(ManagedDevice& md,
+                                        const policy::Posture& wanted,
+                                        SettleReason reason) {
+  if (reason != SettleReason::kShed) {
+    ++stats_.enforcement_failures;
+    audit_.Record(sim_.Now(), AuditCategory::kFailure,
+                  md.device->spec().name,
+                  "enforcement failed; fail-closed isolation installed");
+  }
   InstallQuarantine(md);
+  md.posture = policy::Posture{"isolated", "", false};  // drops, no µmbox
+  md.settlement =
+      Settlement{wanted, rollout_.VersionOf(md.device->id()), reason};
 }
 
 void IoTSecController::InstallQuarantine(ManagedDevice& md) {
+  // Quarantine drops are the fail-closed invariant: they must not wait
+  // out a batching quantum.
+  InstallPostureEntries(md, sdn::FlowAction::Drop(), /*urgent=*/true);
+}
+
+void IoTSecController::InstallPostureEntries(ManagedDevice& md,
+                                             const sdn::FlowAction& action,
+                                             bool urgent) {
   RemoveDiversion(md);
   if (FindSwitch(md.sw->id()) == nullptr) return;
   ++flow_version_;
@@ -647,12 +652,10 @@ void IoTSecController::InstallQuarantine(ManagedDevice& md) {
     sdn::FlowEntry entry;
     entry.priority = 100;
     entry.match = match;
-    entry.actions = {sdn::FlowAction::Drop()};
+    entry.actions = {action};
     entry.cookie = 0x1000000ull + md.device->id();
     entry.version = flow_version_;
-    // Quarantine drops are the fail-closed invariant: they must not wait
-    // out a batching quantum.
-    EmitInstall(md.sw, entry, /*urgent=*/true);
+    EmitInstall(md.sw, entry, urgent);
   }
 }
 
@@ -885,9 +888,7 @@ void IoTSecController::AttemptRecovery(DeviceId device,
   spec.config_text = config;
   spec.boot = config_.umbox_boot;
   spec.boot_queue_limit = config_.boot_queue_limit;
-  dataplane::ElementContext ctx;
-  ctx.sim = &sim_;
-  ctx.context = &view_;
+  const dataplane::ElementContext ctx{&sim_, &view_};
   std::string error;
   const ServerId server = host->id();
   dataplane::Umbox* box = host->Launch(
@@ -986,7 +987,10 @@ void IoTSecController::AbandonUmbox(ManagedDevice& md) {
   health_.UntrackUmbox(*md.umbox);
   if (cluster_ != nullptr) {
     if (dataplane::UmboxHost* host = cluster_->HostOf(*md.umbox)) {
-      host->Stop(*md.umbox);
+      // A stop on a live host frees a slot: retry no-host isolations.
+      if (host->Stop(*md.umbox) && host->alive()) {
+        RetrySettled(SettleReason::kNoHost);
+      }
     }
   }
   md.umbox.reset();
@@ -998,17 +1002,7 @@ void IoTSecController::SampleAdmission(const AdmissionSignals& signals,
   admission_.Update(signals, now);
   // Only a drop means pressure receded: give shed launches their retry
   // now instead of waiting for the next posture change.
-  if (admission_.level() >= before) return;
-  bool any = false;
-  for (auto& [id, md] : devices_) {
-    if (md.launch_shed) {
-      md.launch_shed = false;
-      any = true;
-    }
-  }
-  // One re-evaluation covers every shed device; the control latency the
-  // schedule pays models the real cost of the retry sweep.
-  if (any) ScheduleReevaluate();
+  if (admission_.level() < before) RetrySettled(SettleReason::kShed);
 }
 
 bool IoTSecController::Recovering(DeviceId device) const {

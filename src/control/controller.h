@@ -42,6 +42,9 @@ namespace iotsec::control {
 
 class FederatedControlPlane;
 
+/// Why a device falls short of its posture (DESIGN.md, "Settled devices").
+enum class SettleReason { kShed, kNoCluster, kNoHost, kConfigRefused };
+
 struct ControllerConfig {
   /// Event arrival -> decision latency (RPC + processing).
   SimDuration control_latency = kMillisecond;
@@ -92,6 +95,7 @@ class IoTSecController final : public sdn::PacketInHandler,
   /// for a µmbox tunnel out the port of the host actually serving it.
   /// Call after ManageSwitch.
   void MapHostPort(sdn::Switch* sw, ServerId host, int port);
+  /// Call before Start(): no-cluster isolations are never retried.
   void SetCluster(dataplane::Cluster* cluster);
   /// Registers a device attached to `sw` at `port`; installs its L2 entry
   /// and starts its context as "unpatched" (has flaws) or "normal".
@@ -150,6 +154,7 @@ class IoTSecController final : public sdn::PacketInHandler,
 
   /// The µmbox currently enforcing a device's posture (if any).
   [[nodiscard]] std::optional<UmboxId> UmboxOf(DeviceId device) const;
+  /// The enforced posture's profile ("isolated" under a fallback).
   [[nodiscard]] std::string PostureProfileOf(DeviceId device) const;
   /// True while the device's guard is down and recovery is in flight.
   [[nodiscard]] bool Recovering(DeviceId device) const;
@@ -166,9 +171,8 @@ class IoTSecController final : public sdn::PacketInHandler,
   [[nodiscard]] const AdmissionController& admission() const {
     return admission_;
   }
-  /// Feeds one barrier snapshot, taken at `now`, to admission control.
-  /// When the brownout level drops, devices whose launches were shed are
-  /// re-evaluated so enforcement is restored.
+  /// Feeds one barrier snapshot, taken at `now`, to admission control; a
+  /// level drop retries the devices settled on kShed.
   void SampleAdmission(const AdmissionSignals& signals, SimTime now);
   /// Ingress backpressure decision for one already-exempted frame (the
   /// switch ingress gate a kEnforce deployment installs).
@@ -176,7 +180,6 @@ class IoTSecController final : public sdn::PacketInHandler,
     return admission_.AdmitIngress(now);
   }
 
-  [[nodiscard]] const HealthMonitor& health() const { return health_; }
   /// The crowd ruleset pipeline: every registered device has a receiver
   /// there, caught up to its SKU's stable version.
   [[nodiscard]] rollout::RolloutCoordinator& rollout() { return rollout_; }
@@ -190,14 +193,11 @@ class IoTSecController final : public sdn::PacketInHandler,
     federation_ = federation;
   }
   /// The one policy sweep, flat and federated. `scope` (ascending ids)
-  /// is every device when flat, one segment under federation. Evaluates,
-  /// in ascending id order, the in-scope devices that are dirty (they
-  /// read a view key written since their last evaluation, or everything
-  /// was invalidated) or unsettled (their last ApplyPosture left the
-  /// enforced posture short of the evaluated one), against the view's
-  /// maintained state. Every other in-scope device would evaluate to the
-  /// posture it already enforces, so the result equals evaluating the
-  /// whole scope.
+  /// is every device when flat, one segment under federation. Evaluates
+  /// the in-scope dirty devices (pending_), mid-sweep re-queues included,
+  /// in ascending id order against the view's maintained state. Every
+  /// other in-scope device would evaluate to the posture it enforces or
+  /// is settled on, so the result equals evaluating the whole scope.
   void ReevaluateDevices(const std::vector<DeviceId>& scope);
   /// Makes the next sweep of every scope evaluate all of its devices
   /// (SetPolicy, Start and late registration do this themselves).
@@ -253,23 +253,20 @@ class IoTSecController final : public sdn::PacketInHandler,
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// The last apply fell short of `wanted`, tried at `crowd_version`.
+  struct Settlement {
+    policy::Posture wanted;
+    std::uint64_t crowd_version = 0;
+    SettleReason reason = SettleReason::kConfigRefused;
+  };
   struct ManagedDevice {
     devices::Device* device = nullptr;
     sdn::Switch* sw = nullptr;
     int port = -1;
-    policy::Posture posture;  // currently enforced
+    policy::Posture posture;  // enforced now; "isolated" under a fallback
     std::optional<UmboxId> umbox;
     int alert_count = 0;
-    /// Last launch attempt was refused by admission control; cleared (and
-    /// the device re-evaluated) when the brownout level drops.
-    bool launch_shed = false;
-    /// Posture whose µmbox config the dataplane refused (launch or
-    /// reconfigure failed on it), and the crowd ruleset version it was
-    /// built with. A retry fails the same way, so the device stays
-    /// settled in its fallback until its posture or crowd ruleset
-    /// changes.
-    std::optional<policy::Posture> rejected_posture;
-    std::uint64_t rejected_crowd_version = 0;
+    std::optional<Settlement> settlement;  // sweeps skip while it matches
     /// The running chain was built with the crowd splice (the device's
     /// receiver held rules then), so its `crowd` element is the
     /// controller's and a rollout compile may be swapped into it.
@@ -320,6 +317,8 @@ class IoTSecController final : public sdn::PacketInHandler,
   void EmitRemoveByCookie(sdn::Switch* sw, std::uint64_t cookie,
                           bool urgent);
   void ApplyPosture(ManagedDevice& md, const policy::Posture& posture);
+  /// Re-queues and sweeps the devices settled on `reason`, if any.
+  void RetrySettled(SettleReason reason);
   /// Subscribes to the attached crowd repo for `sku` (once) and adopts
   /// the rules it already accepted as the SKU's baseline.
   void SubscribeCrowdSku(const std::string& sku);
@@ -333,17 +332,22 @@ class IoTSecController final : public sdn::PacketInHandler,
   /// matcher the controller spliced into the device's running chain
   /// (full reconfigure when the chain has none yet; null compile =
   /// rolled back to no crowd rules). A refused reconfigure settles like
-  /// one in ApplyPosture.
+  /// one in ApplyPosture. A new version re-queues any settled device.
   void ApplyRolloutCompile(
       DeviceId device,
       const std::shared_ptr<const sig::CompiledRuleset>& compiled);
   void InstallDiversion(ManagedDevice& md, UmboxId umbox);
   void RemoveDiversion(ManagedDevice& md);
-  /// Fail-closed fallback: isolates the device at the switch.
-  void InstallIsolation(ManagedDevice& md);
-  /// The drop rules alone (no enforcement-failure accounting) — used
-  /// both by InstallIsolation and by recovery quarantine.
+  /// Fail-closed fallback: drops at the switch, posture "isolated", and
+  /// settled short of `wanted` (an enforcement failure unless shed).
+  void InstallIsolation(ManagedDevice& md, const policy::Posture& wanted,
+                        SettleReason reason);
+  /// The drop rules alone — used both by InstallIsolation and by
+  /// recovery quarantine.
   void InstallQuarantine(ManagedDevice& md);
+  /// Swaps the device's priority-100 entries for two doing `action`.
+  void InstallPostureEntries(ManagedDevice& md, const sdn::FlowAction& action,
+                             bool urgent);
   void EscalateContext(const std::string& device_name, ManagedDevice& md);
 
   // ---- self-healing internals
@@ -362,8 +366,8 @@ class IoTSecController final : public sdn::PacketInHandler,
                            int attempt);
   void FinishRecovery(DeviceId device, std::uint64_t epoch, UmboxId umbox,
                       ServerId host, bool failover);
-  /// Cancels any in-flight recovery and forgets the device's instance
-  /// (posture changed out from under the recovery).
+  /// Cancels any in-flight recovery and stops the device's instance; the
+  /// freed slot retries kNoHost settlements.
   void AbandonUmbox(ManagedDevice& md);
 
   [[nodiscard]] ManagedDevice* FindByIp(net::Ipv4Address ip);
@@ -382,8 +386,9 @@ class IoTSecController final : public sdn::PacketInHandler,
   policy::StateSpace space_;
   policy::FsmPolicy policy_;
   DependencyIndex<DeviceId> readers_;
-  /// Dirty or unsettled devices, ascending: what the next sweep of each
-  /// scope evaluates.
+  /// Dirty devices, ascending: they read a view key written since their
+  /// last evaluation, everything was invalidated, or a retry trigger
+  /// re-queued them. What the next sweep of each scope evaluates.
   std::set<DeviceId> pending_;
   bool started_ = false;
   bool reeval_pending_ = false;

@@ -3,9 +3,10 @@
 // The controller cannot see a µmbox die — there is no "I crashed"
 // message. What it can see is silence: every UmboxHost reports the ids of
 // its live µmboxes each heartbeat period, and the HealthMonitor flags any
-// host or µmbox whose last report is older than
-// heartbeat_period * miss_threshold. Each failure is reported exactly
-// once; a recovered entity must be re-tracked before it is watched again.
+// host or µmbox whose last report is older than its timeout (the
+// controller passes heartbeat_period * heartbeat_miss_threshold). Each
+// failure is reported exactly once; a recovered entity must be re-tracked
+// before it is watched again.
 #pragma once
 
 #include <map>
@@ -15,21 +16,12 @@
 
 namespace iotsec::control {
 
-struct HealthConfig {
-  SimDuration heartbeat_period = 100 * kMillisecond;
-  /// Consecutive missed heartbeats before an entity is declared dead.
-  int miss_threshold = 3;
-};
-
 class HealthMonitor {
  public:
-  explicit HealthMonitor(HealthConfig config = {}) : config_(config) {}
+  /// `timeout`: silence longer than this declares an entity dead.
+  explicit HealthMonitor(SimDuration timeout) : timeout_(timeout) {}
 
-  void Configure(HealthConfig config) { config_ = config; }
-  [[nodiscard]] SimDuration Timeout() const {
-    return config_.heartbeat_period *
-           static_cast<SimDuration>(config_.miss_threshold);
-  }
+  [[nodiscard]] SimDuration Timeout() const { return timeout_; }
 
   /// Starts watching a host / a µmbox placed on `host`. Tracking counts
   /// as a heartbeat, so a freshly launched instance gets a full timeout
@@ -73,7 +65,7 @@ class HealthMonitor {
     SimTime last_seen = 0;
   };
 
-  HealthConfig config_;
+  SimDuration timeout_;
   std::map<ServerId, HostRecord> hosts_;
   std::map<UmboxId, UmboxRecord> umboxes_;
   std::uint64_t heartbeats_seen_ = 0;

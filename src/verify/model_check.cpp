@@ -391,7 +391,8 @@ void ReportModelCheck(const ModelCheckResult& result,
                    "exploration budget exhausted before a verdict on '" +
                        v.goal + "' (" +
                        std::to_string(result.states_explored) +
-                       " states explored) — raise max_states/max_depth");
+                       " states explored) — raise the ModelCheckConfig "
+                       "budget (max_states, max_depth)");
         break;
     }
   }

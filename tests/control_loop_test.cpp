@@ -1,6 +1,6 @@
 // Tests for the incremental control loop: the view's maintained state,
 // its dirty keys, the controller's name/address lookups, and the scoped
-// sweep (dirty or unsettled devices only) checked against a reference
+// sweep (dirty devices only) checked against a reference
 // run whose every sweep evaluates every device in scope.
 #include <gtest/gtest.h>
 
@@ -223,7 +223,7 @@ class QuietLogs {
 
 /// Every test deployment: ten devices of mixed classes on a one-host
 /// cluster too small for all of them, so some launches fail and leave
-/// devices unsettled until capacity frees up.
+/// devices isolated until capacity frees up.
 std::unique_ptr<core::Deployment> MakeFleet(bool federated) {
   core::DeploymentOptions opts;
   opts.host_capacity = 3;
@@ -500,7 +500,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ScopedSweepTest, UnsettledDevicesAreRetriedOnceCapacityFrees) {
   // Four cameras monitored on a host with room for three: the fourth
-  // launch fails (fail-closed isolation) and the device stays unsettled.
+  // launch fails (fail-closed isolation) and the device settles there.
   const QuietLogs quiet;
   core::DeploymentOptions opts;
   opts.host_capacity = 3;
@@ -522,8 +522,9 @@ TEST(ScopedSweepTest, UnsettledDevicesAreRetriedOnceCapacityFrees) {
   EXPECT_FALSE(ctl.UmboxOf(c4).has_value());
   EXPECT_GE(ctl.stats().enforcement_failures, 1u);
 
-  // c1 drops to trust and frees a slot. c4 reads no key that changed,
-  // but the same sweep retries it and it launches.
+  // c1 drops to trust and stops its µmbox. The freed slot re-queues c4,
+  // which reads no key that changed; the sweep reaches it after c1 and
+  // it launches.
   ctl.SetDeviceContext("c1", "suspicious");
   dep.RunFor(kSecond);
   EXPECT_EQ(ctl.PostureProfileOf(dep.Find("c1")->id()), "trust");

@@ -161,7 +161,7 @@ TEST(FaultInjectTest, ControlDegradeDropsHeartbeats) {
 }
 
 TEST(HealthMonitorTest, DetectsSilentUmboxExactlyOnce) {
-  control::HealthMonitor mon({100 * kMillisecond, 3});
+  control::HealthMonitor mon(300 * kMillisecond);
   mon.TrackHost(1, 0);
   mon.TrackUmbox(7, 1, 0);
 
@@ -183,7 +183,7 @@ TEST(HealthMonitorTest, DetectsSilentUmboxExactlyOnce) {
 }
 
 TEST(HealthMonitorTest, SilentHostTakesItsUmboxesWithIt) {
-  control::HealthMonitor mon({100 * kMillisecond, 3});
+  control::HealthMonitor mon(300 * kMillisecond);
   mon.TrackHost(1, 0);
   mon.TrackUmbox(7, 1, 0);
   mon.TrackUmbox(8, 1, 0);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,6 +196,108 @@ TEST(OverloadTest, ShedLaunchQuarantinesThenRetriesWhenPressureDrops) {
   EXPECT_EQ(dep.admission()->level(), control::BrownoutLevel::kNormal);
   EXPECT_TRUE(dep.controller().UmboxOf(cam->id()).has_value());
   EXPECT_EQ(dep.controller().PostureProfileOf(cam->id()), "acl_guard");
+}
+
+/// A started one-shard deployment under kEnforce with a 200-packet pool
+/// budget: "cam" wants acl_guard once compromised, "cam2" reads its own
+/// context and stays on Trust. Both start on Trust.
+struct ShedFixture {
+  std::unique_ptr<core::Deployment> dep;
+  devices::Camera* cam = nullptr;
+  std::vector<net::PacketPtr> held;
+
+  ShedFixture() {
+    core::DeploymentOptions opts;
+    opts.admission.mode = control::AdmissionMode::kEnforce;
+    opts.admission.pool_capacity = 200;
+    dep = std::make_unique<core::Deployment>(opts);
+    cam = dep->AddCamera("cam");
+    auto* cam2 = dep->AddCamera("cam2");
+    policy::FsmPolicy policy;
+    policy.SetDefault(core::TrustPosture());
+    policy::PolicyRule rule;
+    rule.name = "compromised-acl";
+    rule.when.AndIn("ctx:cam", {"compromised"});
+    rule.device = cam->id();
+    rule.posture = AclGuard(*dep);
+    policy.Add(rule);
+    policy::PolicyRule watch;
+    watch.name = "cam2-suspicious";
+    watch.when.AndIn("ctx:cam2", {"suspicious"});
+    watch.device = cam2->id();
+    watch.posture = core::TrustPosture();
+    policy.Add(watch);
+    dep->UsePolicy(dep->BuildStateSpace(), std::move(policy));
+    dep->Start();
+    dep->RunFor(100 * kMillisecond);
+  }
+
+  /// Holds 3x the pool budget in live packets until Release().
+  void Pressure() {
+    for (int i = 0; i < 600; ++i) held.push_back(net::MakePacket(Bytes(64)));
+    dep->RunFor(100 * kMillisecond);
+  }
+  void Release() {
+    held.clear();
+    dep->RunFor(1 * kSecond);
+  }
+};
+
+TEST(OverloadTest, ShedLaunchStaysSettledThroughUnrelatedSweeps) {
+  ShedFixture f;
+  f.Pressure();
+  ASSERT_GE(f.dep->admission()->level(), control::BrownoutLevel::kShed);
+  auto& ctl = f.dep->controller();
+  ctl.SetDeviceContext("cam", "compromised");
+  f.dep->RunFor(100 * kMillisecond);
+  const auto& admission = f.dep->admission()->stats();
+  ASSERT_EQ(admission.shed_launches, 1u);
+  EXPECT_EQ(ctl.PostureProfileOf(f.cam->id()), "isolated");
+
+  // Sweeps woken by the other camera alone, still under pressure: the
+  // shed launch is not retried.
+  const auto flow_ops = ctl.stats().flow_ops;
+  const auto sweeps = ctl.stats().policy_evals;
+  for (int i = 0; i < 4; ++i) {
+    ctl.SetDeviceContext("cam2", i % 2 == 0 ? "suspicious" : "normal");
+    f.dep->RunFor(50 * kMillisecond);
+  }
+  ASSERT_GE(f.dep->admission()->level(), control::BrownoutLevel::kShed);
+  EXPECT_GE(ctl.stats().policy_evals, sweeps + 4);
+  EXPECT_EQ(admission.shed_launches, 1u);
+  EXPECT_EQ(ctl.stats().flow_ops, flow_ops) << "quarantine reinstalled";
+
+  // A level drop is the shed launch's own retry.
+  f.Release();
+  EXPECT_EQ(f.dep->admission()->level(), control::BrownoutLevel::kNormal);
+  EXPECT_TRUE(ctl.UmboxOf(f.cam->id()).has_value());
+  EXPECT_EQ(ctl.PostureProfileOf(f.cam->id()), "acl_guard");
+}
+
+TEST(OverloadTest, ShedDeviceBackOnTrustAnswersOncePressureDrops) {
+  ShedFixture f;
+  f.Pressure();
+  auto& ctl = f.dep->controller();
+  ctl.SetDeviceContext("cam", "compromised");
+  f.dep->RunFor(100 * kMillisecond);
+  ASSERT_EQ(f.dep->admission()->stats().shed_launches, 1u);
+
+  // Back to Trust, the posture it enforced before the shed launch.
+  ctl.SetDeviceContext("cam", "normal");
+  f.dep->RunFor(100 * kMillisecond);
+  EXPECT_EQ(ctl.PostureProfileOf(f.cam->id()), "trust");
+
+  f.Release();
+  EXPECT_EQ(f.dep->admission()->level(), control::BrownoutLevel::kNormal);
+  int status = 0;
+  f.dep->attacker().HttpGet(f.cam->spec().ip, f.cam->spec().mac, "/",
+                            std::nullopt, [&](const proto::HttpResponse& r) {
+                              status = r.status;
+                            });
+  f.dep->RunFor(2 * kSecond);
+  EXPECT_EQ(status, 200);
+  EXPECT_FALSE(ctl.UmboxOf(f.cam->id()).has_value());
+  EXPECT_EQ(f.dep->admission()->stats().shed_launches, 1u);
 }
 
 // Admission samples once per sample_period through idle stretches too:
