@@ -90,7 +90,7 @@ RunResult RunCell(const Cell& cell, control::AdmissionMode mode, bool faults,
   // crosses the 2 Mbit/s cluster uplink twice (to-µmbox and verdict),
   // so the µmbox path — not the client's access link — is the
   // contended resource admission control protects.
-  opts.cluster_link = opts.link;
+  opts.cluster_link = net::LinkConfig{};
   opts.cluster_link->bandwidth_bps = 2e6;
   opts.admission.mode = mode;
   opts.admission.pool_capacity = kPoolBudget;

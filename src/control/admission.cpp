@@ -74,21 +74,16 @@ void AdmissionController::StepLevel(int pressure, SimTime now) {
   BrownoutLevel next = level_;
   if (desired > level_) {
     below_streak_ = 0;
-    if (++above_streak_ >= config_.up_hold) {
-      // One level per sample: a spike walks the ladder, never jumps it,
-      // so transitions stay observable and recovery stays monotonic.
-      next = static_cast<BrownoutLevel>(static_cast<int>(level_) + 1);
-      above_streak_ = 0;
-    }
+    // One level per sample: a spike walks the ladder, never jumps it,
+    // so transitions stay observable and recovery stays monotonic.
+    next = static_cast<BrownoutLevel>(static_cast<int>(level_) + 1);
   } else if (level_ != BrownoutLevel::kNormal &&
              pressure < enter(level_) - config_.exit_margin_permille) {
-    above_streak_ = 0;
     if (++below_streak_ >= config_.down_hold) {
       next = static_cast<BrownoutLevel>(static_cast<int>(level_) - 1);
       below_streak_ = 0;
     }
   } else {
-    above_streak_ = 0;
     below_streak_ = 0;
   }
   if (next == level_) return;

@@ -63,14 +63,13 @@ struct AdmissionConfig {
 
   // ---- Level thresholds, permille of the binding resource. The overall
   // pressure is max(pool, boot-queue, cluster-load) each normalized to
-  // its own capacity. Enter thresholds step the level up; a level steps
-  // down only when pressure sits below (enter - exit_margin) for
-  // down_hold consecutive samples (hysteresis).
+  // its own capacity. A sample above the next enter threshold steps the
+  // level up at once; a level steps down only when pressure sits below
+  // (enter - exit_margin) for down_hold consecutive samples (hysteresis).
   int defer_enter_permille = 500;
   int shed_enter_permille = 750;
   int fail_closed_enter_permille = 900;
   int exit_margin_permille = 150;
-  int up_hold = 1;
   int down_hold = 3;
 
   // ---- Ingress shedding per level, permille of gated frames dropped.
@@ -78,9 +77,6 @@ struct AdmissionConfig {
   // randomness — the trace must be bit-stable).
   int shed_drop_permille = 600;
   int fail_closed_drop_permille = 875;
-
-  /// How long a deferred recovery restart waits before re-asking.
-  SimDuration restart_defer_interval = 100 * kMillisecond;
 };
 
 /// One deterministic snapshot of the signals admission keys on. Every
@@ -148,7 +144,6 @@ class AdmissionController {
 
   AdmissionConfig config_;
   BrownoutLevel level_ = BrownoutLevel::kNormal;
-  int above_streak_ = 0;  // consecutive samples demanding a higher level
   int below_streak_ = 0;  // consecutive samples allowing a lower level
   std::uint64_t ingress_decisions_ = 0;  // token-bucket phase
   std::uint64_t digest_ = 0;

@@ -13,14 +13,30 @@
 
 namespace iotsec::control {
 
+namespace {
+// Host heartbeat period; the health check runs at the same cadence, and
+// a host or µmbox is declared dead after this many missed heartbeats.
+constexpr SimDuration kHeartbeatPeriod = 100 * kMillisecond;
+constexpr SimDuration kHeartbeatMissThreshold = 3;
+// Alerts before a "suspicious" device is considered "compromised".
+constexpr int kCompromiseThreshold = 3;
+// Restart backoff: base * 2^attempt, capped, plus a jitter of up to this
+// fraction of it (decorrelates herds of restarts after a host failure).
+constexpr SimDuration kRestartBackoffBase = 50 * kMillisecond;
+constexpr SimDuration kRestartBackoffCap = 5 * kSecond;
+constexpr double kRestartJitter = 0.2;
+// How long a recovery restart deferred by admission control waits before
+// asking again.
+constexpr SimDuration kRestartDeferInterval = 100 * kMillisecond;
+}  // namespace
+
 IoTSecController::IoTSecController(sim::Simulator& simulator,
                                    ControllerConfig config,
                                    rollout::RolloutConfig rollout,
                                    AdmissionConfig admission)
     : sim_(simulator),
       config_(config),
-      health_(config.heartbeat_period *
-              static_cast<SimDuration>(config.heartbeat_miss_threshold)),
+      health_(kHeartbeatPeriod * kHeartbeatMissThreshold),
       recovery_rng_(config.recovery_seed),
       control_fault_rng_(config.recovery_seed ^ 0xC7A11u),
       admission_(admission),
@@ -65,7 +81,7 @@ void IoTSecController::SetCluster(dataplane::Cluster* cluster) {
             OnHostHeartbeat(server, running);
           });
         },
-        config_.heartbeat_period);
+        kHeartbeatPeriod);
   }
 }
 
@@ -281,7 +297,7 @@ bool IoTSecController::SplicesCrowd(const ManagedDevice& md) const {
 void IoTSecController::Start() {
   started_ = true;
   if (cluster_ != nullptr && !cluster_->hosts().empty()) {
-    sim_.Every(config_.heartbeat_period, [this] { CheckHealth(); });
+    sim_.Every(kHeartbeatPeriod, [this] { CheckHealth(); });
   }
   for (auto& ms : switches_) {
     // Base L2 forwarding: one priority-1 entry per known MAC, device or
@@ -318,6 +334,9 @@ namespace {
 // here, and no measured workload makes any.
 constexpr double kPacketInRatePps = 1000.0;
 constexpr double kPacketInBurst = 100.0;
+// A PacketIn answered by the controller leaves the switch this long
+// later (one flow-table operation).
+constexpr SimDuration kFlowmodLatency = 500 * kMicrosecond;
 }  // namespace
 
 void IoTSecController::OnPacketIn(SwitchId sw, int in_port,
@@ -344,7 +363,7 @@ void IoTSecController::OnPacketIn(SwitchId sw, int in_port,
   if (!frame) return;
   const int out = ms->sw->PortOfMac(frame->eth.dst);
   if (out < 0) return;
-  sim_.After(config_.flowmod_latency,
+  sim_.After(kFlowmodLatency,
              [s = ms->sw, pkt = std::move(pkt), out]() mutable {
                s->Output(std::move(pkt), out);
              });
@@ -406,8 +425,7 @@ void IoTSecController::SetDeviceContext(const std::string& device_name,
 void IoTSecController::EscalateContext(const std::string& device_name,
                                        ManagedDevice& md) {
   const std::string next =
-      md.alert_count >= config_.compromise_threshold ? "compromised"
-                                                     : "suspicious";
+      md.alert_count >= kCompromiseThreshold ? "compromised" : "suspicious";
   const auto current = view_.DeviceContext(device_name);
   if (current && *current == "compromised") return;  // never de-escalate here
   if (current && *current == next) return;
@@ -765,7 +783,7 @@ void IoTSecController::HandleUmboxFailure(UmboxId umbox, const char* cause) {
   md->failure_detected_at = sim_.Now();
   ++md->recovery_epoch;
   // Rollout health gate input: a cohort device crashing during the hold
-  // window fails the canary immediately (max_cohort_crashes default 0).
+  // window fails the canary immediately (no cohort crash is allowed).
   rollout_.OnDeviceCrash(md->device->id());
   audit_.Record(sim_.Now(), AuditCategory::kRecovery, md->device->spec().name,
                 "umbox " + std::to_string(umbox) + " " + cause +
@@ -802,11 +820,10 @@ void IoTSecController::ScheduleRecoveryAttempt(ManagedDevice& md) {
     return;
   }
   const int attempt = md.recovery_attempts++;
-  SimDuration backoff = config_.restart_backoff_base
-                        << std::min(attempt, 30);
-  backoff = std::min(backoff, config_.restart_backoff_cap);
+  SimDuration backoff = kRestartBackoffBase << std::min(attempt, 30);
+  backoff = std::min(backoff, kRestartBackoffCap);
   backoff += static_cast<SimDuration>(recovery_rng_.NextDouble() *
-                                      config_.restart_jitter *
+                                      kRestartJitter *
                                       static_cast<double>(backoff));
   const DeviceId device = md.device->id();
   const std::uint64_t epoch = md.recovery_epoch;
@@ -838,7 +855,7 @@ void IoTSecController::AttemptRecovery(DeviceId device,
                   "restart deferred by admission control (" +
                       std::string(BrownoutLevelName(admission_.level())) +
                       ")");
-    sim_.After(admission_.config().restart_defer_interval,
+    sim_.After(kRestartDeferInterval,
                [this, device, epoch] { AttemptRecovery(device, epoch); });
     return;
   }

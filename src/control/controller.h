@@ -48,25 +48,10 @@ enum class SettleReason { kShed, kNoCluster, kNoHost, kConfigRefused };
 struct ControllerConfig {
   /// Event arrival -> decision latency (RPC + processing).
   SimDuration control_latency = kMillisecond;
-  /// Per flow-table operation latency.
-  SimDuration flowmod_latency = 500 * kMicrosecond;
   /// Isolation technology for launched µmboxes.
   dataplane::BootModel umbox_boot = dataplane::BootModel::kMicroVm;
-  /// Alerts before a "suspicious" device is considered "compromised".
-  int compromise_threshold = 3;
 
   // ---- Self-healing (heartbeats + automatic recovery), always on.
-  /// Host heartbeat period; the controller's health check runs at the
-  /// same cadence.
-  SimDuration heartbeat_period = 100 * kMillisecond;
-  /// Missed heartbeats before a host/µmbox is declared dead.
-  int heartbeat_miss_threshold = 3;
-  /// Restart backoff: base * 2^attempt + jitter, capped.
-  SimDuration restart_backoff_base = 50 * kMillisecond;
-  SimDuration restart_backoff_cap = 5 * kSecond;
-  /// Jitter as a fraction of the computed backoff (decorrelates herds of
-  /// restarts after a host failure).
-  double restart_jitter = 0.2;
   /// Recovery attempts per detected failure before giving up (the device
   /// then stays quarantined).
   int max_restart_attempts = 6;

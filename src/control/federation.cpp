@@ -161,9 +161,7 @@ FederatedControlPlane::FederatedControlPlane(sim::Simulator& simulator,
     : sim_(simulator),
       ctl_(ctl),
       cfg_(config),
-      batcher_(simulator,
-               RulePushBatcher::Config{config.push_quantum,
-                                       config.push_max_batch}) {}
+      batcher_(simulator, RulePushBatcher::Config{}) {}
 
 void FederatedControlPlane::Build() {
   const auto device_names = ctl_.DeviceNames();  // ascending id
@@ -243,8 +241,20 @@ void FederatedControlPlane::Build() {
   built_ = true;
 }
 
+namespace {
+// Delta sync epoch: each segment ships its dirty set this often (and
+// heartbeats are aggregated into one summary per epoch).
+constexpr SimDuration kSyncPeriod = 5 * kMillisecond;
+// Event -> segment-local decision latency. Locals sit near their
+// devices, so this is well under the flat control_latency.
+constexpr SimDuration kLocalLatency = 200 * kMicrosecond;
+// Global-tier notification latency (sync wakeups, env fan-out): the
+// cross-segment analogue of ControllerConfig::control_latency.
+constexpr SimDuration kGlobalLatency = kMillisecond;
+}  // namespace
+
 void FederatedControlPlane::Start() {
-  sim_.Every(cfg_.sync_period, [this] { SyncTick(); });
+  sim_.Every(kSyncPeriod, [this] { SyncTick(); });
   batcher_.Start();
 }
 
@@ -279,7 +289,7 @@ void FederatedControlPlane::OnDeviceEvent(DeviceId device,
   if (cross_keys_.count(dim_key) != 0) {
     views_[static_cast<std::size_t>(seg)].Set(dim_key, ReadViewKey(dim_key));
   }
-  ScheduleSegmentReevaluate(seg, /*remote=*/false, cfg_.local_latency);
+  ScheduleSegmentReevaluate(seg, /*remote=*/false);
 }
 
 void FederatedControlPlane::OnGlobalEvent(const std::string& dim_key) {
@@ -290,7 +300,7 @@ void FederatedControlPlane::OnGlobalEvent(const std::string& dim_key) {
   for (const int seg : global_.DependentsOf(dim_key, /*except=*/-1)) {
     ++stats_.context_syncs;
     if (obs::Enabled()) obs::M().ctl_msg_context_syncs->Inc();
-    ScheduleSegmentReevaluate(seg, /*remote=*/true, cfg_.global_latency);
+    ScheduleSegmentReevaluate(seg, /*remote=*/true);
   }
 }
 
@@ -319,7 +329,7 @@ void FederatedControlPlane::SyncTick() {
   for (const int seg : wake) {
     ++stats_.context_syncs;  // one global -> segment wakeup message
     if (obs::Enabled()) obs::M().ctl_msg_context_syncs->Inc();
-    ScheduleSegmentReevaluate(seg, /*remote=*/true, cfg_.global_latency);
+    ScheduleSegmentReevaluate(seg, /*remote=*/true);
   }
   if (heartbeats_since_sync_ > 0) {
     heartbeats_since_sync_ = 0;
@@ -329,8 +339,7 @@ void FederatedControlPlane::SyncTick() {
 }
 
 void FederatedControlPlane::ScheduleSegmentReevaluate(int segment,
-                                                      bool remote,
-                                                      SimDuration delay) {
+                                                      bool remote) {
   auto pending =
       reeval_pending_.begin() + static_cast<std::ptrdiff_t>(segment);
   if (*pending) {
@@ -339,6 +348,7 @@ void FederatedControlPlane::ScheduleSegmentReevaluate(int segment,
     return;
   }
   *pending = true;
+  const SimDuration delay = remote ? kGlobalLatency : kLocalLatency;
   sim_.After(delay, [this, segment, remote] {
     reeval_pending_[static_cast<std::size_t>(segment)] = false;
     if (remote) {

@@ -64,20 +64,6 @@ struct FederationConfig {
   /// Off (default): the flat controller path, byte-identical to every
   /// release before federation existed.
   bool enabled = false;
-  /// Delta sync epoch: each segment ships its dirty set this often (and
-  /// heartbeats are aggregated into one summary per epoch).
-  SimDuration sync_period = 5 * kMillisecond;
-  /// Rule-push batching quantum: per-switch flow-mod buffers flush this
-  /// often unless the size threshold or an urgent op flushes them first.
-  SimDuration push_quantum = 2 * kMillisecond;
-  /// Early flush when one switch's buffer reaches this many ops.
-  std::size_t push_max_batch = 64;
-  /// Event -> segment-local decision latency. Locals sit near their
-  /// devices, so this is well under the flat control_latency.
-  SimDuration local_latency = 200 * kMicrosecond;
-  /// Global-tier notification latency (sync wakeups, env fan-out) — the
-  /// cross-segment analogue of ControllerConfig::control_latency.
-  SimDuration global_latency = kMillisecond;
   /// LocalController capacity: interaction groups larger than this are
   /// split into consecutive id-ordered chunks (0 = unlimited). Splitting
   /// an interaction-closed group is exactly what puts a device key on the
@@ -96,7 +82,10 @@ struct FederationConfig {
 class RulePushBatcher {
  public:
   struct Config {
+    /// Per-switch buffers flush this often unless the size threshold or
+    /// an urgent op flushes them first.
     SimDuration quantum = 2 * kMillisecond;
+    /// Early flush when one switch's buffer reaches this many ops.
     std::size_t max_batch = 64;
   };
 
@@ -227,8 +216,7 @@ class FederatedControlPlane {
 
  private:
   void SyncTick();
-  void ScheduleSegmentReevaluate(int segment, bool remote,
-                                 SimDuration delay);
+  void ScheduleSegmentReevaluate(int segment, bool remote);
   /// Current value of a policy dim key in the controller's view.
   [[nodiscard]] std::string ReadViewKey(const std::string& dim_key) const;
 

@@ -4,7 +4,7 @@
 // message. What it can see is silence: every UmboxHost reports the ids of
 // its live µmboxes each heartbeat period, and the HealthMonitor flags any
 // host or µmbox whose last report is older than its timeout (the
-// controller passes heartbeat_period * heartbeat_miss_threshold). Each
+// controller passes kHeartbeatPeriod * kHeartbeatMissThreshold). Each
 // failure is reported exactly once; a recovered entity must be re-tracked
 // before it is watched again.
 #pragma once

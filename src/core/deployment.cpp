@@ -26,6 +26,9 @@ struct PoolScope {
   net::PacketPool* const caller = &net::PacketPool::Current();
 };
 
+// Environment tick (dynamics integration step).
+constexpr SimDuration kEnvTick = 500 * kMillisecond;
+
 }  // namespace
 
 Deployment::Deployment(DeploymentOptions options)
@@ -40,8 +43,7 @@ Deployment::Deployment(DeploymentOptions options)
         so.shards = options_.shards;
         // Conservative lookahead: every cross-shard hop is a device
         // uplink, so its propagation delay bounds the quantum.
-        so.quantum = options_.shard_quantum != 0 ? options_.shard_quantum
-                                                 : options_.link.latency;
+        so.quantum = net::LinkConfig{}.latency;
         so.use_threads = options_.shard_threads;
         so.enter_shard = [this](int s) {
           net::PacketPool::BindToThisThread(
@@ -52,7 +54,7 @@ Deployment::Deployment(DeploymentOptions options)
       sim_(shard_set_->sim(0)),
       shard_env_writes_(static_cast<std::size_t>(options_.shards)) {
   env_ = env::MakeSmartHomeEnvironment();
-  env_->AttachTo(sim_, options_.env_tick);
+  env_->AttachTo(sim_, kEnvTick);
 
   switch_ = std::make_unique<sdn::Switch>(
       /*id=*/1, sim_,
@@ -157,7 +159,7 @@ Deployment::~Deployment() {
 
 net::Link* Deployment::NewLink(const net::LinkConfig* config) {
   links_.push_back(std::make_unique<net::Link>(
-      sim_, config != nullptr ? *config : options_.link));
+      sim_, config != nullptr ? *config : net::LinkConfig{}));
   net::Link* link = links_.back().get();
   if (chaos_ != nullptr) chaos_->AddLink(link);
   return link;

@@ -69,14 +69,12 @@ struct DeploymentOptions {
   rollout::RolloutConfig rollout;
   int cluster_hosts = 1;
   int host_capacity = 64;
-  net::LinkConfig link;
   /// Override for the µmbox-host uplinks (the serving path every
-  /// diverted flow crosses twice). Unset: hosts use `link` like
-  /// everything else. The overload bench narrows this to make the
-  /// cluster — not the access links — the contended resource.
+  /// diverted flow crosses twice). Unset: hosts use the default
+  /// net::LinkConfig like every other link. The overload bench narrows
+  /// this to make the cluster — not the access links — the contended
+  /// resource.
   std::optional<net::LinkConfig> cluster_link;
-  /// Environment tick (dynamics integration step).
-  SimDuration env_tick = 500 * kMillisecond;
   /// Seed for the deployment's FaultInjector (see chaos()).
   std::uint64_t chaos_seed = 0xC4A05;
   /// Shards of the engine (see sim::ShardSet), at least 1; the
@@ -89,9 +87,6 @@ struct DeploymentOptions {
   /// Execute shards 1..N-1 on worker threads (true) or all inline on the
   /// caller (false — identical results, easier debugging).
   bool shard_threads = true;
-  /// Lockstep quantum override; 0 derives it from the link latency (the
-  /// conservative lookahead bound).
-  SimDuration shard_quantum = 0;
 };
 
 class Deployment {
@@ -220,7 +215,7 @@ class Deployment {
   [[nodiscard]] std::size_t LinkCount() const { return links_.size(); }
 
  private:
-  /// null config: the deployment-wide options_.link.
+  /// null config: the default net::LinkConfig.
   net::Link* NewLink(const net::LinkConfig* config = nullptr);
   /// Builds a T from `spec` on the device's home shard, with its
   /// environment replica, and attaches it.

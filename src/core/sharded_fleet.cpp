@@ -18,6 +18,17 @@
 namespace iotsec::core {
 namespace {
 
+// Edge slices (switch+host+collector groups). Fixed across shard counts
+// so digests stay comparable; shards beyond kSlices idle.
+constexpr int kSlices = 8;
+// Lockstep quantum; also the inter-switch link latency (the
+// conservative lookahead bound).
+constexpr SimDuration kQuantum = 100 * kMicrosecond;
+// Gap between one device's telemetry sends.
+constexpr SimDuration kSendInterval = 10 * kMillisecond;
+// Fraction of devices that also send one frame per round to another
+// slice's aggregator (the cross-shard traffic).
+constexpr double kCrossFraction = 0.125;
 // Devices come up, µmboxes boot (kProcess), then sends begin.
 constexpr SimDuration kFirstSendAt = 50 * kMillisecond;
 // Fleet links never drop on queue overflow: which packet a full queue
@@ -92,7 +103,7 @@ struct ShardedFleet::Slice {
 };
 
 int ShardedFleet::SliceOf(DeviceId id) const {
-  return static_cast<int>(id % static_cast<DeviceId>(options_.slices));
+  return static_cast<int>(id % static_cast<DeviceId>(kSlices));
 }
 
 int ShardedFleet::ShardOfSlice(int slice) const {
@@ -102,7 +113,6 @@ int ShardedFleet::ShardOfSlice(int slice) const {
 ShardedFleet::ShardedFleet(FleetOptions options) : options_(options) {
   if (options_.devices < 1) options_.devices = 1;
   if (options_.shards < 1) options_.shards = 1;
-  if (options_.slices < 1) options_.slices = 1;
   if (options_.packets_per_device < 1) options_.packets_per_device = 1;
 
   pools_.reserve(static_cast<std::size_t>(options_.shards));
@@ -111,7 +121,7 @@ ShardedFleet::ShardedFleet(FleetOptions options) : options_(options) {
   }
   sim::ShardSet::Options so;
   so.shards = options_.shards;
-  so.quantum = options_.quantum;
+  so.quantum = kQuantum;
   so.use_threads = options_.threads;
   so.enter_shard = [this](int shard) {
     net::PacketPool::BindToThisThread(
@@ -131,15 +141,14 @@ ShardedFleet::~ShardedFleet() {
 }
 
 void ShardedFleet::BuildSlices() {
-  const int n_slices = options_.slices;
-  slices_.reserve(static_cast<std::size_t>(n_slices));
+  slices_.reserve(static_cast<std::size_t>(kSlices));
 
   net::LinkConfig cfg;
-  cfg.latency = options_.quantum;
+  cfg.latency = kQuantum;
   cfg.bandwidth_bps = 1e12;  // serialization delay rounds to 0ns
   cfg.queue_limit = kFleetQueueLimit;
 
-  for (int s = 0; s < n_slices; ++s) {
+  for (int s = 0; s < kSlices; ++s) {
     auto slice = std::make_unique<Slice>();
     slice->index = s;
     slice->sim = &set_->sim(ShardOfSlice(s));
@@ -148,7 +157,7 @@ void ShardedFleet::BuildSlices() {
         sdn::Switch::MissBehavior::kDrop);
     slice->host = std::make_unique<dataplane::UmboxHost>(
         static_cast<ServerId>(1000 + s), *slice->sim,
-        options_.devices / n_slices + 8);
+        options_.devices / kSlices + 8);
     slice->sink = std::make_unique<DigestSink>();
     slice->sink->sim = slice->sim;
 
@@ -161,7 +170,7 @@ void ShardedFleet::BuildSlices() {
     slice->agg_mac =
         net::MacAddress::FromId(static_cast<std::uint32_t>(slice->agg_id));
     slice->agg_ip = IpOf(slice->agg_id);
-    slice->inter_port.assign(static_cast<std::size_t>(n_slices), -1);
+    slice->inter_port.assign(static_cast<std::size_t>(kSlices), -1);
 
     // Port plan (fixed at every shard count): 0 = µmbox host uplink,
     // 1 = telemetry collector, 2 = aggregator node, 3.. = inter-switch.
@@ -188,8 +197,8 @@ void ShardedFleet::BuildSlices() {
   // Inter-switch full mesh, shard-bound: these are the only links whose
   // ends can land on different shards, so their latency (== quantum) is
   // the conservative lookahead bound.
-  for (int a = 0; a < n_slices; ++a) {
-    for (int b = a + 1; b < n_slices; ++b) {
+  for (int a = 0; a < kSlices; ++a) {
+    for (int b = a + 1; b < kSlices; ++b) {
       links_.push_back(std::make_unique<net::Link>(*slices_[a]->sim, cfg));
       net::Link* l = links_.back().get();
       const int port_a = slices_[a]->sw->AttachLink(l, 0);
@@ -206,7 +215,7 @@ void ShardedFleet::BuildSlices() {
 void ShardedFleet::BuildDevices() {
   devices_.resize(static_cast<std::size_t>(options_.devices));
   const auto cross_threshold =
-      static_cast<std::uint64_t>(options_.cross_fraction * 1e6);
+      static_cast<std::uint64_t>(kCrossFraction * 1e6);
 
   for (int i = 0; i < options_.devices; ++i) {
     FleetDevice& dev = devices_[static_cast<std::size_t>(i)];
@@ -228,15 +237,12 @@ void ShardedFleet::BuildDevices() {
         /*src_port=*/40000, /*dst_port=*/514, telemetry_payload);
 
     const std::uint64_t h = sdn::MixDeviceId(dev.id);
-    if (options_.slices >= 1 && h % 1000000 < cross_threshold) {
+    if (h % 1000000 < cross_threshold) {
       const int peer =
-          options_.slices == 1
-              ? 0
-              : (dev.slice + 1 +
-                 static_cast<int>(sdn::MixDeviceId(dev.id ^ 0x9E37u) %
-                                  static_cast<std::uint64_t>(options_.slices -
-                                                             1))) %
-                    options_.slices;
+          (dev.slice + 1 +
+           static_cast<int>(sdn::MixDeviceId(dev.id ^ 0x9E37u) %
+                            static_cast<std::uint64_t>(kSlices - 1))) %
+          kSlices;
       const Slice& ps = *slices_[static_cast<std::size_t>(peer)];
       const auto cross_payload = PayloadFor(dev.id, /*tag=*/2);
       dev.cross_frame = proto::BuildUdpFrame(mac, ps.agg_mac, ip, ps.agg_ip,
@@ -321,13 +327,10 @@ void ShardedFleet::WarmCaches() {
     slice.sw->microflow_cache().Insert(cross_key, cross_key.Hash(),
                                        tunnel_entry, gen);
     // ... and the same frame as the peer slice sees it, arriving on the
-    // inter-switch port, resolving to the peer's inbound entry. (When the
-    // peer is the local slice — slices == 1 — the frame reaches the
-    // aggregator straight from the tunnel return, no second lookup.)
+    // inter-switch port, resolving to the peer's inbound entry.
     const auto peer_agg =
         static_cast<DeviceId>(cross->ip->dst.value() & 0xFFFFFFu);
     const int peer = static_cast<int>(peer_agg) - options_.devices - 1;
-    if (peer == dev.slice) continue;
     Slice& ps = *slices_[static_cast<std::size_t>(peer)];
     const auto inbound_key = sdn::FlowKey::FromFrame(
         *cross, ps.inter_port[static_cast<std::size_t>(dev.slice)]);
@@ -344,8 +347,7 @@ FleetResult ShardedFleet::Run() {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const FleetDevice& dev = devices_[i];
     const SimDuration jitter = static_cast<SimDuration>(
-        sdn::MixDeviceId(dev.id ^ 0x7177u) %
-        static_cast<std::uint64_t>(options_.send_interval));
+        sdn::MixDeviceId(dev.id ^ 0x7177u) % kSendInterval);
     set_->sim(ShardOfSlice(dev.slice))
         .At(kFirstSendAt + jitter, [this, i] { SendOne(i); });
   }
@@ -353,7 +355,7 @@ FleetResult ShardedFleet::Run() {
   const SimDuration horizon =
       kFirstSendAt +
       static_cast<SimDuration>(options_.packets_per_device + 1) *
-          options_.send_interval +
+          kSendInterval +
       10 * kMillisecond;
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -400,7 +402,7 @@ void ShardedFleet::SendOne(std::size_t dev_index) {
   }
 
   if (++dev.sends_done < options_.packets_per_device) {
-    slice.sim->At(slice.sim->Now() + options_.send_interval,
+    slice.sim->At(slice.sim->Now() + kSendInterval,
                   [this, dev_index] { SendOne(dev_index); });
   }
 }

@@ -8,13 +8,13 @@
 // chains, tunnel return, L2 forwarding) at 10^5..10^6 devices.
 //
 // Topology — fixed, shard-count-independent:
-//   * `slices` edge slices (default 8). Slice s owns switch 100+s, one
+//   * kSlices (8) edge slices. Slice s owns switch 100+s, one
 //     UmboxHost, a telemetry collector port, and one aggregator node.
-//     Devices are assigned round-robin (id % slices).
+//     Devices are assigned round-robin (id % kSlices).
 //   * Every device gets a µmbox (VNI = device id) on its slice's host;
 //     its frames are steered there by an in_port flow entry and return
 //     through the tunnel path before normal L2 forwarding.
-//   * Telemetry goes to the slice-local collector. A cross_fraction of
+//   * Telemetry goes to the slice-local collector. An eighth of the
 //     devices also send to another slice's aggregator over inter-switch
 //     links — that is the traffic that crosses shard mailboxes.
 //
@@ -43,19 +43,8 @@ struct FleetOptions {
   int shards = 1;
   /// Worker threads for shards 1..N-1 (false = inline, same results).
   bool threads = true;
-  /// Edge slices (switch+host+collector groups). Fixed across shard
-  /// counts so digests stay comparable; shards beyond `slices` idle.
-  int slices = 8;
-  /// Lockstep quantum; also the inter-switch link latency (the
-  /// conservative lookahead bound).
-  SimDuration quantum = 100 * kMicrosecond;
   /// Telemetry sends per device.
   int packets_per_device = 4;
-  SimDuration send_interval = 10 * kMillisecond;
-  /// Fraction of devices that also send one frame per round to another
-  /// slice's aggregator (the cross-shard traffic).
-  double cross_fraction = 0.125;
-  std::uint64_t seed = 0x5EED;
 };
 
 struct FleetResult {

@@ -73,6 +73,15 @@ void FaultInjector::DegradeControl(SimTime at, SimDuration duration,
   Schedule({ev});
 }
 
+namespace {
+// Shape of every randomly planned link flap and control degradation.
+constexpr SimDuration kFlapDuration = 2 * kSecond;
+constexpr double kFlapLossRate = 0.5;
+constexpr SimDuration kDegradeDuration = 2 * kSecond;
+constexpr double kDegradeDropRate = 0.5;
+constexpr SimDuration kDegradeExtraDelay = 10 * kMillisecond;
+}  // namespace
+
 std::vector<FaultEvent> FaultInjector::BuildPlan(
     const PlanConfig& config) const {
   Rng rng(seed_);
@@ -115,17 +124,17 @@ std::vector<FaultEvent> FaultInjector::BuildPlan(
       FaultEvent ev;
       ev.kind = FaultKind::kLinkFlap;
       ev.link_index = rng.NextBelow(config.links);
-      ev.duration = config.flap_duration;
-      ev.loss_rate = config.flap_loss_rate;
+      ev.duration = kFlapDuration;
+      ev.loss_rate = kFlapLossRate;
       return ev;
     });
   }
   arrivals(config.control_degrade_rate_hz, [&] {
     FaultEvent ev;
     ev.kind = FaultKind::kControlDegrade;
-    ev.duration = config.degrade_duration;
-    ev.loss_rate = config.degrade_drop_rate;
-    ev.extra_delay = config.degrade_extra_delay;
+    ev.duration = kDegradeDuration;
+    ev.loss_rate = kDegradeDropRate;
+    ev.extra_delay = kDegradeExtraDelay;
     return ev;
   });
 

@@ -62,12 +62,6 @@ struct PlanConfig {
   double link_flap_rate_hz = 0.0;
   double control_degrade_rate_hz = 0.0;
 
-  SimDuration flap_duration = 2 * kSecond;
-  double flap_loss_rate = 0.5;
-  SimDuration degrade_duration = 2 * kSecond;
-  double degrade_drop_rate = 0.5;
-  SimDuration degrade_extra_delay = 10 * kMillisecond;
-
   std::vector<DeviceId> devices;  // kUmboxCrash candidates
   std::size_t hosts = 0;          // kHostCrash candidate count
   std::size_t links = 0;          // kLinkFlap candidate count

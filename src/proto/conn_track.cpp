@@ -1,5 +1,8 @@
 #include "proto/conn_track.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace iotsec::proto {
 
 FiveTuple FiveTuple::Canonical() const {
@@ -35,8 +38,6 @@ ConnState ConnectionTracker::Update(const ParsedFrame& frame, SimTime now) {
   if (!FiveTuple::FromFrame(frame, tuple)) return ConnState::kNone;
   const FiveTuple key = tuple.Canonical();
 
-  if (table_.size() > config_.max_entries) EvictIdle(now);
-
   auto it = table_.find(key);
   const bool expired =
       it != table_.end() &&
@@ -46,32 +47,30 @@ ConnState ConnectionTracker::Update(const ParsedFrame& frame, SimTime now) {
     it = table_.end();
   }
 
+  if (it == table_.end()) {
+    // UDP: any packet opens a flow. TCP: only an initiator SYN does; a
+    // mid-stream packet for an unknown flow is ignored.
+    const bool opens = tuple.protocol == IpProto::kUdp ||
+                       (frame.tcp->Syn() && !frame.tcp->Ack());
+    if (!opens || !RoomForNewFlow(now)) return ConnState::kNone;
+    const ConnState state = tuple.protocol == IpProto::kUdp
+                                ? ConnState::kEstablished
+                                : ConnState::kSynSent;
+    table_.emplace(key, Entry{state, now, tuple.IsForward(key)});
+    first_expiry_ =
+        std::min(first_expiry_, now + TimeoutFor(tuple.protocol) + 1);
+    return state;
+  }
+
+  Entry& e = it->second;
+  e.last_seen = now;
   if (tuple.protocol == IpProto::kUdp) {
-    Entry& e = table_[key];
-    if (e.state == ConnState::kNone) {
-      e.forward_is_initiator = tuple.IsForward(key);
-    }
     e.state = ConnState::kEstablished;
-    e.last_seen = now;
     return e.state;
   }
 
   // TCP path.
   const TcpHeader& tcp = *frame.tcp;
-  if (it == table_.end()) {
-    if (tcp.Syn() && !tcp.Ack()) {
-      Entry e;
-      e.state = ConnState::kSynSent;
-      e.last_seen = now;
-      e.forward_is_initiator = tuple.IsForward(key);
-      table_[key] = e;
-      return e.state;
-    }
-    return ConnState::kNone;  // mid-stream packet for unknown flow
-  }
-
-  Entry& e = it->second;
-  e.last_seen = now;
   if (tcp.Rst()) {
     e.state = ConnState::kClosed;
   } else {
@@ -125,14 +124,26 @@ bool ConnectionTracker::IsReplyToTracked(const ParsedFrame& frame,
   return frame_is_forward != it->second.forward_is_initiator;
 }
 
+bool ConnectionTracker::RoomForNewFlow(SimTime now) {
+  if (table_.size() < kMaxEntries) return true;
+  if (now >= next_full_sweep_ && now >= first_expiry_) {
+    next_full_sweep_ = now + kFullSweepInterval;
+    EvictIdle(now);
+    if (table_.size() < kMaxEntries) return true;
+  }
+  ++refused_;
+  return false;
+}
+
 void ConnectionTracker::EvictIdle(SimTime now) {
+  first_expiry_ = std::numeric_limits<SimTime>::max();
   for (auto it = table_.begin(); it != table_.end();) {
-    const auto timeout = config_.tcp_idle_timeout > config_.udp_idle_timeout
-                             ? config_.tcp_idle_timeout
-                             : config_.udp_idle_timeout;
+    const SimDuration timeout = TimeoutFor(it->first.protocol);
     if (now - it->second.last_seen > timeout) {
       it = table_.erase(it);
     } else {
+      first_expiry_ =
+          std::min(first_expiry_, it->second.last_seen + timeout + 1);
       ++it;
     }
   }

@@ -57,10 +57,17 @@ enum class ConnState : std::uint8_t {
 
 class ConnectionTracker {
  public:
+  /// The table never holds more flows than this. A new flow that finds
+  /// it full after a sweep is not tracked (counted in RefusedFlows()), so
+  /// its replies are dropped; flows already tracked keep working.
+  static constexpr std::size_t kMaxEntries = 65536;
+  /// A full table is swept for idle entries at most once per this much
+  /// sim time, and never before some entry can have gone idle, so a
+  /// flood of new flows costs a lookup each, not a scan.
+  static constexpr SimDuration kFullSweepInterval = kSecond;
+
   struct Config {
-    SimDuration tcp_idle_timeout = 5 * kMinute;
     SimDuration udp_idle_timeout = 30 * kSecond;
-    std::size_t max_entries = 65536;
   };
 
   ConnectionTracker() = default;
@@ -82,11 +89,12 @@ class ConnectionTracker {
   [[nodiscard]] std::size_t ActiveConnections() const {
     return table_.size();
   }
-
-  /// Removes idle-expired entries (called opportunistically by Update).
-  void EvictIdle(SimTime now);
+  /// New flows left untracked because the table was full.
+  [[nodiscard]] std::uint64_t RefusedFlows() const { return refused_; }
 
  private:
+  static constexpr SimDuration kTcpIdleTimeout = 5 * kMinute;
+
   struct Entry {
     ConnState state = ConnState::kNone;
     SimTime last_seen = 0;
@@ -94,12 +102,21 @@ class ConnectionTracker {
   };
 
   [[nodiscard]] SimDuration TimeoutFor(IpProto proto) const {
-    return proto == IpProto::kTcp ? config_.tcp_idle_timeout
-                                  : config_.udp_idle_timeout;
+    return proto == IpProto::kTcp ? kTcpIdleTimeout : config_.udp_idle_timeout;
   }
+  /// True when a new flow may take an entry: the table has room, or a
+  /// sweep made some. Counts a refusal otherwise.
+  bool RoomForNewFlow(SimTime now);
+  /// Removes every entry idle past its protocol's timeout.
+  void EvictIdle(SimTime now);
 
   Config config_;
   std::unordered_map<FiveTuple, Entry, FiveTupleHash> table_;
+  SimTime next_full_sweep_ = 0;
+  /// No entry can go idle before this (a lower bound: entries only ever
+  /// move their expiry later).
+  SimTime first_expiry_ = 0;
+  std::uint64_t refused_ = 0;
 };
 
 }  // namespace iotsec::proto

@@ -20,6 +20,17 @@ constexpr std::uint64_t kEvDefer = 6;
 constexpr std::uint64_t kEvVerify = 7;
 constexpr std::uint64_t kEvCatchUp = 8;
 
+// Health gate. The cohort fails its gate when, over the hold:
+//   * cohort crashes exceed kMaxCohortCrashes, or
+//   * cohort alerts exceed BOTH the absolute quiet-fleet allowance
+//     (kQuietAlertAllowance × cohort size) AND the control group's
+//     per-device rate scaled by kAlertRatioLimitPermille.
+// All integer arithmetic on barrier-deterministic counts — no wall
+// clock in the decision path.
+constexpr std::uint64_t kMaxCohortCrashes = 0;
+constexpr std::uint64_t kQuietAlertAllowance = 1;
+constexpr std::uint64_t kAlertRatioLimitPermille = 3000;  // 3x control
+
 }  // namespace
 
 RolloutCoordinator::RolloutCoordinator(sim::Simulator& simulator,
@@ -261,18 +272,16 @@ void RolloutCoordinator::EvaluateGate(const std::string& sku,
   }
   const std::uint64_t n_control = n_sku - n_cohort;
 
-  const bool crash_fail = cohort_crashes > config_.max_cohort_crashes;
+  const bool crash_fail = cohort_crashes > kMaxCohortCrashes;
   // The cohort passes on alerts if it stays under the absolute
   // quiet-fleet allowance OR under the control group's per-device rate
   // scaled by the ratio limit. Both exceeded = false-positive storm.
   const bool quiet_ok =
-      cohort_alerts <=
-      static_cast<std::uint64_t>(config_.quiet_alert_allowance) * n_cohort;
+      cohort_alerts <= kQuietAlertAllowance * n_cohort;
   const bool ratio_ok =
       n_control > 0 &&
       cohort_alerts * n_control * 1000 <=
-          static_cast<std::uint64_t>(config_.alert_ratio_limit_permille) *
-              control_alerts * n_cohort;
+          kAlertRatioLimitPermille * control_alerts * n_cohort;
   const bool failed = crash_fail || (!quiet_ok && !ratio_ok);
 
   Fold(kEvGate, cohort_alerts, control_alerts,

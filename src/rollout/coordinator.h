@@ -61,17 +61,6 @@ struct RolloutConfig {
   /// Manifest deliveries batched per control-plane push message
   /// (ctl.rollout.push_msgs / push_bytes meter the channel).
   std::uint32_t push_batch = 32;
-
-  // ---- Health gate. The cohort fails its gate when, over the hold:
-  //   * cohort crashes exceed max_cohort_crashes, or
-  //   * cohort alerts exceed BOTH the absolute quiet-fleet allowance
-  //     (quiet_alert_allowance × cohort size) AND the control group's
-  //     per-device rate scaled by alert_ratio_limit_permille.
-  // All integer arithmetic on barrier-deterministic counts — no wall
-  // clock in the decision path.
-  std::uint32_t max_cohort_crashes = 0;
-  std::uint32_t quiet_alert_allowance = 1;
-  std::uint32_t alert_ratio_limit_permille = 3000;  // 3x control group
 };
 
 class RolloutCoordinator {

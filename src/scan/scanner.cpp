@@ -4,6 +4,18 @@
 
 namespace iotsec::scan {
 
+namespace {
+// Pacing between probes (sweeps are rate-limited to avoid drowning the
+// scanner's own uplink).
+constexpr SimDuration kProbeInterval = 2 * kMillisecond;
+// How long to wait for stragglers after the last probe.
+constexpr SimDuration kDrain = 5 * kSecond;
+// Wordlist for the default-credential probe.
+constexpr std::pair<const char*, const char*> kDefaultCredentials[] = {
+    {"admin", "admin"}, {"admin", "password"}, {"root", "root"},
+    {"admin", "1234"}};
+}  // namespace
+
 bool ScanReport::Has(DeviceId device, devices::Vulnerability v) const {
   for (const auto& finding : findings) {
     if (finding.target.device == device && finding.vulnerability == v) {
@@ -24,15 +36,7 @@ std::set<devices::Vulnerability> ScanReport::For(DeviceId device) const {
 VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
                                            devices::Attacker& probe,
                                            sim::Advance advance)
-    : VulnerabilityScanner(simulator, probe, std::move(advance), Config{}) {}
-
-VulnerabilityScanner::VulnerabilityScanner(sim::Simulator& simulator,
-                                           devices::Attacker& probe,
-                                           sim::Advance advance, Config config)
-    : sim_(simulator),
-      probe_(probe),
-      config_(std::move(config)),
-      advance_(std::move(advance)) {}
+    : sim_(simulator), probe_(probe), advance_(std::move(advance)) {}
 
 void VulnerabilityScanner::ProbeTarget(const ScanTarget& target,
                                        ScanReport& report) {
@@ -46,13 +50,13 @@ void VulnerabilityScanner::ProbeTarget(const ScanTarget& target,
   };
 
   // Default credentials against the management page.
-  for (const auto& [user, password] : config_.default_credentials) {
+  for (const auto& [user, password] : kDefaultCredentials) {
     probe_.HttpGet(ip, mac, "/admin", std::make_pair(user, password),
                    [record, user, password](const proto::HttpResponse& r) {
                      if (r.status == 200) {
                        record(Vulnerability::kDefaultPassword,
-                              "HTTP 200 on /admin with " + user + "/" +
-                                  password);
+                              std::string("HTTP 200 on /admin with ") +
+                                  user + "/" + password);
                      }
                    });
     ++report.probes_sent;
@@ -130,13 +134,12 @@ ScanReport VulnerabilityScanner::Sweep(
 
   std::size_t index = 0;
   for (const auto& target : targets) {
-    sim_.After(config_.probe_interval * static_cast<SimDuration>(index + 1),
+    sim_.After(kProbeInterval * static_cast<SimDuration>(index + 1),
                [this, &target, &report] { ProbeTarget(target, report); });
     ++index;
   }
   const SimDuration horizon =
-      config_.probe_interval * static_cast<SimDuration>(targets.size() + 1) +
-      config_.drain;
+      kProbeInterval * static_cast<SimDuration>(targets.size() + 1) + kDrain;
   advance_(horizon);
 
   // Open resolvers are attributed by the source address of the DNS

@@ -44,26 +44,12 @@ struct ScanReport {
 
 class VulnerabilityScanner {
  public:
-  struct Config {
-    /// Pacing between probes (sweeps are rate-limited to avoid drowning
-    /// the scanner's own uplink).
-    SimDuration probe_interval = 2 * kMillisecond;
-    /// How long to wait for stragglers after the last probe.
-    SimDuration drain = 5 * kSecond;
-    /// Wordlist for the default-credential probe.
-    std::vector<std::pair<std::string, std::string>> default_credentials = {
-        {"admin", "admin"}, {"admin", "password"}, {"root", "root"},
-        {"admin", "1234"}};
-  };
-
   /// `attacker` provides the network vantage point; the scanner drives it
   /// and schedules its probes on `simulator`, the attacker's. `advance`
   /// moves time during a sweep: the deployment's RunFor, which also runs
   /// the shard barrier.
   VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe,
                        sim::Advance advance);
-  VulnerabilityScanner(sim::Simulator& simulator, devices::Attacker& probe,
-                       sim::Advance advance, Config config);
 
   /// Sweeps the targets synchronously (advances time). The returned
   /// report is complete when the call returns.
@@ -74,7 +60,6 @@ class VulnerabilityScanner {
 
   sim::Simulator& sim_;
   devices::Attacker& probe_;
-  Config config_;
   sim::Advance advance_;
 };
 

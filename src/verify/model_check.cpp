@@ -32,6 +32,9 @@ std::string Counterexample::ToString() const {
 
 namespace {
 
+/// Exploration budget: distinct product states per pass.
+constexpr std::size_t kMaxStates = 50000;
+
 /// "rule 'window-guard'" or "default".
 std::string RuleDesc(const policy::FsmPolicy& policy,
                      std::optional<std::size_t> idx) {
@@ -134,7 +137,7 @@ struct Explorer {
         ++transitions;
         const std::string key = EncodeKey(child);
         if (!visited.insert(key).second) return false;
-        if (nodes.size() >= in.config.max_states) {
+        if (nodes.size() >= kMaxStates) {
           exhausted = true;
           return true;  // budget gone — stop generating
         }
@@ -214,7 +217,7 @@ struct Explorer {
         }
         if (enqueue(std::move(child))) return;
       }
-      if (nodes.size() >= in.config.max_states) break;
+      if (nodes.size() >= kMaxStates) break;
 
       // --- Free context/environment transitions (dim order, ascending
       // value, skipping the current one).
@@ -251,9 +254,9 @@ struct Explorer {
           child.step.note = std::move(note);
           if (enqueue(std::move(child))) return;
         }
-        if (nodes.size() >= in.config.max_states) break;
+        if (nodes.size() >= kMaxStates) break;
       }
-      if (nodes.size() >= in.config.max_states) break;
+      if (nodes.size() >= kMaxStates) break;
     }
   }
 
@@ -391,8 +394,9 @@ void ReportModelCheck(const ModelCheckResult& result,
                    "exploration budget exhausted before a verdict on '" +
                        v.goal + "' (" +
                        std::to_string(result.states_explored) +
-                       " states explored) — raise the ModelCheckConfig "
-                       "budget (max_states, max_depth)");
+                       " states explored) — raise ModelCheckConfig::"
+                       "max_depth or the kMaxStates constant in "
+                       "verify/model_check.cpp");
         break;
     }
   }

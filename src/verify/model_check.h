@@ -48,12 +48,8 @@
 namespace iotsec::verify {
 
 struct ModelCheckConfig {
-  /// Exploration budget: distinct product states per pass.
-  std::size_t max_states = 50000;
   /// Maximum counterexample length (BFS depth).
   std::size_t max_depth = 24;
-
-  bool operator==(const ModelCheckConfig&) const = default;
 };
 
 struct ModelCheckInput {

@@ -542,6 +542,146 @@ TEST(ConnTrackerTest, UdpExchangeTracksAndTimesOut) {
   EXPECT_FALSE(tracker.IsReplyToTracked(reply, 10 * kSecond));
 }
 
+proto::ParsedFrame UdpFrame(Ipv4Address src, Ipv4Address dst,
+                            std::uint16_t sport, std::uint16_t dport,
+                            Bytes& storage) {
+  storage = proto::BuildUdpFrame(MacAddress::FromId(1), MacAddress::FromId(2),
+                                 src, dst, sport, dport, ToBytes("x"));
+  return *proto::ParseFrame(storage);
+}
+
+// Opens kMaxEntries flows from distinct inside hosts at `now`.
+void FillTable(proto::ConnectionTracker& tracker, proto::IpProto protocol,
+               SimTime now) {
+  const Ipv4Address server(99, 9, 9, 9);
+  Bytes storage;
+  for (std::uint32_t i = 0; i < proto::ConnectionTracker::kMaxEntries; ++i) {
+    const Ipv4Address host(0x0A000001u + i);
+    const auto frame =
+        protocol == proto::IpProto::kTcp
+            ? TcpFrame(host, server, 4000, 80, proto::TcpFlags::kSyn, storage)
+            : UdpFrame(host, server, 4000, 53, storage);
+    ASSERT_NE(tracker.Update(frame, now), proto::ConnState::kNone);
+  }
+  ASSERT_EQ(tracker.ActiveConnections(),
+            proto::ConnectionTracker::kMaxEntries);
+}
+
+TEST(ConnTrackerTest, FullTableRefusesNewFlowsAndKeepsTrackedOnes) {
+  proto::ConnectionTracker tracker;
+  const Ipv4Address inside(10, 0, 0, 1);  // first host FillTable opens
+  const Ipv4Address server(99, 9, 9, 9);
+  const Ipv4Address newcomer(172, 16, 0, 1);
+  FillTable(tracker, proto::IpProto::kTcp, 0);
+  Bytes b1, b2, b3, b4, b5;
+
+  // A new flow finds the table full: it is refused and counted, and its
+  // reply is not admitted (fail closed).
+  const auto syn =
+      TcpFrame(newcomer, server, 5000, 80, proto::TcpFlags::kSyn, b1);
+  EXPECT_EQ(tracker.Update(syn, kSecond), proto::ConnState::kNone);
+  EXPECT_EQ(tracker.RefusedFlows(), 1u);
+  const auto synack = TcpFrame(server, newcomer, 80, 5000,
+                               proto::TcpFlags::kSyn | proto::TcpFlags::kAck,
+                               b2);
+  EXPECT_FALSE(tracker.IsReplyToTracked(synack, kSecond));
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 5001, 53, b3),
+                           2 * kSecond),
+            proto::ConnState::kNone);
+  EXPECT_EQ(tracker.RefusedFlows(), 2u);
+  EXPECT_EQ(tracker.ActiveConnections(),
+            proto::ConnectionTracker::kMaxEntries);
+
+  // A flow tracked before the table filled still sees its replies.
+  const auto reply = TcpFrame(server, inside, 80, 4000,
+                              proto::TcpFlags::kSyn | proto::TcpFlags::kAck,
+                              b4);
+  EXPECT_TRUE(tracker.IsReplyToTracked(reply, 2 * kSecond));
+  EXPECT_EQ(tracker.Update(reply, 2 * kSecond),
+            proto::ConnState::kSynReceived);
+  EXPECT_EQ(tracker.Update(TcpFrame(inside, server, 4000, 80,
+                                    proto::TcpFlags::kAck, b5),
+                           2 * kSecond),
+            proto::ConnState::kEstablished);
+  EXPECT_EQ(tracker.RefusedFlows(), 2u);
+}
+
+TEST(ConnTrackerTest, IdleUdpFlowsMakeRoomInAFullTable) {
+  proto::ConnectionTracker tracker;
+  const Ipv4Address newcomer(172, 16, 0, 1);
+  const Ipv4Address server(99, 9, 9, 9);
+  FillTable(tracker, proto::IpProto::kUdp, 0);
+  Bytes b1;
+
+  // Every UDP flow is idle past its 30 s timeout, though well inside the
+  // TCP one: the sweep expires each entry by its own protocol.
+  const auto syn =
+      TcpFrame(newcomer, server, 5000, 80, proto::TcpFlags::kSyn, b1);
+  EXPECT_EQ(tracker.Update(syn, 31 * kSecond), proto::ConnState::kSynSent);
+  EXPECT_EQ(tracker.RefusedFlows(), 0u);
+  EXPECT_EQ(tracker.ActiveConnections(), 1u);
+}
+
+TEST(ConnTrackerTest, FullTableIsSweptAtMostOncePerInterval) {
+  constexpr SimDuration kInterval =
+      proto::ConnectionTracker::kFullSweepInterval;
+  proto::ConnectionTracker tracker;
+  const Ipv4Address newcomer(172, 16, 0, 1);
+  const Ipv4Address server(99, 9, 9, 9);
+  FillTable(tracker, proto::IpProto::kUdp, 0);
+  Bytes b1, b2, b3;
+
+  // A sweep just before the UDP timeout finds nothing to expire...
+  const SimTime first = 30 * kSecond - kInterval / 2;
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 1, 53, b1), first),
+            proto::ConnState::kNone);
+  // ...and no second sweep runs within the interval, though the flows
+  // have since gone idle: the new flow is refused without a scan.
+  const SimTime idle = 30 * kSecond + kInterval / 4;
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 2, 53, b2), idle),
+            proto::ConnState::kNone);
+  EXPECT_EQ(tracker.RefusedFlows(), 2u);
+  EXPECT_EQ(tracker.ActiveConnections(),
+            proto::ConnectionTracker::kMaxEntries);
+  // Once the interval has passed, the next new flow sweeps and fits.
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 3, 53, b3),
+                           first + kInterval),
+            proto::ConnState::kEstablished);
+  EXPECT_EQ(tracker.ActiveConnections(), 1u);
+}
+
+TEST(ConnTrackerTest, FlowOpenedAfterASweepStillExpires) {
+  proto::ConnectionTracker tracker;
+  const Ipv4Address inside(10, 0, 0, 1);  // first host FillTable opens
+  const Ipv4Address server(99, 9, 9, 9);
+  const Ipv4Address newcomer(172, 16, 0, 1);
+  FillTable(tracker, proto::IpProto::kTcp, 0);
+  Bytes b1, b2, b3, b4, b5;
+
+  // A sweep over fresh TCP flows frees nothing, and none of them can go
+  // idle for five minutes.
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 1, 53, b1), kSecond),
+            proto::ConnState::kNone);
+  // A reset frees one entry, and a UDP flow takes it...
+  EXPECT_EQ(tracker.Update(TcpFrame(inside, server, 4000, 80,
+                                    proto::TcpFlags::kRst, b2),
+                           2 * kSecond),
+            proto::ConnState::kClosed);
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 2, 53, b3),
+                           2 * kSecond),
+            proto::ConnState::kEstablished);
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 3, 53, b4),
+                           3 * kSecond),
+            proto::ConnState::kNone);
+  // ...and once it is idle past 30 s, the next new flow sweeps it out.
+  EXPECT_EQ(tracker.Update(UdpFrame(newcomer, server, 4, 53, b5),
+                           33 * kSecond),
+            proto::ConnState::kEstablished);
+  EXPECT_EQ(tracker.RefusedFlows(), 2u);
+  EXPECT_EQ(tracker.ActiveConnections(),
+            proto::ConnectionTracker::kMaxEntries);
+}
+
 TEST(ConnTrackerTest, FinFinClosesGracefully) {
   proto::ConnectionTracker tracker;
   const Ipv4Address a(10, 0, 0, 1);

@@ -424,7 +424,7 @@ TEST(CoordinatorTest, CanaryCrashRollsBack) {
   w.sim.After(50 * kMillisecond, [&] {
     const auto canaries = w.Canaries(v);
     ASSERT_FALSE(canaries.empty());
-    w.coord->OnDeviceCrash(canaries.front());  // max_cohort_crashes = 0
+    w.coord->OnDeviceCrash(canaries.front());  // kMaxCohortCrashes = 0
   });
   w.sim.RunFor(kSecond);
   EXPECT_EQ(w.coord->stats().rollbacks, 1u);
